@@ -65,13 +65,6 @@ class Density:
     def __getitem__(self, point) -> float:
         return self.table.get(point, 0.0)
 
-    def to_canonical_text(self) -> str:
-        lines = []
-        for point in sorted(self.table):
-            coords = " ".join(str(c) for c in point)
-            lines.append(f"{coords} -> {self.table[point]!r}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class TruncatedGaussian:

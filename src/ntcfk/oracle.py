@@ -20,7 +20,7 @@ import numpy as np
 
 from .gaussian import Density, TruncatedGaussian
 from .ntcf import NtcfKey
-from .zq import DimensionError, ZqVector
+from .zq import DimensionError
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-9
@@ -88,14 +88,6 @@ class SparseState:
         keys = self.amps.keys() & other.amps.keys()
         ip = sum(self.amps[k].conjugate() * other.amps[k] for k in keys)
         return abs(ip) ** 2
-
-    def to_canonical_text(self) -> str:
-        lines = []
-        for lab in sorted(self.amps):
-            flat = " ".join(str(v) for part in lab for v in part)
-            a = self.amps[lab]
-            lines.append(f"{flat} -> {a.real!r} {a.imag!r}")
-        return "\n".join(lines) + "\n"
 
 
 def init_uniform(specs, domain) -> SparseState:
@@ -262,8 +254,3 @@ def full_distribution(state: SparseState, names) -> Density:
         table[key] = table.get(key, 0.0) + abs(a) ** 2
     total = sum(table.values())
     return Density({k: v / total for k, v in table.items()})
-
-
-def modq_value(vec: ZqVector) -> tuple[int, ...]:
-    """A ZqVector as a register value tuple."""
-    return vec.as_tuple()

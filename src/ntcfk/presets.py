@@ -12,11 +12,7 @@ by hand.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from .gaussian import TruncatedGaussian
-from .ntcf import NtcfParams, compute_bp, gen, inv
-from .zq import ZqVector, mat_vec_mul
+from .ntcf import NtcfParams, compute_bp
 
 PRESETS: dict[str, NtcfParams] = {
     "tiny-exact": NtcfParams(
@@ -42,25 +38,3 @@ def get_preset(name: str) -> NtcfParams:
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
 
-
-def uniqueness_probe(p: NtcfParams, rng: np.random.Generator, trials: int = 50) -> int:
-    """Count honest sample/invert round trips that recover the planted x.
-
-    The clean claw form of the residual state assumes each branch has a
-    unique consistent preimage; this samples the honest image pipeline
-    and checks the trapdoor decode lands back on the plant every time.
-    Returns the number of successes (should equal trials).
-    """
-    ok = 0
-    for _ in range(trials):
-        k, t = gen(p, rng)
-        b = int(rng.integers(0, p.kappa))
-        x = ZqVector(rng.integers(0, p.q, size=p.n, dtype=np.int64), p.modulus)
-        e0 = TruncatedGaussian(p.modulus, p.b_p, p.m).sample(rng)
-        y = mat_vec_mul(k.A, x) + e0 + k.t.scale(b)
-        try:
-            if inv(k, t, b, y) == x:
-                ok += 1
-        except Exception:
-            pass
-    return ok

@@ -1,5 +1,6 @@
 """The 2-round quantumness protocol: verifier state machine, wire
-format, round driver, and accept/reject statistics.
+format, one round engine for both transports, and accept/reject
+statistics.
 
 Each round: the verifier generates a fresh key and sends it; the prover
 replies with an image y; the verifier inverts y into the claw, flips a
@@ -8,9 +9,15 @@ the prover answers; the verifier rules. RED failures and all-zero d
 outcomes consume a retry with a fresh key instead of a rejection.
 
 Wire format: a frame is a 4-byte big-endian payload length, a 1-byte
-message tag, then the payload in canonical text. The in-process and TCP
-transports both move real frames, so transcripts are byte-comparable
-across transports.
+message tag, then the payload in canonical text.
+
+One verifier loop runs every session over a channel that moves whole
+frames: an in-memory loopback, where the prover answers on the calling
+thread, or a TCP socket (TCP_NODELAY set), where the verifier is a server
+thread and the prover the calling thread. On both, each frame is encoded
+once by its sender and decoded once by its receiver, so transcripts are
+byte-comparable across transports. The idealized honest prover's secret
+hint travels beside the channel, never through it.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ntcf import NtcfKey, NtcfParams, chk, gen, inv, key_from_text, key_to_text
-from .prover import EquationResponse, RedFailed, red_valid_range
+from .prover import RedFailed, red_valid_range
 from .serialize import HEADER_TRANSCRIPT, FormatError, LineReader, LineWriter
 from .trapdoor import DecodeFailure
 from .zq import BitString, ZqVector, bit_dot_xor, j_encode
@@ -340,108 +347,52 @@ class SessionStats:
         return self.rounds_completed > 0 and self.accepts == self.rounds_completed
 
 
-# round driver --------------------------------------------------------------
+# round engine --------------------------------------------------------------
 
-def _record(transcript: Transcript, msg, params) -> bytes:
-    """Encode, decode back (wire fidelity), and log a message."""
-    frame = frame_encode(msg)
-    frame_decode(frame, params)
-    transcript.frames.append(frame)
-    return frame
+TCP_TIMEOUT_S = 30.0  # bound on each socket call, the hint hand-off and the join
 
 
-def _prover_answer(prover, challenge_kind: str):
-    if challenge_kind == "G":
-        b, x = prover.respond_generation()
-        return MsgPreimageResp(b, x)
-    try:
-        b_prime, eq = prover.respond_test()
-    except RedFailed as exc:
-        return MsgRedFailure(exc.reason)
-    return MsgEquationResp(b_prime, eq.c, eq.d)
-
-
-def _drive_attempt_inproc(params, prover, rng) -> Transcript:
-    """One key/image/challenge/response/verdict exchange, in process.
-
-    Every message passes through the frame codec so in-process
-    transcripts are byte-identical to transport transcripts.
-    """
-    t = Transcript()
-    vr = VerifierRound(params, rng)
-    if getattr(prover, "wants_secret_hint", False):
-        prover.set_secret_hint(vr.secret_s())
-    key_msg = frame_decode(_record(t, vr.key_message(), params))
-    y = prover.receive_key(key_msg.key)
-    img = frame_decode(_record(t, MsgImage(y), params), params)
-    early = vr.receive_image(img.y)
-    if early is not None:
-        _record(t, early, params)
-        t.verdict, t.reason = "reject", early.reason
-        return t
-    ch = frame_decode(_record(t, vr.challenge(rng), params), params)
-    answer = frame_decode(_record(t, _prover_answer(prover, ch.kind), params), params)
-    if isinstance(answer, MsgRedFailure):
-        result = vr.red_failure(answer.reason)
-    elif isinstance(answer, MsgPreimageResp):
-        result = vr.check_generation(answer.b, answer.x)
-    else:
-        result = vr.check_equation(answer.b_prime, answer.c, answer.d)
-    _record(t, result, params)
-    t.verdict = "accept" if result.accept else ("retry" if result.is_retry else "reject")
-    t.reason = result.reason
-    t.challenge_kind = ch.kind
-    return t
-
-
-def run_protocol(
-    params: NtcfParams,
-    prover,
-    n_rounds: int,
-    rng: np.random.Generator,
-    retry_cap: int | None = None,
-    keep_transcripts: bool = True,
-) -> SessionStats:
-    """Drive n_rounds completed rounds against the given prover.
-
-    Retries (RED failure, all-zero d) get a fresh key and do not count
-    toward the round total; exceeding the retry cap aborts the session.
-    """
+def _retry_cap(n_rounds: int, retry_cap: int | None) -> int:
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    if retry_cap is None:
-        retry_cap = 10 + 2 * n_rounds
-    stats = SessionStats(rounds_requested=n_rounds)
-    while stats.rounds_completed < n_rounds:
-        t = _drive_attempt_inproc(params, prover, rng)
-        if keep_transcripts:
-            stats.transcripts.append(t)
-        if t.verdict == "retry":
-            stats.retries += 1
-            if stats.retries > retry_cap:
-                raise SessionAbort(
-                    f"retry cap {retry_cap} exceeded after "
-                    f"{stats.rounds_completed} completed rounds (last: {t.reason})"
-                )
-            continue
-        stats.rounds_completed += 1
-        kind = getattr(t, "challenge_kind", None)
-        if kind == "G":
-            stats.gen_rounds += 1
-        elif kind == "T":
-            stats.test_rounds += 1
-        if t.verdict == "accept":
-            stats.accepts += 1
-            if kind == "G":
-                stats.gen_passes += 1
-            elif kind == "T":
-                stats.test_passes += 1
-        else:
-            stats.rejects += 1
-    return stats
+    return 10 + 2 * n_rounds if retry_cap is None else retry_cap
 
 
-# TCP transport -------------------------------------------------------------
+def _prover_step(prover, msg):
+    """The prover's reply to one decoded verifier frame; None for a verdict."""
+    if isinstance(msg, MsgKey):
+        return MsgImage(prover.receive_key(msg.key))
+    if isinstance(msg, MsgChallenge):
+        if msg.kind == "G":
+            b, x = prover.respond_generation()
+            return MsgPreimageResp(b, x)
+        try:
+            b_prime, eq = prover.respond_test()
+        except RedFailed as exc:
+            return MsgRedFailure(exc.reason)
+        return MsgEquationResp(b_prime, eq.c, eq.d)
+    if isinstance(msg, MsgRoundResult):
+        return None  # verdicts are the verifier's business
+    raise ProtocolError(f"prover got unexpected {type(msg).__name__}")
+
+
+class _Loopback:
+    """In-memory channel: the prover decodes and answers each frame as
+    the verifier sends it, on the calling thread."""
+
+    def __init__(self, prover, params: NtcfParams):
+        self._prover = prover
+        self._params = params
+        self._reply: bytes | None = None
+
+    def send(self, frame: bytes) -> None:
+        reply = _prover_step(self._prover, frame_decode(frame, self._params))
+        self._reply = None if reply is None else frame_encode(reply)
+
+    def recv(self) -> bytes | None:
+        frame, self._reply = self._reply, None
+        return frame
+
 
 def _read_frame(stream) -> bytes | None:
     head = stream.read(4)
@@ -456,83 +407,143 @@ def _read_frame(stream) -> bytes | None:
     return head + rest
 
 
-def _verifier_serve(conn, params, n_rounds, rng, retry_cap, stats, hint_q, errs):
-    """Server side of the TCP session: drives rounds over the socket."""
-    try:
-        rfile = conn.makefile("rb")
-        wfile = conn.makefile("wb")
+class _SocketChannel:
+    """One end of a TCP session. Each message is one small frame that
+    waits for a reply, so Nagle's algorithm is off: with it on, a frame
+    sits in the kernel until the peer's delayed ACK."""
 
-        def send(msg, transcript):
-            frame = frame_encode(msg)
-            transcript.frames.append(frame)
-            wfile.write(frame)
-            wfile.flush()
+    def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(TCP_TIMEOUT_S)
+        self._sock = sock
+        self._rfile = sock.makefile("rb")
 
-        def recv(transcript):
-            frame = _read_frame(rfile)
-            if frame is None:
-                raise SessionAbort("peer closed connection mid-round")
-            transcript.frames.append(frame)
-            return frame_decode(frame, params)
+    def send(self, frame: bytes) -> None:
+        self._sock.sendall(frame)
 
-        while stats.rounds_completed < n_rounds:
-            t = Transcript()
-            vr = VerifierRound(params, rng)
-            if hint_q is not None:
-                hint_q.put(vr.secret_s())
-            send(vr.key_message(), t)
-            img = recv(t)
-            if not isinstance(img, MsgImage):
-                raise ProtocolError(f"expected Image, got {type(img).__name__}")
-            early = vr.receive_image(img.y)
-            if early is not None:
-                send(early, t)
-                t.verdict, t.reason = "reject", early.reason
-                stats.transcripts.append(t)
-                stats.rounds_completed += 1
-                stats.rejects += 1
-                continue
-            ch = vr.challenge(rng)
-            send(ch, t)
-            answer = recv(t)
-            if isinstance(answer, MsgRedFailure):
-                result = vr.red_failure(answer.reason)
-            elif isinstance(answer, MsgPreimageResp):
-                result = vr.check_generation(answer.b, answer.x)
-            elif isinstance(answer, MsgEquationResp):
-                result = vr.check_equation(answer.b_prime, answer.c, answer.d)
-            else:
-                raise ProtocolError(f"unexpected {type(answer).__name__}")
-            send(result, t)
-            t.verdict = (
-                "accept" if result.accept else ("retry" if result.is_retry else "reject")
-            )
-            t.reason = result.reason
-            t.challenge_kind = ch.kind
+    def recv(self) -> bytes | None:
+        return _read_frame(self._rfile)
+
+    def close(self) -> None:
+        self._rfile.close()
+        self._sock.close()
+
+
+def _verify_attempt(channel, params, rng, hint) -> Transcript:
+    """One key/image/challenge/response/verdict exchange. The verifier
+    acts only on the frames it decodes, never on the prover's objects."""
+    t = Transcript()
+
+    def send(msg) -> None:
+        frame = frame_encode(msg)
+        t.frames.append(frame)
+        channel.send(frame)
+
+    def recv(*expected):
+        frame = channel.recv()
+        if frame is None:
+            raise SessionAbort("peer closed connection mid-round")
+        t.frames.append(frame)
+        msg = frame_decode(frame, params)
+        if not isinstance(msg, expected):
+            raise ProtocolError(f"unexpected {type(msg).__name__} from the prover")
+        return msg
+
+    vr = VerifierRound(params, rng)
+    if hint is not None:
+        hint(vr.secret_s())
+    send(vr.key_message())
+    result = vr.receive_image(recv(MsgImage).y)
+    if result is None:
+        ch = vr.challenge(rng)
+        send(ch)
+        t.challenge_kind = ch.kind
+        answer = recv(MsgPreimageResp, MsgEquationResp, MsgRedFailure)
+        if isinstance(answer, MsgPreimageResp):
+            result = vr.check_generation(answer.b, answer.x)
+        elif isinstance(answer, MsgEquationResp):
+            result = vr.check_equation(answer.b_prime, answer.c, answer.d)
+        else:
+            result = vr.red_failure(answer.reason)
+    send(result)
+    t.verdict = "accept" if result.accept else ("retry" if result.is_retry else "reject")
+    t.reason = result.reason
+    return t
+
+
+def _run_verifier(channel, params, n_rounds, rng, retry_cap, hint,
+                  keep_transcripts=True) -> SessionStats:
+    """The verifier's session over any channel: rounds, verdicts, stats.
+
+    Retries (RED failure, all-zero d) get a fresh key and do not count
+    toward the round total; exceeding the retry cap aborts the session.
+    `hint` receives each round's secret off the wire, or is None.
+    """
+    stats = SessionStats(rounds_requested=n_rounds)
+    while stats.rounds_completed < n_rounds:
+        t = _verify_attempt(channel, params, rng, hint)
+        if keep_transcripts:
             stats.transcripts.append(t)
-            if t.verdict == "retry":
-                stats.retries += 1
-                if stats.retries > retry_cap:
-                    raise SessionAbort(f"retry cap {retry_cap} exceeded")
-                continue
-            stats.rounds_completed += 1
-            if ch.kind == "G":
-                stats.gen_rounds += 1
-            else:
-                stats.test_rounds += 1
-            if result.accept:
-                stats.accepts += 1
-                if ch.kind == "G":
-                    stats.gen_passes += 1
-                else:
-                    stats.test_passes += 1
-            else:
-                stats.rejects += 1
-        wfile.close()
-    except Exception as exc:  # surfaced to the driver thread
-        errs.append(exc)
+        if t.verdict == "retry":
+            stats.retries += 1
+            if stats.retries > retry_cap:
+                raise SessionAbort(
+                    f"retry cap {retry_cap} exceeded after "
+                    f"{stats.rounds_completed} completed rounds (last: {t.reason})"
+                )
+            continue
+        stats.rounds_completed += 1
+        passed = t.verdict == "accept"
+        stats.accepts += passed
+        stats.rejects += not passed
+        if t.challenge_kind == "G":
+            stats.gen_rounds += 1
+            stats.gen_passes += passed
+        elif t.challenge_kind == "T":
+            stats.test_rounds += 1
+            stats.test_passes += passed
+    return stats
+
+
+def run_protocol(
+    params: NtcfParams,
+    prover,
+    n_rounds: int,
+    rng: np.random.Generator,
+    retry_cap: int | None = None,
+    keep_transcripts: bool = True,
+) -> SessionStats:
+    """Drive n_rounds completed rounds against the given prover, in
+    process: every message still passes through the frame codec."""
+    retry_cap = _retry_cap(n_rounds, retry_cap)
+    hint = prover.set_secret_hint if getattr(prover, "wants_secret_hint", False) else None
+    return _run_verifier(_Loopback(prover, params), params, n_rounds, rng,
+                         retry_cap, hint, keep_transcripts)
+
+
+# TCP transport -------------------------------------------------------------
+
+def _serve_verifier(channel, outcome: list, *session) -> None:
+    """Verifier thread: the session's stats or its error go to `outcome`."""
+    try:
+        outcome.append(_run_verifier(channel, *session))
+    except OSError as exc:
+        outcome.append(SessionAbort(f"transport failure: {exc!r}"))
+    except Exception as exc:  # re-raised on the calling thread
+        outcome.append(exc)
     finally:
-        conn.close()
+        channel.close()  # the prover reads end of session
+
+
+def _serve_prover(channel, prover, params, hints: queue.Queue | None) -> None:
+    """Answer verifier frames until the verifier closes the connection."""
+    while (frame := channel.recv()) is not None:
+        msg = frame_decode(frame, params)
+        if hints is not None and isinstance(msg, MsgKey):
+            prover.set_secret_hint(hints.get(timeout=TCP_TIMEOUT_S))
+        reply = _prover_step(prover, msg)
+        if reply is not None:
+            channel.send(frame_encode(reply))
 
 
 def run_protocol_tcp(
@@ -545,54 +556,33 @@ def run_protocol_tcp(
     port: int = 0,
 ) -> SessionStats:
     """Same contract as run_protocol, but verifier and prover exchange
-    frames over a localhost TCP connection (verifier = server thread)."""
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-    if retry_cap is None:
-        retry_cap = 10 + 2 * n_rounds
-    stats = SessionStats(rounds_requested=n_rounds)
-    hint_q = queue.Queue() if getattr(prover, "wants_secret_hint", False) else None
-    errs: list[Exception] = []
-
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.bind((host, port))
-    server.listen(1)
-    addr = server.getsockname()
-
-    client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    client.connect(addr)
-    conn, _peer = server.accept()
-    server.close()
-
+    frames over a localhost TCP connection (verifier = server thread,
+    prover = calling thread)."""
+    retry_cap = _retry_cap(n_rounds, retry_cap)
+    hints = queue.Queue() if getattr(prover, "wants_secret_hint", False) else None
+    with socket.create_server((host, port)) as server:
+        client = _SocketChannel(socket.create_connection(server.getsockname()[:2]))
+        verifier = _SocketChannel(server.accept()[0])
+    outcome: list = []
     thread = threading.Thread(
-        target=_verifier_serve,
-        args=(conn, params, n_rounds, rng, retry_cap, stats, hint_q, errs),
+        target=_serve_verifier,
+        args=(verifier, outcome, params, n_rounds, rng, retry_cap,
+              None if hints is None else hints.put),
     )
     thread.start()
+    client_error = None
     try:
-        rfile = client.makefile("rb")
-        wfile = client.makefile("wb")
-        while True:
-            frame = _read_frame(rfile)
-            if frame is None:
-                break
-            msg = frame_decode(frame, params)
-            if isinstance(msg, MsgKey):
-                if hint_q is not None:
-                    prover.set_secret_hint(hint_q.get(timeout=30))
-                y = prover.receive_key(msg.key)
-                wfile.write(frame_encode(MsgImage(y)))
-                wfile.flush()
-            elif isinstance(msg, MsgChallenge):
-                wfile.write(frame_encode(_prover_answer(prover, msg.kind)))
-                wfile.flush()
-            elif isinstance(msg, MsgRoundResult):
-                pass  # verdicts are the verifier's business
-            else:
-                raise ProtocolError(f"client got unexpected {type(msg).__name__}")
+        _serve_prover(client, prover, params, hints)
+    except OSError as exc:  # the verifier's own error, if any, says more
+        client_error = exc
     finally:
         client.close()
-        thread.join(timeout=60)
-    if errs:
-        raise errs[0]
-    return stats
+        thread.join(timeout=TCP_TIMEOUT_S)
+    if thread.is_alive():
+        raise SessionAbort(f"verifier did not finish within {TCP_TIMEOUT_S} s")
+    (result,) = outcome
+    if isinstance(result, Exception):
+        raise result
+    if client_error is not None:
+        raise SessionAbort(f"transport failure: {client_error!r}") from client_error
+    return result

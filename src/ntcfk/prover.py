@@ -261,9 +261,6 @@ class CheatCommitProver:
         self._committed = None
         self._key: NtcfKey | None = None
 
-    def set_secret_hint(self, s) -> None:  # pragma: no cover - interface stub
-        pass
-
     def receive_key(self, key: NtcfKey) -> ZqVector:
         p = key.params
         b = int(self.rng.integers(0, p.kappa))
@@ -295,9 +292,6 @@ class CheatRandomProver:
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self._key: NtcfKey | None = None
-
-    def set_secret_hint(self, s) -> None:  # pragma: no cover - interface stub
-        pass
 
     def receive_key(self, key: NtcfKey) -> ZqVector:
         self._key = key

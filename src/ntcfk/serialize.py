@@ -34,14 +34,15 @@ class LineWriter:
 
     def vector(self, name: str, vec) -> None:
         entries = vec.entries if isinstance(vec, ZqVector) else vec
-        self.lines.append(f"{name}=" + " ".join(str(int(v)) for v in entries))
+        values = np.asarray(entries, dtype=np.int64).tolist()
+        self.lines.append(f"{name}=" + " ".join(map(str, values)))
 
     def matrix(self, name: str, mat) -> None:
-        entries = mat.entries if isinstance(mat, ZqMatrix) else np.asarray(mat)
+        entries = mat.entries if isinstance(mat, ZqMatrix) else mat
+        entries = np.asarray(entries, dtype=np.int64)
         rows, cols = entries.shape
         self.lines.append(f"{name}={rows} {cols}")
-        for r in entries:
-            self.lines.append(" ".join(str(int(v)) for v in r))
+        self.lines.extend(" ".join(map(str, row)) for row in entries.tolist())
 
     def bits(self, name: str, b: BitString) -> None:
         self.lines.append(f"{name}=" + "".join(str(v) for v in b.bits))
@@ -99,7 +100,7 @@ class LineReader:
         v = self._value(name)
         parts = v.split() if v else []
         try:
-            return np.array([int(p) for p in parts], dtype=np.int64)
+            return np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
         except ValueError as exc:
             raise FormatError(f"field {name}: bad vector {v!r}") from exc
 
@@ -108,12 +109,14 @@ class LineReader:
         if len(head) != 2:
             raise FormatError(f"field {name}: bad matrix header")
         rows, cols = int(head[0]), int(head[1])
-        out = np.zeros((rows, cols), dtype=np.int64)
+        out = np.empty((rows, cols), dtype=np.int64)  # rejects negative sizes
+        values: list[int] = []
         for i in range(rows):
             parts = self._next_line().split()
             if len(parts) != cols:
                 raise FormatError(f"matrix {name}: row {i} has {len(parts)} entries")
-            out[i] = [int(p) for p in parts]
+            values.extend(map(int, parts))
+        out.flat[:] = values
         return out
 
     def bits(self, name: str) -> BitString:

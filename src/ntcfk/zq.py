@@ -152,10 +152,6 @@ class BitString:
     def __len__(self) -> int:
         return len(self.bits)
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls((0,) * n)
-
     def is_zero(self) -> bool:
         return all(b == 0 for b in self.bits)
 

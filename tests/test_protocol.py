@@ -1,6 +1,13 @@
+import socket
+import threading
+import time
+from collections import Counter
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import ntcfk.protocol as protocol
 from ntcfk.ntcf import gen, key_to_text, trapdoor_to_text
 from ntcfk.presets import get_preset
 from ntcfk.prover import (
@@ -20,6 +27,7 @@ from ntcfk.protocol import (
     MsgRoundResult,
     ProtocolError,
     SessionAbort,
+    SessionStats,
     Transcript,
     VerifierRound,
     frame_decode,
@@ -36,6 +44,25 @@ DESK = get_preset("desk-k3")
 
 def vec(entries, params):
     return ZqVector(np.array(entries, dtype=np.int64), params.modulus)
+
+
+def make_prover(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "cheat-commit":
+        return CheatCommitProver(rng)
+    if kind == "cheat-random":
+        return CheatRandomProver(rng)
+    return HonestProver(rng, mode=kind)
+
+
+def counters(stats):
+    return {f.name: getattr(stats, f.name) for f in fields(SessionStats)
+            if f.name != "transcripts"}
+
+
+class AlwaysRedFails(HonestProver):
+    def respond_test(self):
+        raise RedFailed("induced failure")
 
 
 class TestFrames:
@@ -221,13 +248,47 @@ class TestDeterminismAndTranscripts:
             assert back.frames == t.frames
             assert (back.verdict, back.reason) == (t.verdict, t.reason)
 
-    def test_inproc_and_tcp_frames_match(self):
-        a = self.run_seeded(16, 17, n=20)
-        pr = HonestProver(np.random.default_rng(16), mode="exact-enumeration")
-        b = run_protocol_tcp(TINY, pr, 20, np.random.default_rng(17))
+    # Between them the cases take every verdict path: accept, reject,
+    # retry (RED failure) and the image decode failure.
+    @pytest.mark.parametrize("preset,prover_kind", [
+        ("tiny-exact", "exact-enumeration"),
+        ("desk-k3", "idealized-claw"),
+        ("desk-k3", "cheat-commit"),
+        ("desk-k2", "cheat-random"),
+    ])
+    def test_inproc_and_tcp_frames_match(self, preset, prover_kind):
+        params = get_preset(preset)
+        a, b = (
+            drive(params, make_prover(prover_kind, 16), 20, np.random.default_rng(17))
+            for drive in (run_protocol, run_protocol_tcp)
+        )
         fa = [f for t in a.transcripts for f in t.frames]
         fb = [f for t in b.transcripts for f in t.frames]
         assert fa == fb
+        assert [(t.verdict, t.reason, t.challenge_kind) for t in a.transcripts] == [
+            (t.verdict, t.reason, t.challenge_kind) for t in b.transcripts
+        ]
+        assert counters(a) == counters(b)
+
+    def test_one_decode_per_frame(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            inner = getattr(protocol, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("frame_decode", "key_from_text"):
+            monkeypatch.setattr(protocol, name, counting(name))
+        pr = HonestProver(np.random.default_rng(25), mode="exact-enumeration")
+        stats = run_protocol(TINY, pr, 10, np.random.default_rng(26))
+        attempts = len(stats.transcripts)
+        assert all(len(t.frames) == 5 for t in stats.transcripts)
+        assert calls == {"frame_decode": 5 * attempts, "key_from_text": attempts}
 
     def test_tcp_with_secret_hint(self):
         pr = HonestProver(np.random.default_rng(18), mode="idealized-claw")
@@ -273,10 +334,71 @@ class TestSessionLimits:
             run_protocol_tcp(TINY, pr, 0, np.random.default_rng(22))
 
     def test_retry_cap_aborts(self):
-        class AlwaysRedFails(HonestProver):
-            def respond_test(self):
-                raise RedFailed("induced failure")
-
         pr = AlwaysRedFails(np.random.default_rng(23), mode="exact-enumeration")
         with pytest.raises(SessionAbort):
             run_protocol(TINY, pr, 50, np.random.default_rng(24), retry_cap=0)
+
+
+class TestTcpTransport:
+    def test_retry_cap_aborts(self):
+        messages = []
+        for drive in (run_protocol, run_protocol_tcp):
+            pr = AlwaysRedFails(np.random.default_rng(23), mode="exact-enumeration")
+            with pytest.raises(SessionAbort, match="retry cap 0 exceeded") as exc:
+                drive(TINY, pr, 50, np.random.default_rng(24), retry_cap=0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_nodelay_on_both_ends(self, monkeypatch):
+        nodelay = []
+
+        class Probe(socket.socket):
+            def close(self):
+                try:
+                    self.getpeername()
+                except OSError:  # listening or already closed
+                    pass
+                else:
+                    nodelay.append(
+                        self.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                    )
+                super().close()
+
+        monkeypatch.setattr(socket, "socket", Probe)
+        pr = HonestProver(np.random.default_rng(27), mode="exact-enumeration")
+        run_protocol_tcp(TINY, pr, 2, np.random.default_rng(28))
+        assert len(nodelay) == 2 and all(nodelay)
+
+    def test_stalled_prover_aborts(self, monkeypatch):
+        monkeypatch.setattr(protocol, "TCP_TIMEOUT_S", 0.2)
+
+        class Stalls(HonestProver):
+            def receive_key(self, key):
+                time.sleep(0.6)
+                return super().receive_key(key)
+
+        pr = Stalls(np.random.default_rng(29), mode="exact-enumeration")
+        start = time.monotonic()
+        with pytest.raises(SessionAbort, match="transport failure"):
+            run_protocol_tcp(TINY, pr, 3, np.random.default_rng(30))
+        assert time.monotonic() - start < 5
+
+    def test_stalled_verifier_aborts(self, monkeypatch):
+        monkeypatch.setattr(protocol, "TCP_TIMEOUT_S", 0.2)
+        release = threading.Event()
+        real_gen = protocol.gen
+
+        def stalled_gen(*args):
+            release.wait(5)
+            return real_gen(*args)
+
+        monkeypatch.setattr(protocol, "gen", stalled_gen)
+        threads = threading.active_count()
+        pr = HonestProver(np.random.default_rng(31), mode="exact-enumeration")
+        with pytest.raises(SessionAbort, match="did not finish"):
+            run_protocol_tcp(TINY, pr, 3, np.random.default_rng(32))
+        release.set()
+        deadline = time.monotonic() + 5
+        while threading.active_count() > threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == threads
