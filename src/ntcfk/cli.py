@@ -26,7 +26,7 @@ from .ntcf import (
     trapdoor_to_text,
     validate_params,
 )
-from .prover import CheatCommitProver, CheatRandomProver, DcpState, HonestProver, ENUM_CAP
+from .prover import CheatCommitProver, CheatRandomProver, DcpState, HonestProver, fits_enumeration
 from .protocol import SessionAbort, run_protocol, run_protocol_tcp
 from .reductions import (
     end_to_end_recover,
@@ -94,11 +94,7 @@ def cmd_keygen(args) -> int:
 
 def _make_prover(kind: str, p: NtcfParams, rng: np.random.Generator):
     if kind == "honest":
-        mode = (
-            "exact-enumeration"
-            if p.kappa * p.q**p.n <= ENUM_CAP
-            else "idealized-claw"
-        )
+        mode = "exact-enumeration" if fits_enumeration(p) else "idealized-claw"
         return HonestProver(rng, mode=mode)
     if kind == "cheat-commit":
         return CheatCommitProver(rng)
@@ -115,6 +111,8 @@ def cmd_protocol(args) -> int:
     v_rng = np.random.default_rng(seed)
     p_rng = np.random.default_rng(seed + 1)
     prover = _make_prover(args.prover, p, p_rng)
+    if args.prover == "honest":
+        print(f"honest mode: {prover.mode}")
     try:
         if args.transport == "inproc":
             stats = run_protocol(p, prover, args.rounds, v_rng, keep_transcripts=True)

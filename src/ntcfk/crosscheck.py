@@ -56,7 +56,7 @@ def analytic_joint(k: NtcfKey, mis_shift: int = 0) -> Density:
     return Density(table)
 
 
-def oracle_joint(k: NtcfKey, rng_unused=None) -> Density:
+def oracle_joint(k: NtcfKey) -> Density:
     """The same joint, from the brute-force circuit simulation."""
     p = k.params
     specs = (

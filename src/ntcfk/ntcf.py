@@ -11,7 +11,7 @@ kappa preimages of an honest image form a claw x_b = x_0 - b s mod q.
 Parameter validation splits into hard conditions (prime q, the B_P
 formula, the width ordering) and desk-mode warnings (dimension growth
 and ratio conditions, which have no meaning at toy sizes and are
-replaced by configurable numeric floors).
+replaced by the numeric floors below).
 """
 from __future__ import annotations
 
@@ -24,6 +24,9 @@ from . import trapdoor as td
 from .gaussian import Density, TruncatedGaussian, hellinger_sq, shifted_density
 from .serialize import HEADER_KEY, HEADER_SK, LineReader, LineWriter
 from .zq import Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
+
+RATIO_FLOOR = 8.0  # desk stand-in for the asymptotic width-ratio conditions
+GROWTH_CONST = 1.0  # constant in the dimension growth conditions
 
 
 def compute_bp(q: int, n: int, m: int, kappa: int, c_t: float) -> float:
@@ -44,8 +47,6 @@ class NtcfParams:
     b_p: float
     c_t: float
     mode: str = "desk"  # "desk" | "asymptotic"
-    ratio_floor: float = 8.0
-    growth_const: float = 1.0
 
     @property
     def modulus(self) -> Modulus:
@@ -98,16 +99,16 @@ def validate_params(p: NtcfParams) -> ValidationReport:
         )
 
     growth = [
-        (p.n >= p.growth_const * p.ell * p.logq, f"n={p.n} < ell*log2(q)={p.ell * p.logq}"),
-        (p.m >= p.growth_const * p.n * p.logq, f"m={p.m} < n*log2(q)={p.n * p.logq}"),
+        (p.n >= GROWTH_CONST * p.ell * p.logq, f"n={p.n} < ell*log2(q)={p.ell * p.logq}"),
+        (p.m >= GROWTH_CONST * p.n * p.logq, f"m={p.m} < n*log2(q)={p.n * p.logq}"),
         (2 * math.sqrt(p.n) <= p.b_l, f"2*sqrt(n)={2 * math.sqrt(p.n):.3f} > B_L={p.b_l}"),
         (
-            p.b_p / p.b_v >= p.ratio_floor,
-            f"B_P/B_V={p.b_p / p.b_v:.3f} below floor {p.ratio_floor}",
+            p.b_p / p.b_v >= RATIO_FLOOR,
+            f"B_P/B_V={p.b_p / p.b_v:.3f} below floor {RATIO_FLOOR}",
         ),
         (
-            p.b_v / p.b_l >= p.ratio_floor,
-            f"B_V/B_L={p.b_v / p.b_l:.3f} below floor {p.ratio_floor}",
+            p.b_v / p.b_l >= RATIO_FLOOR,
+            f"B_V/B_L={p.b_v / p.b_l:.3f} below floor {RATIO_FLOOR}",
         ),
     ]
     sink = soft if p.mode == "desk" else hard
@@ -135,24 +136,13 @@ class NtcfTrapdoor:
     e: ZqVector
 
 
-@dataclass(frozen=True)
-class Claw:
-    xs: tuple[ZqVector, ...]
-
-    def __getitem__(self, b: int) -> ZqVector:
-        return self.xs[b]
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-
 def gen(p: NtcfParams, rng: np.random.Generator) -> tuple[NtcfKey, NtcfTrapdoor]:
     """Sample a key k = (A, As+e) and its trapdoor (t_A, s, e)."""
     report = validate_params(p)
     if not report.ok:
         raise ValueError("invalid parameters: " + "; ".join(report.violations))
     A, t_a = td.gen_trap(p.n, p.m, p.q, rng)
-    s = ZqVector(rng.integers(0, p.q, size=p.n, dtype=np.int64), p.modulus)
+    s = ZqVector.uniform(p.n, p.modulus, rng)
     e = TruncatedGaussian(p.modulus, p.b_v, p.m).sample(rng)
     t = mat_vec_mul(A, s) + e
     return NtcfKey(p, A, t), NtcfTrapdoor(t_a, s, e)
@@ -216,13 +206,18 @@ def chk(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> int:
     return int(euclidean_norm(resid) <= p.b_p * math.sqrt(p.m))
 
 
-def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: ZqVector) -> Claw:
-    """All kappa preimages of y, one per branch; x_b = x_0 - b*s mod q."""
-    xs = tuple(inv(k, t, b, y) for b in range(k.params.kappa))
-    for b in range(1, len(xs)):
-        if xs[b] != xs[0] - t.s.scale(b):
-            raise ValueError(f"branch {b} preimage breaks the claw identity")
-    return Claw(xs)
+def claw(x0: ZqVector, s: ZqVector, kappa: int) -> tuple[ZqVector, ...]:
+    """The claw x_b = x_0 - b*s mod q, for b in {0, ..., kappa-1}."""
+    return tuple(x0 - s.scale(b) for b in range(kappa))
+
+
+def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: ZqVector) -> tuple[ZqVector, ...]:
+    """All kappa preimages of y, one per branch.
+
+    Every branch inverts y to the same decode, and branch 0 has the
+    tightest noise bound, so inverting at b = 0 settles the whole claw.
+    """
+    return claw(inv(k, t, 0, y), t.s, k.params.kappa)
 
 
 def hellinger_branch(

@@ -58,7 +58,7 @@ class RegisterSpec:
 class SparseState:
     """Immutable-by-convention sparse amplitude map over register labels."""
 
-    def __init__(self, specs, amps: dict, check_norm: bool = True):
+    def __init__(self, specs, amps: dict):
         self.specs = tuple(specs)
         self._index = {s.name: i for i, s in enumerate(self.specs)}
         if len(self._index) != len(self.specs):
@@ -67,10 +67,9 @@ class SparseState:
         if len(pruned) > MAX_LABELS:
             raise StateTooLarge(f"{len(pruned)} labels exceeds cap {MAX_LABELS}")
         self.amps = pruned
-        if check_norm:
-            n = self.norm_sq()
-            if abs(n - 1.0) > NORM_TOL:
-                raise ValueError(f"state norm^2 = {n}, not 1")
+        n = self.norm_sq()
+        if abs(n - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm^2 = {n}, not 1")
 
     def spec(self, name: str) -> RegisterSpec:
         return self.specs[self._index[name]]

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ntcf import NtcfKey, NtcfParams, chk, gen, inv, key_from_text, key_to_text
-from .prover import RedFailed, red_valid_range
+from .ntcf import NtcfKey, NtcfParams, chk, claw, gen, inv, key_from_text, key_to_text
+from .prover import RedFailed, red_branches
 from .serialize import HEADER_TRANSCRIPT, FormatError, LineReader, LineWriter
 from .trapdoor import DecodeFailure
-from .zq import BitString, ZqVector, bit_dot_xor, j_encode
+from .zq import BitString, ZqVector, equation_bit
 
 
 class ProtocolError(RuntimeError):
@@ -215,7 +215,7 @@ class VerifierRound:
         self.key, self._trapdoor = gen(params, rng)
         self._state = "key-ready"
         self._y: ZqVector | None = None
-        self._claw: list[ZqVector] | None = None
+        self._claw: tuple[ZqVector, ...] | None = None
         self._challenge: str | None = None
 
     def _expect(self, state: str):
@@ -246,8 +246,7 @@ class VerifierRound:
         except DecodeFailure as exc:
             self._state = "done"
             return MsgRoundResult(False, f"image decode failure: {exc}")
-        s = self._trapdoor.s
-        self._claw = [x0 - s.scale(b) for b in range(self.params.kappa)]
+        self._claw = claw(x0, self._trapdoor.s, self.params.kappa)
         self._state = "image-held"
         return None
 
@@ -273,18 +272,12 @@ class VerifierRound:
         if self._challenge != "T":
             raise ProtocolError("equation response to a generation challenge")
         self._state = "done"
-        kappa = self.params.kappa
-        if kappa == 2 and b_prime == 0:
-            x_bar0, x_bar1 = self._claw[0], self._claw[1]
-        elif b_prime in red_valid_range(kappa):
-            shift = (kappa - 1) // 2
-            x_bar0 = self._claw[shift - b_prime]
-            x_bar1 = self._claw[shift + b_prime]
-        else:
+        pair = red_branches(self.params.kappa, b_prime)
+        if pair is None:
             return MsgRoundResult(False, f"b'={b_prime} out of range")
         if d.is_zero():
             return MsgRoundResult(False, "retry:all-zero d")
-        if c == bit_dot_xor(d, j_encode(x_bar0), j_encode(x_bar1)):
+        if c == equation_bit(d, self._claw[pair[0]], self._claw[pair[1]]):
             return MsgRoundResult(True, "equation check passed")
         return MsgRoundResult(False, "equation check failed")
 

@@ -22,15 +22,21 @@ labels define the DCP state directly (no closed form needed).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import TruncatedGaussian
-from .ntcf import NtcfKey
-from .zq import BitString, ZqVector, bit_dot_xor, j_encode, mat_vec_mul
+from .ntcf import NtcfKey, NtcfParams, claw
+from .zq import BitString, ZqVector, domain_grid, equation_bit, mat_vec_mul
 
 ENUM_CAP = 2**16
+
+
+def fits_enumeration(p: NtcfParams) -> bool:
+    """Whether exact-enumeration mode can scan all kappa * q^n labels."""
+    return p.kappa * p.q**p.n <= ENUM_CAP
 
 
 class RedFailed(RuntimeError):
@@ -54,16 +60,25 @@ class ResidualState:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"residual amplitudes square-sum to {total}")
 
-    def is_clean_claw(self, tol: float = 1e-9) -> bool:
-        """True when there is exactly one equal-weight branch per b."""
+    def branches(self) -> tuple[ZqVector, ...]:
+        """The claw (x_0, ..., x_{kappa-1}) held by this residual.
+
+        Raises ValueError unless there is exactly one point per branch.
+        """
         kappa = self.key.params.kappa
-        if len(self.support) != kappa:
+        xs = {b: x for (b, x), _ in self.support}
+        if len(self.support) != kappa or sorted(xs) != list(range(kappa)):
+            raise ValueError(f"residual is not a clean {kappa}-branch claw")
+        return tuple(xs[b] for b in range(kappa))
+
+    def is_clean_claw(self) -> bool:
+        """True when there is exactly one equal-weight branch per b."""
+        try:
+            self.branches()
+        except ValueError:
             return False
-        bs = sorted(b for (b, _), _ in self.support)
-        if bs != list(range(kappa)):
-            return False
-        target = 1.0 / math.sqrt(kappa)
-        return all(abs(a - target) <= tol for _, a in self.support)
+        target = 1.0 / math.sqrt(self.key.params.kappa)
+        return all(abs(a - target) <= 1e-9 for _, a in self.support)
 
 
 @dataclass(frozen=True)
@@ -90,42 +105,42 @@ def samp_and_measure(
     mode: str = "exact-enumeration",
     secret_s: ZqVector | None = None,
 ) -> tuple[ZqVector, ResidualState]:
-    """Run SAMP and the Y measurement; return the image and residual.
-
-    The image marginal is sampled directly: b and x uniform, e0 from the
-    B_P Gaussian, y = Ax + e0 + b*t.
-    """
+    """Run SAMP and the Y measurement; return the image and residual."""
     p = k.params
-    b = int(rng.integers(0, p.kappa))
-    x = ZqVector(rng.integers(0, p.q, size=p.n, dtype=np.int64), p.modulus)
-    e0 = TruncatedGaussian(p.modulus, p.b_p, p.m).sample(rng)
-    y = mat_vec_mul(k.A, x) + e0 + k.t.scale(b)
-
+    b, x, y = sample_image(k, rng)
     if mode == "exact-enumeration":
         support = _enumerate_residual(k, y)
     elif mode == "idealized-claw":
         if secret_s is None:
             raise ValueError("idealized-claw mode needs the planted secret")
-        x0 = x + secret_s.scale(b)
         amp = 1.0 / math.sqrt(p.kappa)
-        support = tuple(
-            ((bb, x0 - secret_s.scale(bb)), amp) for bb in range(p.kappa)
-        )
+        xs = claw(x + secret_s.scale(b), secret_s, p.kappa)
+        support = tuple(((bb, xb), amp) for bb, xb in enumerate(xs))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return y, ResidualState(k, y, support)
 
 
+def sample_image(k: NtcfKey, rng: np.random.Generator) -> tuple[int, ZqVector, ZqVector]:
+    """SAMP's image marginal, sampled directly: b and x uniform, e0 from
+    the B_P Gaussian, y = Ax + e0 + b*t. Returns (b, x, y)."""
+    p = k.params
+    b = int(rng.integers(0, p.kappa))
+    x = ZqVector.uniform(p.n, p.modulus, rng)
+    e0 = TruncatedGaussian(p.modulus, p.b_p, p.m).sample(rng)
+    return b, x, mat_vec_mul(k.A, x) + e0 + k.t.scale(b)
+
+
 def _enumerate_residual(k: NtcfKey, y: ZqVector):
     """Scan all (b', x') for nonzero amplitude sqrt(f'(x')(y))."""
     p = k.params
-    if p.kappa * p.q**p.n > ENUM_CAP:
+    if not fits_enumeration(p):
         raise ValueError(
             f"enumeration size {p.kappa * p.q ** p.n} exceeds cap {ENUM_CAP}"
         )
     g = TruncatedGaussian(p.modulus, p.b_p, p.m)
     prob_by_residue = np.array([g.eval_1d(r) for r in range(p.q)])
-    grid = np.indices((p.q,) * p.n).reshape(p.n, -1).T.astype(np.int64)
+    grid = domain_grid(p.q, p.n)
     images = (grid @ k.A.entries.T) % p.q  # q^n x m
     entries = []
     for b in range(p.kappa):
@@ -145,14 +160,22 @@ def preimage_measure(r: ResidualState, rng: np.random.Generator):
     return r.support[i][0]
 
 
+def red_branches(kappa: int, b_prime: int) -> tuple[int, int] | None:
+    """The claw branches (i, j) that a test answer b' pairs, or None.
+
+    RED shifts b to b - floor((kappa-1)/2), so |b'| = v >= 1 keeps the
+    branches shift -/+ v when both exist. At kappa = 2 there is no RED:
+    b' = 0 names the direct claw (0, 1).
+    """
+    if kappa == 2:
+        return (0, 1) if b_prime == 0 else None
+    shift = (kappa - 1) // 2
+    return (shift - b_prime, shift + b_prime) if 1 <= b_prime <= shift else None
+
+
 def red_valid_range(kappa: int) -> tuple[int, ...]:
     """The b-hat-prime values whose |b'| outcome has two preimages."""
-    shift = (kappa - 1) // 2
-    vals = []
-    for v in range(1, max(shift, kappa - 1 - shift) + 1):
-        if shift - v >= 0 and shift + v <= kappa - 1:
-            vals.append(v)
-    return tuple(vals)
+    return tuple(v for v in range(1, kappa) if red_branches(kappa, v))
 
 
 def red(r: ResidualState, rng: np.random.Generator) -> tuple[int, DcpState]:
@@ -166,38 +189,42 @@ def red(r: ResidualState, rng: np.random.Generator) -> tuple[int, DcpState]:
     """
     if not r.is_clean_claw():
         raise ValueError("RED needs a clean kappa-point claw residual")
-    kappa = r.key.params.kappa
-    xs = {b: x for (b, x), _ in r.support}
-    return _red_from_branches(xs, kappa, rng)
+    return _red_from_branches(r.branches(), rng)
 
 
 def _red_from_branches(
-    xs: dict[int, ZqVector], kappa: int, rng: np.random.Generator
+    xs: tuple[ZqVector, ...], rng: np.random.Generator
 ) -> tuple[int, DcpState]:
-    """Shared RED measurement over equal-weight branches b -> x_b."""
+    """Shared RED measurement over the equal-weight claw xs[b] = x_b."""
+    kappa = len(xs)
     shift = (kappa - 1) // 2
-    groups: dict[int, list[int]] = {}
-    for b in xs:
-        groups.setdefault(abs(b - shift), []).append(b)
-    outcomes = sorted(groups)
-    probs = np.array([len(groups[v]) for v in outcomes], dtype=np.float64)
+    sizes = Counter(abs(b - shift) for b in range(kappa))
+    outcomes = sorted(sizes)
+    probs = np.array([sizes[v] for v in outcomes], dtype=np.float64)
     probs /= probs.sum()
     v = outcomes[int(rng.choice(len(outcomes), p=probs))]
     if v == 0:
         raise RedFailed("measured b' = 0")
-    if len(groups[v]) == 1:
+    pair = red_branches(kappa, v)
+    if pair is None:
         raise RedFailed(f"singleton outcome |b'| = {v}")
-    return v, DcpState(x0=xs[shift - v], x1=xs[shift + v])
+    return v, DcpState(x0=xs[pair[0]], x1=xs[pair[1]])
 
 
 def equation_measure(d_state: DcpState, rng: np.random.Generator) -> EquationResponse:
     """Hadamard measurement over the J-encoded DCP state: d uniform,
     c = d . (J(x_bar0) xor J(x_bar1))."""
-    n = len(d_state.x0)
-    w = n * d_state.x0.modulus.bits
-    d = BitString(tuple(int(b) for b in rng.integers(0, 2, size=w)))
-    c = bit_dot_xor(d, j_encode(d_state.x0), j_encode(d_state.x1))
-    return EquationResponse(c, d)
+    d = BitString.uniform(len(d_state.x0) * d_state.x0.modulus.bits, rng)
+    return EquationResponse(equation_bit(d, d_state.x0, d_state.x1), d)
+
+
+def _guess_test(p: NtcfParams, rng: np.random.Generator) -> tuple[int, EquationResponse]:
+    """A classical test answer: b' uniform over the RED pairs (0, the
+    direct claw, at kappa = 2), then d and c uniform."""
+    valid = red_valid_range(p.kappa)
+    v = int(rng.choice(valid)) if valid else 0
+    d = BitString.uniform(p.d_len, rng)
+    return v, EquationResponse(int(rng.integers(0, 2)), d)
 
 
 # prover implementations ----------------------------------------------------
@@ -243,8 +270,9 @@ class HonestProver:
         """
         kappa = self._residual.key.params.kappa
         if kappa == 2:
-            xs = {b: x for (b, x), _ in self._residual.support}
-            return 0, equation_measure(DcpState(xs[0], xs[1]), self.rng)
+            xs = self._residual.branches()
+            i, j = red_branches(kappa, 0)
+            return 0, equation_measure(DcpState(xs[i], xs[j]), self.rng)
         v, d_state = red(self._residual, self.rng)
         return v, equation_measure(d_state, self.rng)
 
@@ -262,25 +290,16 @@ class CheatCommitProver:
         self._key: NtcfKey | None = None
 
     def receive_key(self, key: NtcfKey) -> ZqVector:
-        p = key.params
-        b = int(self.rng.integers(0, p.kappa))
-        x = ZqVector(self.rng.integers(0, p.q, size=p.n, dtype=np.int64), p.modulus)
-        e0 = TruncatedGaussian(p.modulus, p.b_p, p.m).sample(self.rng)
+        b, x, y = sample_image(key, self.rng)
         self._committed = (b, x)
         self._key = key
-        return mat_vec_mul(key.A, x) + e0 + key.t.scale(b)
+        return y
 
     def respond_generation(self):
         return self._committed
 
     def respond_test(self):
-        p = self._key.params
-        valid = red_valid_range(p.kappa)
-        v = int(self.rng.choice(valid)) if valid else 0
-        w = p.d_len
-        d = BitString(tuple(int(b) for b in self.rng.integers(0, 2, size=w)))
-        c = int(self.rng.integers(0, 2))
-        return v, EquationResponse(c, d)
+        return _guess_test(self._key.params, self.rng)
 
 
 class CheatRandomProver:
@@ -295,20 +314,12 @@ class CheatRandomProver:
 
     def receive_key(self, key: NtcfKey) -> ZqVector:
         self._key = key
-        p = key.params
-        return ZqVector(
-            self.rng.integers(0, p.q, size=p.m, dtype=np.int64), p.modulus
-        )
+        return ZqVector.uniform(key.params.m, key.params.modulus, self.rng)
 
     def respond_generation(self):
         p = self._key.params
         b = int(self.rng.integers(0, p.kappa))
-        x = ZqVector(self.rng.integers(0, p.q, size=p.n, dtype=np.int64), p.modulus)
-        return b, x
+        return b, ZqVector.uniform(p.n, p.modulus, self.rng)
 
     def respond_test(self):
-        p = self._key.params
-        valid = red_valid_range(p.kappa)
-        v = int(self.rng.choice(valid)) if valid else 0
-        d = BitString(tuple(int(b) for b in self.rng.integers(0, 2, size=p.d_len)))
-        return v, EquationResponse(int(self.rng.integers(0, 2)), d)
+        return _guess_test(self._key.params, self.rng)

@@ -79,18 +79,22 @@ def instance_from_key(k: NtcfKey, planted_s: ZqVector | None = None) -> LweInsta
 def _sampling_key(inst: LweInstance, kappa: int) -> NtcfKey:
     """View the LWE instance as a kappa-branch sampling key."""
     p = inst.params
-    if kappa == p.kappa:
-        return NtcfKey(p, inst.A, inst.t)
-    p2 = replace(
-        p, kappa=kappa, b_p=compute_bp(p.q, p.n, p.m, kappa, p.c_t)
-    )
-    return NtcfKey(p2, inst.A, inst.t)
+    if kappa != p.kappa:
+        p = replace(p, kappa=kappa, b_p=compute_bp(p.q, p.n, p.m, kappa, p.c_t))
+    return NtcfKey(p, inst.A, inst.t)
 
 
-def _claw_mode(inst: LweInstance) -> tuple[str, ZqVector | None]:
-    if inst.planted_s is not None:
-        return "idealized-claw", inst.planted_s
-    return "exact-enumeration", None
+def _sample_claws(
+    inst: LweInstance, kappa: int, count: int, rng: np.random.Generator
+) -> list[tuple[ZqVector, ...]]:
+    """Run the kappa-branch sampling circuit count times and keep each
+    residual's claw; ValueError if a residual is not a clean claw."""
+    k = _sampling_key(inst, kappa)
+    mode = "exact-enumeration" if inst.planted_s is None else "idealized-claw"
+    return [
+        samp_and_measure(k, rng, mode=mode, secret_s=inst.planted_s)[1].branches()
+        for _ in range(count)
+    ]
 
 
 def lwe_to_dcp(
@@ -101,28 +105,7 @@ def lwe_to_dcp(
     Runs the kappa=2 sampling circuit per state; the claw (x0, x0 - s)
     relabels directly into DCP form with secret x1 - x0 = -s.
     """
-    k = _sampling_key(inst, 2)
-    mode, secret = _claw_mode(inst)
-    out = []
-    for _ in range(count):
-        _y, residual = samp_and_measure(k, rng, mode=mode, secret_s=secret)
-        xs = _branch_map(residual, 2)
-        out.append(DcpState(x0=xs[0], x1=xs[1]))
-    return out
-
-
-def _branch_map(residual, kappa: int) -> dict[int, ZqVector]:
-    """One preimage per branch label, or the claw is not clean."""
-    xs: dict[int, ZqVector] = {}
-    for (b, x), _a in residual.support:
-        if b in xs:
-            raise RuntimeError(
-                f"branch {b} has multiple preimages; widen the margin"
-            )
-        xs[b] = x
-    if sorted(xs) != list(range(kappa)):
-        raise RuntimeError(f"residual is not a {kappa}-branch claw")
-    return xs
+    return [DcpState(x0, x1) for x0, x1 in _sample_claws(inst, 2, count, rng)]
 
 
 def lwe_to_edcp(
@@ -131,14 +114,8 @@ def lwe_to_edcp(
     """Produce ell uniform EDCP states with fresh x0 per state."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
-    k = _sampling_key(inst, kappa)
-    mode, secret = _claw_mode(inst)
-    out = []
-    for _ in range(ell):
-        _y, residual = samp_and_measure(k, rng, mode=mode, secret_s=secret)
-        xs = _branch_map(residual, kappa)
-        out.append(EdcpState(tuple((j, xs[j]) for j in range(kappa))))
-    return out
+    claws = _sample_claws(inst, kappa, ell, rng)
+    return [EdcpState(tuple(enumerate(xs))) for xs in claws]
 
 
 def red_edcp_to_dcp(
@@ -148,32 +125,31 @@ def red_edcp_to_dcp(
 
     Raises RedFailed on the zero / singleton outcomes.
     """
-    xs = dict(state.support)
-    return _red_from_branches(xs, state.kappa, rng)
+    return _red_from_branches(tuple(x for _, x in state.support), rng)
+
+
+def _unanimous(candidates: list[ZqVector]) -> SolverReport:
+    """Success iff there are candidates and they all agree."""
+    if not candidates:
+        return SolverReport(False, None, 0, "no states supplied")
+    if all(c == candidates[0] for c in candidates):
+        return SolverReport(True, candidates[0], len(candidates), "unanimous")
+    return SolverReport(False, None, len(candidates), "inconsistent states")
 
 
 def solve_dcp_desk(states: list[DcpState]) -> SolverReport:
     """Read s_tilde = x1 - x0 off each state; success iff unanimous."""
-    if not states:
-        return SolverReport(False, None, 0, "no states supplied")
-    candidates = [st.x1 - st.x0 for st in states]
-    if all(c == candidates[0] for c in candidates):
-        return SolverReport(True, candidates[0], len(states), "unanimous")
-    return SolverReport(False, None, len(states), "inconsistent states")
+    return _unanimous([st.x1 - st.x0 for st in states])
 
 
 def solve_edcp_desk(states: list[EdcpState]) -> SolverReport:
     """Read s off each state's consecutive-label difference; success iff
     unanimous."""
-    if not states:
-        return SolverReport(False, None, 0, "no states supplied")
     try:
         candidates = [st.label_difference() for st in states]
     except ValueError as exc:
         return SolverReport(False, None, len(states), str(exc))
-    if all(c == candidates[0] for c in candidates):
-        return SolverReport(True, candidates[0], len(states), "unanimous")
-    return SolverReport(False, None, len(states), "inconsistent states")
+    return _unanimous(candidates)
 
 
 def verify_candidate(inst: LweInstance, s: ZqVector) -> bool:

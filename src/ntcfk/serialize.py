@@ -105,19 +105,26 @@ class LineReader:
             raise FormatError(f"field {name}: bad vector {v!r}") from exc
 
     def matrix(self, name: str) -> np.ndarray:
+        """A `rows cols` header, then one line per row. The array is built
+        from the rows actually read, never sized from the header alone."""
         head = self._value(name).split()
-        if len(head) != 2:
-            raise FormatError(f"field {name}: bad matrix header")
-        rows, cols = int(head[0]), int(head[1])
-        out = np.empty((rows, cols), dtype=np.int64)  # rejects negative sizes
-        values: list[int] = []
+        try:
+            rows, cols = map(int, head)
+        except ValueError as exc:
+            raise FormatError(f"field {name}: bad matrix header {head!r}") from exc
+        if rows < 0 or cols < 0:
+            raise FormatError(f"field {name}: negative matrix size {rows} x {cols}")
+        parts: list[str] = []
         for i in range(rows):
-            parts = self._next_line().split()
-            if len(parts) != cols:
-                raise FormatError(f"matrix {name}: row {i} has {len(parts)} entries")
-            values.extend(map(int, parts))
-        out.flat[:] = values
-        return out
+            row = self._next_line().split()
+            if len(row) != cols:
+                raise FormatError(f"matrix {name}: row {i} has {len(row)} entries")
+            parts.extend(row)
+        try:
+            values = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"matrix {name}: bad entry") from exc
+        return values.reshape(rows, cols)
 
     def bits(self, name: str) -> BitString:
         v = self._value(name)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import DimensionError, Modulus, ZqMatrix, ZqVector, centered_lift, mat_vec_mul
+from .zq import (DimensionError, Modulus, ZqMatrix, ZqVector, domain_grid,
+                 euclidean_norm, mat_vec_mul)
 
 EXHAUSTIVE_CAP = 2**16
 
@@ -177,7 +178,7 @@ def gen_trap(
 def _injective_on_domain(A: ZqMatrix) -> bool:
     q = A.modulus.q
     n = A.cols
-    grid = np.indices((q,) * n).reshape(n, -1).T.astype(np.int64)
+    grid = domain_grid(q, n)
     images = (grid @ A.entries.T) % q
     return len({row.tobytes() for row in images}) == len(grid)
 
@@ -229,7 +230,7 @@ def invert(
 
     e = v - mat_vec_mul(t.A, s)
     if max_error_norm is not None:
-        norm = math.sqrt(float((centered_lift(e).astype(np.float64) ** 2).sum()))
+        norm = euclidean_norm(e)
         if norm > max_error_norm:
             raise DecodeFailure(
                 f"residual error norm {norm:.3f} exceeds bound {max_error_norm:.3f}"
@@ -244,7 +245,7 @@ def _invert_exhaustive(t: TrapdoorKey, v: ZqVector) -> ZqVector:
         raise DecodeFailure("exhaustive search cap exceeded")
     # Enumerate all secrets; pick the one with the smallest error norm and
     # demand a strict gap to the runner-up.
-    grid = np.indices((q,) * n).reshape(n, -1).T.astype(np.int64)  # q^n x n
+    grid = domain_grid(q, n)  # q^n x n
     res = (v.entries[None, :] - grid @ t.A.entries.T) % q
     res = np.where(res > q // 2, res - q, res)
     norms = (res.astype(np.float64) ** 2).sum(axis=1)
@@ -279,7 +280,7 @@ def calibrate_ct(
     def all_pass(threshold: float) -> bool:
         for _ in range(trials):
             A, t = gen_trap(n, m, q, rng, base=base)
-            s = ZqVector(rng.integers(0, q, size=n, dtype=np.int64), modulus)
+            s = ZqVector.uniform(n, modulus, rng)
             e = _random_vector_of_norm(m, threshold, q, rng)
             v = mat_vec_mul(A, s) + e
             try:

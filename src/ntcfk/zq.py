@@ -105,6 +105,10 @@ class ZqVector:
     def zero(cls, n: int, modulus: Modulus) -> "ZqVector":
         return cls(np.zeros(n, dtype=np.int64), modulus)
 
+    @classmethod
+    def uniform(cls, n: int, modulus: Modulus, rng: np.random.Generator) -> "ZqVector":
+        return cls(rng.integers(0, modulus.q, size=n, dtype=np.int64), modulus)
+
 
 @dataclass(frozen=True)
 class ZqMatrix:
@@ -154,6 +158,15 @@ class BitString:
 
     def is_zero(self) -> bool:
         return all(b == 0 for b in self.bits)
+
+    @classmethod
+    def uniform(cls, w: int, rng: np.random.Generator) -> "BitString":
+        return cls(tuple(int(b) for b in rng.integers(0, 2, size=w)))
+
+
+def domain_grid(q: int, n: int) -> np.ndarray:
+    """Every x in Z_q^n, one per row, in lexicographic order."""
+    return np.indices((q,) * n).reshape(n, -1).T.astype(np.int64)
 
 
 def mat_vec_mul(A: ZqMatrix, x: ZqVector) -> ZqVector:
@@ -228,3 +241,8 @@ def bit_dot_xor(d: BitString, u: BitString, v: BitString) -> int:
     for di, ui, vi in zip(d.bits, u.bits, v.bits):
         acc ^= di & (ui ^ vi)
     return acc
+
+
+def equation_bit(d: BitString, x_bar0: ZqVector, x_bar1: ZqVector) -> int:
+    """The test-round equation bit d . (J(x_bar0) xor J(x_bar1)) mod 2."""
+    return bit_dot_xor(d, j_encode(x_bar0), j_encode(x_bar1))

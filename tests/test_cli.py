@@ -64,14 +64,16 @@ class TestProtocol:
                   "--seed", "5", "--out", str(tmp_path)])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
+        assert "honest mode: exact-enumeration" in out
         assert "accepts=30" in out
         assert (tmp_path / "stats.txt").exists()
         assert (tmp_path / "transcripts.txt").exists()
 
-    def test_honest_desk_idealized(self, tmp_path):
+    def test_honest_desk_idealized(self, tmp_path, capsys):
         rc = run(["protocol", "--preset", "desk-k3", "--rounds", "20",
                   "--seed", "5", "--out", str(tmp_path)])
         assert rc == EXIT_OK
+        assert "honest mode: idealized-claw" in capsys.readouterr().out
 
     def test_cheat_commit_fails(self, tmp_path):
         rc = run(["protocol", "--preset", "desk-k3", "--rounds", "40",

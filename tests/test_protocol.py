@@ -1,14 +1,15 @@
 import socket
+import struct
 import threading
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import ntcfk.protocol as protocol
-from ntcfk.ntcf import gen, key_to_text, trapdoor_to_text
+from ntcfk.ntcf import compute_bp, gen, key_to_text, trapdoor_to_text
 from ntcfk.presets import get_preset
 from ntcfk.prover import (
     CheatCommitProver,
@@ -53,6 +54,14 @@ def make_prover(kind, seed):
     if kind == "cheat-random":
         return CheatRandomProver(rng)
     return HonestProver(rng, mode=kind)
+
+
+def tiny_key_payload(offset, line):
+    """A tiny-exact key frame payload with one line replaced: the A matrix
+    header (offset 0) or its first row (offset 1)."""
+    lines = key_to_text(gen(TINY, np.random.default_rng(0))[0]).splitlines()
+    lines[lines.index("A=2 1") + offset] = line
+    return ("\n".join(lines) + "\n").encode()
 
 
 def counters(stats):
@@ -140,11 +149,15 @@ class TestFrameErrors:
         with pytest.raises(FrameError):
             frame_decode(frame, TINY)  # d_len=3 for tiny-exact
 
-    def test_malformed_payload(self):
-        import struct
-
-        payload = b"nonsense here"
-        frame = struct.pack(">I", len(payload)) + bytes([0x02]) + payload
+    @pytest.mark.parametrize("tag,payload", [
+        pytest.param(0x02, b"nonsense here", id="image-nonsense"),
+        pytest.param(0x01, tiny_key_payload(0, "A=2 x"), id="key-matrix-header-not-int"),
+        pytest.param(0x01, tiny_key_payload(1, "x"), id="key-matrix-entry-not-int"),
+        pytest.param(0x01, tiny_key_payload(0, "A=99999999999 99999999999"),
+                     id="key-matrix-header-huge"),
+    ])
+    def test_malformed_payload(self, tag, payload):
+        frame = struct.pack(">I", len(payload)) + bytes([tag]) + payload
         with pytest.raises(FrameError):
             frame_decode(frame, TINY)
 
@@ -199,11 +212,15 @@ class TestHonestCompleteness:
         assert stats.rounds_completed == 60
         assert stats.gen_rounds + stats.test_rounds == 60
 
-    def test_desk_idealized_all_accept(self):
+    # kappa=4 pairs branches (0, 2), which the kappa=3 presets never do
+    @pytest.mark.parametrize("kappa", [3, 4])
+    def test_desk_idealized_all_accept(self, kappa):
+        params = replace(DESK, kappa=kappa,
+                         b_p=compute_bp(DESK.q, DESK.n, DESK.m, kappa, DESK.c_t))
         pr = HonestProver(np.random.default_rng(4), mode="idealized-claw")
-        stats = run_protocol(DESK, pr, 50, np.random.default_rng(5))
+        stats = run_protocol(params, pr, 50, np.random.default_rng(5))
         assert stats.all_accepted
-        # RED fails 1/3 of the time at kappa=3; retries stay moderate
+        # RED fails 1/3 (kappa=3) or 1/2 (kappa=4) of T rounds; retries stay moderate
         assert stats.retries <= 50
 
     def test_retry_reasons_are_marked(self):

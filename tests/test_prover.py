@@ -26,6 +26,7 @@ from ntcfk.prover import (
     equation_measure,
     preimage_measure,
     red,
+    red_branches,
     red_valid_range,
     samp_and_measure,
 )
@@ -197,6 +198,18 @@ class TestRed:
         assert red_valid_range(4) == (1,)
         assert red_valid_range(5) == (1, 2)
         assert red_valid_range(6) == (1, 2)
+
+    @pytest.mark.parametrize("kappa,table", [
+        (2, {0: (0, 1)}),
+        (3, {1: (0, 2)}),
+        (4, {1: (0, 2)}),
+        (5, {1: (1, 3), 2: (0, 4)}),
+        (6, {1: (1, 3), 2: (0, 4)}),
+    ])
+    def test_red_branches_table(self, kappa, table):
+        # every b' in -1..kappa maps to its pair, or to None off the table
+        got = {v: red_branches(kappa, v) for v in range(-1, kappa + 1)}
+        assert {v: pair for v, pair in got.items() if pair is not None} == table
 
 
 class TestEquationMeasure:
