@@ -9,8 +9,6 @@ uniform B,X + Gaussian E + U_f and reads the marginal off the state.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .gaussian import Density, TruncatedGaussian, tv_distance
@@ -22,6 +20,7 @@ from .oracle import (
     init_uniform_full,
     load_gaussian_register,
 )
+from .zq import domain_grid
 
 ANALYTIC_CAP = 2**20
 
@@ -37,23 +36,25 @@ def analytic_joint(k: NtcfKey, mis_shift: int = 0) -> Density:
     total = p.kappa * p.q**p.n * g.support_size()
     if total > ANALYTIC_CAP:
         raise ValueError(f"joint support {total} exceeds cap {ANALYTIC_CAP}")
-    support = list(g.table().table.items())
-    A = k.A.entries
-    t = k.t.entries
+    e0, prob = g.support_arrays()
     q = p.q
-    base = 1.0 / (p.kappa * q**p.n)
-    table: dict[tuple, float] = {}
-    for b in range(p.kappa):
-        for x in itertools.product(range(q), repeat=p.n):
-            xv = np.array(x, dtype=np.int64)
-            center = (A @ xv + b * t) % q
-            for e0, prob in support:
-                y = tuple(
-                    int(v) for v in (center + np.array(e0, dtype=np.int64) + mis_shift) % q
-                )
-                key = y + (b,) + x
-                table[key] = table.get(key, 0.0) + base * prob
-    return Density(table)
+    xs = domain_grid(q, p.n)
+    b = np.repeat(np.arange(p.kappa, dtype=np.int64), len(xs))[:, None]
+    x = np.tile(xs, (p.kappa, 1))
+    # center = Ax + b t mod q for every (b, x); each product is reduced
+    # before summing so the sums stay inside int64.
+    center = b * k.t.entries
+    for j in range(p.n):
+        center += x[:, j, None] * k.A.entries[:, j] % q
+    # Distinct support points are distinct mod q, so every (y, b, x) below
+    # is one key with probability D(e0) / (kappa q^n).
+    y = (center[:, None, :] + e0[None, :, :] + mis_shift) % q
+    bx = np.hstack([b, x])
+    keys = np.concatenate(
+        [y.reshape(-1, p.m), np.repeat(bx, len(e0), axis=0)], axis=1
+    )
+    probs = np.tile(prob / (p.kappa * q**p.n), len(bx))
+    return Density(dict(zip(zip(*keys.T.tolist()), probs.tolist())))
 
 
 def oracle_joint(k: NtcfKey) -> Density:

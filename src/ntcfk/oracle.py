@@ -1,26 +1,37 @@
 """Brute-force sparse state-vector simulator.
 
-States are finite maps from multi-register basis labels to complex
-amplitudes. Registers are either mod-q integer registers (a tuple of
-coordinates in [0, q)) or bit registers. This is the ground-truth oracle
-for the sampling circuits: the function application is a basis
-permutation, measurements use exact marginals, and the Hadamard / QFT
-transforms are applied densely per register.
+A state is a label matrix and an amplitude vector. The int64 label
+matrix has one row per basis label and one column per register
+coordinate; each register owns a run of columns, in the order of its
+specs. Registers are either mod-q integer registers (coordinates in
+[0, q)) or bit registers. Row i has the complex amplitude vec[i], and
+no two rows are equal. This is the ground-truth oracle for the sampling
+circuits: the function application is one modular update of the y
+columns, measurements use exact marginals, and the Hadamard / QFT
+transforms are dense per register.
 
-Desk scale only: label count is hard-capped and amplitudes below 1e-14
-are pruned.
+Rows are grouped by mixed-radix codes: a row's coordinates read as the
+digits of one integer, each in the radix of its column (q or 2), so
+equal rows get equal codes and `np.unique` / `np.bincount` group them.
+A transform groups rows by the code of every other column into a dense
+(groups x values) block and applies one matrix product.
+
+Desk scale only: label count is hard-capped, checked before a product
+state or a dense block is allocated, and amplitudes below 1e-14 are
+pruned.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import Density, TruncatedGaussian
 from .ntcf import NtcfKey
-from .zq import DimensionError
+from .zq import DimensionError, domain_grid
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-9
@@ -29,6 +40,11 @@ MAX_LABELS = 2**22
 
 class StateTooLarge(RuntimeError):
     """The sparse representation exceeded the label cap."""
+
+
+def _check_cap(labels: int) -> None:
+    if labels > MAX_LABELS:
+        raise StateTooLarge(f"{labels} labels exceeds cap {MAX_LABELS}")
 
 
 @dataclass(frozen=True)
@@ -50,23 +66,108 @@ class RegisterSpec:
         else:
             raise ValueError(f"unknown register kind {self.kind!r}")
 
-    def basis(self):
-        vals = range(self.q) if self.kind == "modq" else range(2)
-        return itertools.product(vals, repeat=self.size)
+    @property
+    def radix(self) -> int:
+        """Number of values of one coordinate."""
+        return self.q if self.kind == "modq" else 2
+
+
+def _row_codes(rows: np.ndarray, radices: np.ndarray) -> np.ndarray:
+    """One int64 per row, equal exactly when the rows are equal and
+    ordered as the rows are lexicographically."""
+    if math.prod(radices.tolist()) < 2**63:
+        weights = np.ones(len(radices), dtype=np.int64)
+        weights[:-1] = np.cumprod(radices[:0:-1])[::-1]
+        return rows @ weights
+    # Too many digits for one int64: rank the distinct rows instead.
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _group_rows(rows: np.ndarray, radices: np.ndarray):
+    """Group equal rows: (group of each row, first row of each group),
+    groups in lexicographic order."""
+    _codes, first, group = np.unique(
+        _row_codes(rows, radices), return_index=True, return_inverse=True
+    )
+    return group.reshape(-1), first
+
+
+def _marginal(state: "SparseState", cols):
+    """|amp|^2 summed over the rows that agree on `cols`: the group of
+    each row, the first row of each group and each group's weight."""
+    group, first = _group_rows(state.labels[:, cols], state.radices[cols])
+    return group, first, np.bincount(group, weights=np.abs(state.vec) ** 2)
+
+
+class _AmpView(Mapping):
+    """Read-only label -> amplitude view of a state. Labels are tuples of
+    per-register tuples; the dict behind the view is built on first use.
+    It holds the state's arrays, not the state, so that no reference
+    cycle keeps a dropped state's arrays alive until the next collection."""
+
+    def __init__(self, labels: np.ndarray, vec: np.ndarray, cols):
+        self._arrays = (labels, vec, cols)
+        self._dict = None
+
+    def _items(self) -> dict:
+        if self._dict is None:
+            labels, vec, cols = self._arrays
+            keys = (tuple(tuple(row[c]) for c in cols) for row in labels.tolist())
+            self._dict = dict(zip(keys, vec.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._arrays[1])
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __getitem__(self, label):
+        return self._items()[label]
 
 
 class SparseState:
-    """Immutable-by-convention sparse amplitude map over register labels."""
+    """Immutable-by-convention sparse state: an int64 label matrix and a
+    complex128 amplitude vector, one row per basis label."""
 
-    def __init__(self, specs, amps: dict):
-        self.specs = tuple(specs)
-        self._index = {s.name: i for i, s in enumerate(self.specs)}
-        if len(self._index) != len(self.specs):
+    def __init__(self, specs, amps: Mapping):
+        specs = tuple(specs)
+        sizes = [s.size for s in specs]
+        rows = []
+        for lab in amps:
+            if [len(part) for part in lab] != sizes:
+                raise ValueError(f"label {lab!r} does not match register sizes {sizes}")
+            rows.append([v for part in lab for v in part])
+        labels = np.array(rows, dtype=np.int64).reshape(len(rows), sum(sizes))
+        vec = np.fromiter(amps.values(), dtype=np.complex128, count=len(rows))
+        self._init(specs, labels, vec)
+        if ((self.labels < 0) | (self.labels >= self.radices)).any():
+            raise ValueError("label coordinate outside its register's range")
+
+    @classmethod
+    def from_arrays(cls, specs, labels: np.ndarray, vec: np.ndarray) -> "SparseState":
+        """A state from distinct label rows and their amplitudes."""
+        state = cls.__new__(cls)
+        state._init(tuple(specs), labels, vec)
+        return state
+
+    def _init(self, specs, labels, vec):
+        self.specs = specs
+        self._index = {s.name: i for i, s in enumerate(specs)}
+        if len(self._index) != len(specs):
             raise ValueError("duplicate register names")
-        pruned = {lab: a for lab, a in amps.items() if abs(a) > PRUNE_EPS}
-        if len(pruned) > MAX_LABELS:
-            raise StateTooLarge(f"{len(pruned)} labels exceeds cap {MAX_LABELS}")
-        self.amps = pruned
+        stops = list(itertools.accumulate(s.size for s in specs))
+        self.cols = tuple(slice(b - s.size, b) for b, s in zip(stops, specs))
+        self.radices = np.array(
+            [s.radix for s in specs for _ in range(s.size)], dtype=np.int64
+        )
+        keep = np.abs(vec) > PRUNE_EPS
+        if not keep.all():
+            labels, vec = labels[keep], vec[keep]
+        _check_cap(len(vec))
+        self.labels = labels
+        self.vec = vec
+        self.amps = _AmpView(labels, vec, self.cols)
         n = self.norm_sq()
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {n}, not 1")
@@ -79,14 +180,33 @@ class SparseState:
             raise KeyError(f"no register named {name!r}")
         return self._index[name]
 
+    def reg_cols(self, name: str) -> slice:
+        """The label-matrix columns of a register."""
+        return self.cols[self.reg_pos(name)]
+
     def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
+        return float(np.vdot(self.vec, self.vec).real)
 
     def fidelity(self, other: "SparseState") -> float:
         """|<self|other>|^2 over the common support."""
-        keys = self.amps.keys() & other.amps.keys()
-        ip = sum(self.amps[k].conjugate() * other.amps[k] for k in keys)
-        return abs(ip) ** 2
+        if [s.size for s in self.specs] != [s.size for s in other.specs]:
+            return 0.0
+        codes = _row_codes(
+            np.vstack([self.labels, other.labels]),
+            np.maximum(self.radices, other.radices),
+        )
+        n = len(self.vec)
+        _common, i, j = np.intersect1d(
+            codes[:n], codes[n:], assume_unique=True, return_indices=True
+        )
+        return abs(np.vdot(self.vec[i], other.vec[j])) ** 2
+
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every row of `left` followed by every row of `right`, left-major."""
+    return np.hstack(
+        [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
+    )
 
 
 def init_uniform(specs, domain) -> SparseState:
@@ -100,7 +220,13 @@ def init_uniform(specs, domain) -> SparseState:
 
 def init_uniform_full(specs) -> SparseState:
     """Uniform superposition over the full product basis of all registers."""
-    return init_uniform(specs, itertools.product(*(s.basis() for s in specs)))
+    specs = tuple(specs)
+    _check_cap(math.prod(s.radix**s.size for s in specs))
+    labels = np.zeros((1, 0), dtype=np.int64)
+    for s in specs:
+        labels = _product(labels, domain_grid(s.radix, s.size))
+    vec = np.full(len(labels), 1.0 / math.sqrt(len(labels)), dtype=np.complex128)
+    return SparseState.from_arrays(specs, labels, vec)
 
 
 def load_gaussian_register(
@@ -114,13 +240,14 @@ def load_gaussian_register(
     """
     if spec.kind != "modq" or spec.q != g.modulus.q or spec.size != g.dim:
         raise DimensionError("register spec does not match the Gaussian")
-    table = g.table()
-    roots = {pt: math.sqrt(p) for pt, p in table.table.items() if p > 0.0}
-    amps = {}
-    for lab, a in state.amps.items():
-        for pt, r in roots.items():
-            amps[lab + (pt,)] = a * r
-    return SparseState(state.specs + (spec,), amps)
+    points, probs = g.support_arrays()
+    live = probs > 0.0
+    points, roots = points[live], np.sqrt(probs[live])
+    _check_cap(len(state.vec) * len(roots))
+    vec = (state.vec[:, None] * roots[None, :]).reshape(-1)
+    return SparseState.from_arrays(
+        state.specs + (spec,), _product(state.labels, points), vec
+    )
 
 
 def apply_ufkb(
@@ -136,83 +263,73 @@ def apply_ufkb(
     With invert=True the shift is subtracted (the uncompute direction).
     """
     p = key.params
-    bi, xi, yi = state.reg_pos(b_reg), state.reg_pos(x_reg), state.reg_pos(y_reg)
     if state.spec(x_reg).size != p.n or state.spec(y_reg).size != p.m:
         raise DimensionError("register sizes do not match the key")
     q = p.q
     A = key.A.entries
-    t = key.t.entries
-    sign = -1 if invert else 1
-    shift_cache: dict[tuple, np.ndarray] = {}
-    amps = {}
-    for lab, a in state.amps.items():
-        b = lab[bi][0]
-        x = lab[xi]
-        ck = (b, x)
-        shift = shift_cache.get(ck)
-        if shift is None:
-            xv = np.array(x, dtype=np.int64)
-            shift = (A @ xv % q + b * t) % q
-            shift_cache[ck] = shift
-        y = np.array(lab[yi], dtype=np.int64)
-        y2 = tuple(int(v) for v in (y + sign * shift) % q)
-        lab2 = lab[:yi] + (y2,) + lab[yi + 1 :]
-        amps[lab2] = a
-    return SparseState(state.specs, amps)
+    labels = state.labels
+    xc, yc = state.reg_cols(x_reg), state.reg_cols(y_reg)
+    b = labels[:, state.reg_cols(b_reg).start, None]
+    shift = b * key.t.entries
+    # Reduce each product mod q before summing, as zq.mat_vec_mul does,
+    # so the sums stay inside int64 for any q < 2^31.
+    for j in range(p.n):
+        shift += labels[:, xc.start + j, None] * A[:, j] % q
+    out = labels.copy()
+    out[:, yc] = (labels[:, yc] + (-shift if invert else shift)) % q
+    return SparseState.from_arrays(state.specs, out, state.vec)
 
 
 def measure_register(state: SparseState, name: str, rng: np.random.Generator):
     """Sample an outcome from the exact marginal and collapse."""
-    i = state.reg_pos(name)
-    marg: dict[tuple, float] = {}
-    for lab, a in state.amps.items():
-        marg[lab[i]] = marg.get(lab[i], 0.0) + abs(a) ** 2
-    outcomes = sorted(marg)
-    probs = np.array([marg[o] for o in outcomes])
-    probs = probs / probs.sum()
-    pick = outcomes[int(rng.choice(len(outcomes), p=probs))]
-    keep = {lab: a for lab, a in state.amps.items() if lab[i] == pick}
-    norm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
-    collapsed = SparseState(state.specs, {l: a / norm for l, a in keep.items()})
-    return pick, collapsed
+    c = state.reg_cols(name)
+    group, first, probs = _marginal(state, c)
+    pick = int(rng.choice(len(probs), p=probs / probs.sum()))
+    keep = group == pick
+    vec = state.vec[keep]
+    collapsed = SparseState.from_arrays(
+        state.specs, state.labels[keep], vec / math.sqrt(np.vdot(vec, vec).real)
+    )
+    return tuple(state.labels[first[pick], c].tolist()), collapsed
 
 
 def remove_register(state: SparseState, name: str) -> SparseState:
     """Drop a register whose value is identical on every branch."""
     i = state.reg_pos(name)
-    vals = {lab[i] for lab in state.amps}
-    if len(vals) > 1:
+    c = state.cols[i]
+    reg = state.labels[:, c]
+    if (reg != reg[0]).any():
         raise ValueError(f"register {name!r} is entangled; cannot remove")
-    amps = {lab[:i] + lab[i + 1 :]: a for lab, a in state.amps.items()}
+    labels = np.delete(state.labels, np.s_[c], axis=1)
     specs = state.specs[:i] + state.specs[i + 1 :]
-    return SparseState(specs, amps)
+    return SparseState.from_arrays(specs, labels, state.vec)
+
+
+def _apply_dense(state: SparseState, c: slice, radix: int, U: np.ndarray) -> SparseState:
+    """Apply U to the coordinates in columns c, whose joint values are
+    numbered in mixed radix: U[k2, k] takes value k to value k2."""
+    basis = domain_grid(radix, c.stop - c.start)  # row k is value k
+    rest = np.delete(state.labels, np.s_[c], axis=1)
+    group, first = _group_rows(rest, np.delete(state.radices, np.s_[c]))
+    _check_cap(len(first) * len(basis))
+    block = np.zeros((len(first), len(basis)), dtype=np.complex128)
+    block[group, _row_codes(state.labels[:, c], state.radices[c])] = state.vec
+    rest_rows = np.repeat(rest[first], len(basis), axis=0)
+    labels = np.hstack(
+        [rest_rows[:, : c.start], np.tile(basis, (len(first), 1)), rest_rows[:, c.start :]]
+    )
+    return SparseState.from_arrays(state.specs, labels, (block @ U.T).reshape(-1))
 
 
 def apply_hadamard_bits(state: SparseState, name: str) -> SparseState:
     """Walsh-Hadamard transform on a bit register."""
-    i = state.reg_pos(name)
     spec = state.spec(name)
     if spec.kind != "bits":
         raise DimensionError(f"register {name!r} is not a bit register")
-    w = spec.size
-    scale = 2.0 ** (-w / 2.0)
-    groups: dict[tuple, dict[int, complex]] = {}
-    for lab, a in state.amps.items():
-        rest = lab[:i] + lab[i + 1 :]
-        z = 0
-        for bit in lab[i]:
-            z = (z << 1) | bit
-        groups.setdefault(rest, {})[z] = a
-    amps = {}
-    for rest, zamps in groups.items():
-        for z2 in range(2**w):
-            acc = 0.0 + 0.0j
-            for z, a in zamps.items():
-                acc += a * (-1) ** (bin(z & z2).count("1"))
-            if abs(acc) > PRUNE_EPS / scale:
-                bits2 = tuple((z2 >> (w - 1 - j)) & 1 for j in range(w))
-                amps[rest[:i] + (bits2,) + rest[i:]] = scale * acc
-    return SparseState(state.specs, amps)
+    H = np.ones((1, 1))
+    for _ in range(spec.size):
+        H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])  # H[z, z2] = (-1)^popcount(z & z2)
+    return _apply_dense(state, state.reg_cols(name), 2, H * 2.0 ** (-spec.size / 2.0))
 
 
 def apply_qft_q(state: SparseState, name: str, inverse: bool = False) -> SparseState:
@@ -223,33 +340,17 @@ def apply_qft_q(state: SparseState, name: str, inverse: bool = False) -> SparseS
     q = spec.q
     omega = np.exp((-2j if inverse else 2j) * np.pi / q)
     F = omega ** (np.outer(np.arange(q), np.arange(q))) / math.sqrt(q)
-    i = state.reg_pos(name)
+    start = state.reg_cols(name).start
     cur = state
-    for coord in range(spec.size):
-        groups: dict[tuple, np.ndarray] = {}
-        for lab, a in cur.amps.items():
-            key = lab[:i] + (lab[i][:coord] + lab[i][coord + 1 :],) + lab[i + 1 :]
-            vec = groups.setdefault(key, np.zeros(q, dtype=complex))
-            vec[lab[i][coord]] += a
-        amps = {}
-        for key, vec in groups.items():
-            out = F @ vec
-            stripped = key[i]
-            for j in range(q):
-                if abs(out[j]) > PRUNE_EPS:
-                    full = stripped[:coord] + (j,) + stripped[coord:]
-                    amps[key[:i] + (full,) + key[i + 1 :]] = out[j]
-        cur = SparseState(cur.specs, amps)
+    for coord in range(start, start + spec.size):
+        cur = _apply_dense(cur, slice(coord, coord + 1), q, F)
     return cur
 
 
 def full_distribution(state: SparseState, names) -> Density:
     """Exact |amp|^2 marginal over the named registers, flattened to a
     single tuple of ints per outcome."""
-    idx = [state.reg_pos(n) for n in names]
-    table: dict[tuple, float] = {}
-    for lab, a in state.amps.items():
-        key = tuple(v for i in idx for v in lab[i])
-        table[key] = table.get(key, 0.0) + abs(a) ** 2
-    total = sum(table.values())
-    return Density({k: v / total for k, v in table.items()})
+    cols = np.r_[tuple(state.reg_cols(n) for n in names)]
+    _group, first, probs = _marginal(state, cols)
+    keys = zip(*state.labels[np.ix_(first, cols)].T.tolist())
+    return Density(dict(zip(keys, (probs / probs.sum()).tolist())))

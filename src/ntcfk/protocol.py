@@ -98,6 +98,11 @@ TAG_RED_FAILURE = 0x06
 TAG_ROUND_RESULT = 0x07
 
 
+# Cap on a frame's declared payload length, checked before the payload is
+# read. The largest frame of any preset is a desk key at under 600 bytes.
+MAX_FRAME_BYTES = 1 << 16
+
+
 class FrameError(ValueError):
     """Bad tag, length mismatch, or malformed payload."""
 
@@ -148,10 +153,9 @@ def frame_decode(data: bytes, params: NtcfParams | None = None):
     tag = data[4]
     if len(data) != 5 + plen:
         raise FrameError(f"length mismatch: header says {plen}, got {len(data) - 5}")
-    text = data[5:].decode()
     try:
-        return _decode_payload(tag, text, params)
-    except FormatError as exc:
+        return _decode_payload(tag, data[5:].decode(), params)
+    except (FormatError, UnicodeDecodeError) as exc:
         raise FrameError(f"malformed payload for tag {tag:#04x}: {exc}") from exc
 
 
@@ -394,6 +398,8 @@ def _read_frame(stream) -> bytes | None:
     if len(head) < 4:
         raise FrameError("truncated frame header")
     (plen,) = struct.unpack(">I", head)
+    if plen > MAX_FRAME_BYTES:
+        raise FrameError(f"declared payload of {plen} bytes exceeds {MAX_FRAME_BYTES}")
     rest = stream.read(1 + plen)
     if len(rest) != 1 + plen:
         raise FrameError("truncated frame body")

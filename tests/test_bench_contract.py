@@ -1,26 +1,35 @@
 """The traced benchmark run (perfbench/tracing.py) wraps ntcfk functions
 by the names their callers bind, e.g. `ntcfk.protocol.frame_decode`. A
 refactor that renames or inlines one of them would leave `--trace 1`
-reporting zeros, so this checks that every wrapped name still exists and
-that traced sessions on both transports record spans through them."""
+reporting zeros, so this checks that every wrapped name still exists,
+that traced sessions on both transports record spans through them, and
+that a traced noisy cross-check records the oracle spans and counts."""
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import ntcfk.crosscheck as crosscheck
 import ntcfk.protocol as protocol
+from ntcfk.ntcf import gen
 from ntcfk.presets import get_preset
 from ntcfk.prover import HonestProver
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TINY = get_preset("tiny-exact")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
 
 
 def test_traced_names_exist():
@@ -48,3 +57,22 @@ def test_traced_sessions_record_protocol_spans():
         "ntcf.gen", "ntcf.inv", "ntcf.chk",
     }
     assert wanted <= recorded, wanted - recorded
+
+
+def test_traced_crosscheck_records_oracle_spans():
+    """`oracle.labels` counts `len(state.amps)` of the U_f output, so it
+    must stay the label count whatever the state stores."""
+    tracing, workloads = load_tracing(), load_perfbench("workloads")
+    key, _t = gen(workloads.NOISY, np.random.default_rng(7))
+    tracer = tracing.Tracer()
+    with tracer.install():
+        tracer.active = True
+        tracer.op = 1
+        assert crosscheck.compare_joint(key) <= workloads.TV_LIMIT
+    recorded = {span[2] for span in tracer.spans}
+    wanted = {
+        "crosscheck.analytic_joint", "oracle.load_gaussian_register",
+        "oracle.apply_ufkb", "oracle.full_distribution", "gaussian.tv_distance",
+    }
+    assert wanted <= recorded, wanted - recorded
+    assert tracer.counts == [("oracle.labels", 1, 2673)]

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from ntcfk import oracle
 from ntcfk.gaussian import TruncatedGaussian, tv_distance
 from ntcfk.ntcf import NtcfKey, NtcfParams, compute_bp
 from ntcfk.oracle import (
     RegisterSpec,
     SparseState,
+    StateTooLarge,
     apply_hadamard_bits,
     apply_qft_q,
     apply_ufkb,
@@ -54,6 +56,18 @@ class TestInit:
     def test_empty_domain(self):
         with pytest.raises(ValueError):
             init_uniform((RegisterSpec("x", "modq", 1, 7),), [])
+
+    @pytest.mark.parametrize("label", [((1,), (2, 0)), ((1, 2),), ((1, 2), (0,), (0,))])
+    def test_label_shape_checked(self, label):
+        specs = (RegisterSpec("x", "modq", 2, 5), RegisterSpec("d", "bits", 1))
+        with pytest.raises(ValueError):
+            SparseState(specs, {label: complex(1.0)})
+
+    @pytest.mark.parametrize("label", [((5,), (0,)), ((-1,), (0,)), ((0,), (2,))])
+    def test_label_range_checked(self, label):
+        specs = (RegisterSpec("x", "modq", 1, 5), RegisterSpec("d", "bits", 1))
+        with pytest.raises(ValueError):
+            SparseState(specs, {label: complex(1.0)})
 
 
 class TestGaussianLoad:
@@ -266,3 +280,181 @@ class TestFullDistribution:
         spec = (RegisterSpec("x", "modq", 1, 7),)
         st = SparseState(spec, {((0,),): complex(1.0), ((1,),): complex(1e-16)})
         assert list(st.amps) == [((0,),)]
+
+
+def random_state(specs, labels, seed):
+    rng = np.random.default_rng(seed)
+    amps = {lab: complex(rng.normal(), rng.normal()) for lab in labels}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return SparseState(specs, {lab: a / norm for lab, a in amps.items()})
+
+
+def ref_dense(amps, reg, coords, radix, entry):
+    """Per-label reference: out[lab'] += entry(v', v) * amps[lab], where v
+    and v' are the values of coordinates `coords` of register `reg`."""
+    out = {}
+    for lab, a in amps.items():
+        part = lab[reg]
+        for new in itertools.product(range(radix), repeat=len(coords)):
+            p2 = list(part)
+            for c, v in zip(coords, new):
+                p2[c] = v
+            lab2 = lab[:reg] + (tuple(p2),) + lab[reg + 1 :]
+            old = tuple(part[c] for c in coords)
+            out[lab2] = out.get(lab2, 0.0) + entry(new, old) * a
+    return {lab: a for lab, a in out.items() if abs(a) > 1e-12}
+
+
+def assert_amps_close(got, want):
+    got = {lab: a for lab, a in got.items() if abs(a) > 1e-12}
+    assert set(got) == set(want)
+    for lab, a in want.items():
+        assert got[lab] == pytest.approx(a, abs=1e-12)
+
+
+class TestMultiRegister:
+    """Transforms on states of several registers, so rows are grouped by
+    the values of the other registers (C08 uses single-register states)."""
+
+    SPECS = (
+        RegisterSpec("a", "modq", 1, 3),
+        RegisterSpec("x", "modq", 2, 5),
+        RegisterSpec("d", "bits", 2),
+    )
+
+    def sparse_state(self, seed=5):
+        full = list(init_uniform_full(self.SPECS).amps)
+        rng = np.random.default_rng(seed)
+        pick = rng.choice(len(full), size=40, replace=False)
+        return random_state(self.SPECS, [full[i] for i in sorted(pick)], seed)
+
+    def test_ufkb_invert_round_trip_noisy(self):
+        k = tiny_key(q=11, m=2, kappa=3, a=[[3], [5]], t=[2, 7])
+        p = k.params
+        st = init_uniform_full(
+            (RegisterSpec("b", "modq", 1, p.kappa), RegisterSpec("x", "modq", p.n, p.q))
+        )
+        g = TruncatedGaussian(p.modulus, 1.83, p.m)
+        st = load_gaussian_register(st, RegisterSpec("y", "modq", p.m, p.q), g)
+        assert len(st.amps) == 3 * 11 * 9
+        fwd = apply_ufkb(st, k)
+        assert set(fwd.amps) != set(st.amps)
+        back = apply_ufkb(fwd, k, invert=True)
+        assert set(back.amps) == set(st.amps)
+        assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
+
+    def test_qft_round_trip(self):
+        st = self.sparse_state()
+        out = apply_qft_q(st, "x")
+        back = apply_qft_q(out, "x", inverse=True)
+        assert set(back.amps) == set(st.amps)
+        assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
+
+    def test_hadamard_round_trip(self):
+        st = self.sparse_state()
+        back = apply_hadamard_bits(apply_hadamard_bits(st, "d"), "d")
+        assert set(back.amps) == set(st.amps)
+        assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
+
+    def test_qft_matches_per_label_reference(self):
+        st = self.sparse_state(seed=6)
+        omega = cmath.exp(2j * cmath.pi / 5)
+        want = dict(st.amps)
+        for coord in range(2):
+            want = ref_dense(want, 1, (coord,), 5,
+                             lambda new, old: omega ** (new[0] * old[0]) / math.sqrt(5))
+        assert_amps_close(apply_qft_q(st, "x").amps, want)
+
+    def test_hadamard_matches_per_label_reference(self):
+        st = self.sparse_state(seed=7)
+        want = ref_dense(
+            dict(st.amps), 2, (0, 1), 2,
+            lambda new, old: (-1) ** sum(u * v for u, v in zip(new, old)) / 2.0,
+        )
+        assert_amps_close(apply_hadamard_bits(st, "d").amps, want)
+
+
+class TestMeasureThreeRegisters:
+    SPECS = (
+        RegisterSpec("a", "modq", 1, 3),
+        RegisterSpec("d", "bits", 2),
+        RegisterSpec("c", "modq", 1, 5),
+    )
+
+    def entangled(self):
+        # sum_{a, c} |a>|bits(a)>|c>: d is a function of a, c is independent.
+        labels = [((a,), (a >> 1, a & 1), (c,)) for a in range(3) for c in range(5)]
+        return init_uniform(self.SPECS, labels)
+
+    def test_measure_collapses_and_keeps_rest(self, rng):
+        st = self.entangled()
+        before = full_distribution(st, ("c",))
+        out, collapsed = measure_register(st, "a", rng)
+        assert out in {(0,), (1,), (2,)}
+        assert {lab[0] for lab in collapsed.amps} == {out}
+        assert {lab[1] for lab in collapsed.amps} == {(out[0] >> 1, out[0] & 1)}
+        assert len(collapsed.amps) == 5
+        assert collapsed.norm_sq() == pytest.approx(1.0)
+        assert tv_distance(before, full_distribution(collapsed, ("c",))) < 1e-12
+
+    def test_measure_middle_register_marginal(self):
+        st = self.entangled()
+        rng = np.random.default_rng(9)
+        counts = {}
+        for _ in range(3000):
+            out, _c = measure_register(st, "d", rng)
+            counts[out] = counts.get(out, 0) + 1
+        assert set(counts) == {(0, 0), (0, 1), (1, 0)}
+        assert all(abs(v / 3000 - 1 / 3) < 0.04 for v in counts.values())
+
+    def test_remove_after_measure(self, rng):
+        st = self.entangled()
+        with pytest.raises(ValueError):
+            remove_register(st, "d")  # entangled with a
+        out, collapsed = measure_register(st, "a", rng)
+        smaller = remove_register(remove_register(collapsed, "d"), "a")
+        assert [s.name for s in smaller.specs] == ["c"]
+        assert set(smaller.amps) == {((c,),) for c in range(5)}
+        assert smaller.norm_sq() == pytest.approx(1.0)
+
+    def test_remove_middle_register(self, rng):
+        _out, collapsed = measure_register(self.entangled(), "a", rng)
+        smaller = remove_register(collapsed, "d")
+        assert [s.name for s in smaller.specs] == ["a", "c"]
+        assert all(len(lab) == 2 for lab in smaller.amps)
+
+
+class TestLabelCap:
+    """The cap is checked before a product state or dense block exists."""
+
+    def no_alloc(self, monkeypatch, small_cap):
+        monkeypatch.setattr(oracle, "MAX_LABELS", small_cap)
+
+        def refuse(*_args):
+            raise AssertionError("allocated past the label cap")
+
+        monkeypatch.setattr(oracle, "_product", refuse)
+
+    def test_init_uniform_full(self, monkeypatch):
+        self.no_alloc(monkeypatch, 20)
+        with pytest.raises(StateTooLarge):
+            init_uniform_full((RegisterSpec("b", "modq", 1, 3), RegisterSpec("x", "modq", 1, 7)))
+
+    def test_load_gaussian(self, monkeypatch):
+        st = init_uniform_full((RegisterSpec("b", "modq", 1, 3), RegisterSpec("x", "modq", 1, 7)))
+        self.no_alloc(monkeypatch, 50)
+        g = TruncatedGaussian(Modulus(7), 1.0, 1)  # 3 support points
+        with pytest.raises(StateTooLarge):
+            load_gaussian_register(st, RegisterSpec("y", "modq", 1, 7), g)
+
+    def test_dense_block(self, monkeypatch):
+        spec = (RegisterSpec("x", "modq", 1, 7), RegisterSpec("d", "bits", 3))
+        st = init_uniform(spec, [((v,), (1, 0, 1)) for v in range(7)])
+        monkeypatch.setattr(oracle, "MAX_LABELS", 50)
+        with pytest.raises(StateTooLarge):
+            apply_hadamard_bits(st, "d")  # 7 groups x 8 values
+
+    def test_constructor(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_LABELS", 6)
+        with pytest.raises(StateTooLarge):
+            init_uniform((RegisterSpec("x", "modq", 1, 7),), [((v,),) for v in range(7)])

@@ -1,3 +1,4 @@
+import io
 import socket
 import struct
 import threading
@@ -10,7 +11,7 @@ import pytest
 
 import ntcfk.protocol as protocol
 from ntcfk.ntcf import compute_bp, gen, key_to_text, trapdoor_to_text
-from ntcfk.presets import get_preset
+from ntcfk.presets import PRESETS, get_preset
 from ntcfk.prover import (
     CheatCommitProver,
     CheatRandomProver,
@@ -155,11 +156,48 @@ class TestFrameErrors:
         pytest.param(0x01, tiny_key_payload(1, "x"), id="key-matrix-entry-not-int"),
         pytest.param(0x01, tiny_key_payload(0, "A=99999999999 99999999999"),
                      id="key-matrix-header-huge"),
+        pytest.param(0x02, b"\xff\xfe", id="image-not-utf8"),
     ])
     def test_malformed_payload(self, tag, payload):
         frame = struct.pack(">I", len(payload)) + bytes([tag]) + payload
         with pytest.raises(FrameError):
             frame_decode(frame, TINY)
+
+
+class RecordingStream(io.BytesIO):
+    """A byte stream that records the size of every read asked of it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+class TestFrameLength:
+    def test_huge_declared_length_rejected_before_read(self):
+        stream = RecordingStream(b"\xff\xff\xff\xff" + bytes([protocol.TAG_IMAGE]))
+        with pytest.raises(FrameError):
+            protocol._read_frame(stream)
+        assert stream.sizes == [4]
+
+    def test_length_at_cap_is_read(self):
+        head = struct.pack(">I", protocol.MAX_FRAME_BYTES)
+        stream = RecordingStream(head + bytes([protocol.TAG_IMAGE]))
+        with pytest.raises(FrameError, match="truncated"):
+            protocol._read_frame(stream)
+        assert stream.sizes == [4, 1 + protocol.MAX_FRAME_BYTES]
+
+    def test_valid_frame_passes(self):
+        frame = frame_encode(MsgImage(vec([1, 2], TINY)))
+        assert protocol._read_frame(RecordingStream(frame)) == frame
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_cap_well_above_key_frames(self, name):
+        key, _t = gen(PRESETS[name], np.random.default_rng(0))
+        assert 50 * len(frame_encode(MsgKey(key))) < protocol.MAX_FRAME_BYTES
 
 
 class TestVerifierOrdering:
