@@ -52,9 +52,11 @@ class Density:
     table: dict
 
     def __post_init__(self):
-        s = _kahan_sum(self.table.values())
-        if any(p < 0 for p in self.table.values()):
-            raise ValueError("negative probability")
+        probs = np.fromiter(self.table.values(), dtype=np.float64, count=len(self.table))
+        # NaN fails `>= 0` and +inf fails the sum check, so both raise.
+        if not (probs >= 0).all():
+            raise ValueError("probabilities must be non-negative numbers")
+        s = float(probs.sum())
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"density sums to {s}, not 1")
 
@@ -124,14 +126,16 @@ class TruncatedGaussian:
         points, probs = self.support_arrays(cap)
         return Density(dict(zip(map(tuple, points.tolist()), probs.tolist())))
 
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """The 1-D lift drawn by each uniform in u (any shape), by inverse
+        CDF over the cached table."""
+        lifts, probs = self._table_1d()
+        idx = np.searchsorted(np.cumsum(probs), u, side="right")
+        return lifts[np.minimum(idx, len(lifts) - 1)]
+
     def sample(self, rng: np.random.Generator) -> ZqVector:
         """Draw one vector by per-coordinate inverse-CDF sampling."""
-        lifts, probs = self._table_1d()
-        cdf = np.cumsum(probs)
-        u = rng.random(self.dim)
-        idx = np.searchsorted(cdf, u, side="right")
-        idx = np.minimum(idx, len(lifts) - 1)
-        return ZqVector(lifts[idx], self.modulus)
+        return ZqVector(self.inverse_cdf(rng.random(self.dim)), self.modulus)
 
 
 def hellinger_sq(f0: Density, f1: Density) -> float:

@@ -206,9 +206,16 @@ def chk(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> int:
     return int(euclidean_norm(resid) <= p.b_p * math.sqrt(p.m))
 
 
+def claws(x0: np.ndarray, s: ZqVector, kappa: int) -> np.ndarray:
+    """The claw of every row x_0 of x0 as one (rows, kappa, n) array whose
+    [i, b] row is x_b = x_0 - b*s mod q."""
+    b = np.arange(kappa)[:, None]
+    return (x0[:, None, :] - b * s.entries) % s.modulus.q
+
+
 def claw(x0: ZqVector, s: ZqVector, kappa: int) -> tuple[ZqVector, ...]:
     """The claw x_b = x_0 - b*s mod q, for b in {0, ..., kappa-1}."""
-    return tuple(x0 - s.scale(b) for b in range(kappa))
+    return tuple(ZqVector(x, s.modulus) for x in claws(x0.entries[None, :], s, kappa)[0])
 
 
 def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: ZqVector) -> tuple[ZqVector, ...]:

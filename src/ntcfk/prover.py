@@ -3,7 +3,10 @@
 The quantum side of the protocol never needs a state vector: the image
 measurement marginal and the residual claw superposition have closed
 forms, so the prover samples (b, x, e0), announces y = Ax + e0 + b*t,
-and carries the residual support explicitly. Two modes:
+and carries the residual support explicitly. `sample_images` is the one
+image sampler: it returns any number of draws as whole arrays, and
+`sample_image` (the protocol's prover and the cheaters) is its one-draw
+case. Two modes for the residual:
 
   exact-enumeration  the residual support is computed by scanning every
                      (b', x') against the public density, exactly what
@@ -29,7 +32,8 @@ import numpy as np
 
 from .gaussian import TruncatedGaussian
 from .ntcf import NtcfKey, NtcfParams, claw
-from .zq import BitString, ZqVector, domain_grid, equation_bit, mat_vec_mul
+from .zq import BitString, ZqVector, domain_grid, equation_bit, mul_rows_mod
+from .zq import mat_vec_mul  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 ENUM_CAP = 2**16
 
@@ -121,14 +125,33 @@ def samp_and_measure(
     return y, ResidualState(k, y, support)
 
 
-def sample_image(k: NtcfKey, rng: np.random.Generator) -> tuple[int, ZqVector, ZqVector]:
-    """SAMP's image marginal, sampled directly: b and x uniform, e0 from
-    the B_P Gaussian, y = Ax + e0 + b*t. Returns (b, x, y)."""
+def sample_images(
+    k: NtcfKey, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SAMP's image marginal, sampled directly count times: b and x
+    uniform, e0 from the B_P Gaussian, y = Ax + e0 + b*t. Returns int64
+    arrays B (count,), X (count, n) and Y (count, m), row i from draw i.
+
+    Each draw takes b, then x, then e0's uniforms from rng, the order of
+    one draw at a time; everything after the draws is whole-array.
+    """
     p = k.params
-    b = int(rng.integers(0, p.kappa))
-    x = ZqVector.uniform(p.n, p.modulus, rng)
-    e0 = TruncatedGaussian(p.modulus, p.b_p, p.m).sample(rng)
-    return b, x, mat_vec_mul(k.A, x) + e0 + k.t.scale(b)
+    B = np.empty(count, dtype=np.int64)
+    X = np.empty((count, p.n), dtype=np.int64)
+    U = np.empty((count, p.m))
+    for i in range(count):
+        B[i] = rng.integers(0, p.kappa)
+        X[i] = rng.integers(0, p.q, size=p.n, dtype=np.int64)
+        U[i] = rng.random(p.m)
+    E = TruncatedGaussian(p.modulus, p.b_p, p.m).inverse_cdf(U)
+    Y = (mul_rows_mod(k.A.entries, X, p.q) + E + B[:, None] * k.t.entries) % p.q
+    return B, X, Y
+
+
+def sample_image(k: NtcfKey, rng: np.random.Generator) -> tuple[int, ZqVector, ZqVector]:
+    """One draw of `sample_images`, as (b, x, y)."""
+    B, X, Y = sample_images(k, rng, 1)
+    return int(B[0]), ZqVector(X[0], k.params.modulus), ZqVector(Y[0], k.params.modulus)
 
 
 def _enumerate_residual(k: NtcfKey, y: ZqVector):

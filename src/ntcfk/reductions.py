@@ -2,13 +2,19 @@
 
 The pipelines reuse the prover's sampling machinery: an LWE instance
 (A, t = As + e) is wrapped as a function-family key, the claw
-superposition is produced per draw, and its labels form the coset
+superposition is produced for each state, and its labels form the coset
 states. The DCP secret that falls out is s_tilde = -s mod q (the second
 label minus the first), while EDCP states carry s directly in their
 consecutive-label differences.
 
+With a planted secret (the idealized claw) all of a call's images come
+from one `prover.sample_images` call and all its claws from one
+`ntcf.claws` array, drawn in the order of one state at a time. Without
+one, each state's residual is enumerated exactly from its own image.
+
 The solvers here simply read the secret off the explicit sparse
-supports and cross-check unanimity. They stand in for the efficient DCP
+supports, stacked into one array, and check consistency and unanimity
+with whole-array comparisons. They stand in for the efficient DCP
 solver whose existence the reduction theorems assume; this artifact
 demonstrates the reduction direction, not the solver.
 """
@@ -19,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ntcf import NtcfKey, NtcfParams, compute_bp
-from .prover import DcpState, _red_from_branches, samp_and_measure
-from .zq import ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
+from .ntcf import NtcfKey, NtcfParams, claws, compute_bp
+from .prover import DcpState, _red_from_branches, samp_and_measure, sample_images
+from .zq import Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,24 @@ def _sample_claws(
     inst: LweInstance, kappa: int, count: int, rng: np.random.Generator
 ) -> list[tuple[ZqVector, ...]]:
     """Run the kappa-branch sampling circuit count times and keep each
-    residual's claw; ValueError if a residual is not a clean claw."""
+    residual's claw.
+
+    With a planted secret all count images come from one `sample_images`
+    call and the claws from one `claws` array: the idealized claw of
+    (b, x) has x_0 = x + b*s. Without one, each residual is enumerated
+    from its own image, and ValueError is raised if it is not a clean
+    claw.
+    """
     k = _sampling_key(inst, kappa)
-    mode = "exact-enumeration" if inst.planted_s is None else "idealized-claw"
-    return [
-        samp_and_measure(k, rng, mode=mode, secret_s=inst.planted_s)[1].branches()
-        for _ in range(count)
-    ]
+    s = inst.planted_s
+    if s is None:
+        return [
+            samp_and_measure(k, rng, mode="exact-enumeration")[1].branches()
+            for _ in range(count)
+        ]
+    B, X, _Y = sample_images(k, rng, count)
+    rows = claws(X + B[:, None] * s.entries, s, kappa)
+    return [tuple(ZqVector(x, s.modulus) for x in claw_rows) for claw_rows in rows]
 
 
 def lwe_to_dcp(
@@ -128,28 +145,39 @@ def red_edcp_to_dcp(
     return _red_from_branches(tuple(x for _, x in state.support), rng)
 
 
-def _unanimous(candidates: list[ZqVector]) -> SolverReport:
-    """Success iff there are candidates and they all agree."""
-    if not candidates:
-        return SolverReport(False, None, 0, "no states supplied")
-    if all(c == candidates[0] for c in candidates):
-        return SolverReport(True, candidates[0], len(candidates), "unanimous")
+_NO_STATES = SolverReport(False, None, 0, "no states supplied")
+
+
+def _unanimous(candidates: np.ndarray, modulus: Modulus) -> SolverReport:
+    """Success iff every row of the (states, n) candidate array agrees."""
+    if (candidates == candidates[0]).all():
+        candidate = ZqVector(candidates[0], modulus)
+        return SolverReport(True, candidate, len(candidates), "unanimous")
     return SolverReport(False, None, len(candidates), "inconsistent states")
 
 
 def solve_dcp_desk(states: list[DcpState]) -> SolverReport:
     """Read s_tilde = x1 - x0 off each state; success iff unanimous."""
-    return _unanimous([st.x1 - st.x0 for st in states])
+    if not states:
+        return _NO_STATES
+    modulus = states[0].x0.modulus
+    x0 = np.array([st.x0.entries for st in states])
+    x1 = np.array([st.x1.entries for st in states])
+    return _unanimous((x1 - x0) % modulus.q, modulus)
 
 
 def solve_edcp_desk(states: list[EdcpState]) -> SolverReport:
     """Read s off each state's consecutive-label difference; success iff
-    unanimous."""
-    try:
-        candidates = [st.label_difference() for st in states]
-    except ValueError as exc:
-        return SolverReport(False, None, len(states), str(exc))
-    return _unanimous(candidates)
+    every state's differences agree and the states are unanimous. The
+    states share one kappa, as `lwe_to_edcp` makes them."""
+    if not states:
+        return _NO_STATES
+    modulus = states[0].support[0][1].modulus
+    labels = np.array([[x.entries for _, x in st.support] for st in states])
+    diffs = (labels[:, :-1] - labels[:, 1:]) % modulus.q  # (states, kappa-1, n)
+    if not (diffs == diffs[:, :1]).all():
+        return SolverReport(False, None, len(states), "inconsistent label differences")
+    return _unanimous(diffs[:, 0], modulus)
 
 
 def verify_candidate(inst: LweInstance, s: ZqVector) -> bool:

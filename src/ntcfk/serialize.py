@@ -1,11 +1,15 @@
 """Canonical text encoding shared by every serializer.
 
-One field per line as `name=value`. Vectors are space-separated decimals.
+One field per line as `name=value`. Vectors are residues in [0, q) as
+ASCII decimals split by single spaces, with no sign and no leading zero;
+the reader accepts nothing else.
 A matrix field is `name=rows cols` followed by one row per line. Floats
 use repr() so they round-trip bit-exactly. Files open with a versioned
 header line.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -18,6 +22,12 @@ HEADER_TRANSCRIPT = "transcript v1"
 
 class FormatError(ValueError):
     """Malformed canonical text."""
+
+
+# A vector line: ASCII decimals split by single spaces, no sign and no
+# leading zero. At most 10 digits each (q < 2^31), so every value fits
+# int64 before the range check.
+_RESIDUES = re.compile(r"(?:(?:0|[1-9][0-9]{0,9})(?: (?:0|[1-9][0-9]{0,9}))*)?")
 
 
 class LineWriter:
@@ -94,15 +104,15 @@ class LineReader:
             raise FormatError(f"field {name}: bad float {v!r}") from exc
 
     def vector(self, name: str, modulus: Modulus) -> ZqVector:
-        return ZqVector(self.int_array(name), modulus)
-
-    def int_array(self, name: str) -> np.ndarray:
+        """Canonical residues only: see `_RESIDUES`, and each below q."""
         v = self._value(name)
-        parts = v.split() if v else []
-        try:
-            return np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
-        except ValueError as exc:
-            raise FormatError(f"field {name}: bad vector {v!r}") from exc
+        if _RESIDUES.fullmatch(v) is None:
+            raise FormatError(f"field {name}: bad vector {v!r}")
+        parts = v.split(" ") if v else []
+        values = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
+        if parts and values.max() >= modulus.q:
+            raise FormatError(f"field {name}: residue not below q={modulus.q}")
+        return ZqVector(values, modulus)
 
     def matrix(self, name: str) -> np.ndarray:
         """A `rows cols` header, then one line per row. The array is built

@@ -169,17 +169,21 @@ def domain_grid(q: int, n: int) -> np.ndarray:
     return np.indices((q,) * n).reshape(n, -1).T.astype(np.int64)
 
 
+def mul_rows_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
+    """A x mod q for every x along the last axis of X (a vector or a stack
+    of row vectors); the result has A's row count as its last axis."""
+    # Reduce each product mod q before summing; partial sums then stay
+    # below cols * 2^31, safely inside int64.
+    return ((X[..., None, :] * A) % q).sum(axis=-1) % q
+
+
 def mat_vec_mul(A: ZqMatrix, x: ZqVector) -> ZqVector:
     """Compute A x mod q."""
     if A.modulus != x.modulus:
         raise DimensionError("modulus mismatch")
     if A.cols != len(x):
         raise DimensionError(f"cannot multiply {A.rows}x{A.cols} by length-{len(x)}")
-    q = A.modulus.q
-    # Reduce each product mod q before summing; partial sums then stay
-    # below cols * 2^31, safely inside int64.
-    prod = (A.entries * x.entries[None, :]) % q
-    return ZqVector(prod.sum(axis=1) % q, A.modulus)
+    return ZqVector(mul_rows_mod(A.entries, x.entries, A.modulus.q), A.modulus)
 
 
 def centered_lift(x: ZqVector) -> np.ndarray:

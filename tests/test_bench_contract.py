@@ -3,7 +3,8 @@ by the names their callers bind, e.g. `ntcfk.protocol.frame_decode`. A
 refactor that renames or inlines one of them would leave `--trace 1`
 reporting zeros, so this checks that every wrapped name still exists,
 that traced sessions on both transports record spans through them, and
-that a traced noisy cross-check records the oracle spans and counts."""
+that a traced noisy cross-check and a traced reduction run record their
+spans and counts."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import numpy as np
 
 import ntcfk.crosscheck as crosscheck
 import ntcfk.protocol as protocol
+import ntcfk.reductions as reductions
 from ntcfk.ntcf import gen
 from ntcfk.presets import get_preset
 from ntcfk.prover import HonestProver
@@ -76,3 +78,22 @@ def test_traced_crosscheck_records_oracle_spans():
     }
     assert wanted <= recorded, wanted - recorded
     assert tracer.counts == [("oracle.labels", 1, 2673)]
+
+
+def test_traced_reductions_record_spans():
+    """`reductions.states_per_op` counts `len` of each pipeline's output,
+    so one reduce-desk op must stay 8 DCP plus 8 EDCP states."""
+    tracing, workloads = load_tracing(), load_perfbench("workloads")
+    rng = np.random.default_rng(11)
+    key, trap = gen(workloads.DESK, rng)
+    inst = reductions.instance_from_key(key, planted_s=trap.s)
+    tracer = tracing.Tracer()
+    with tracer.install():
+        tracer.active = True
+        tracer.op = 1
+        reports = workloads._recover_both(inst, rng)
+    assert workloads._check_recovered(reports, trap.s) is None
+    recorded = {span[2] for span in tracer.spans}
+    wanted = {"reductions.lwe_to_dcp", "reductions.lwe_to_edcp", "reductions.solve"}
+    assert wanted <= recorded, wanted - recorded
+    assert tracer.counts == [("reductions.states", 1, 8), ("reductions.states", 1, 8)]

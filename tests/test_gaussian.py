@@ -76,6 +76,27 @@ class TestSampling:
         assert freq0 == pytest.approx(g.density_eval(vec([0], 7)), abs=0.01)
 
 
+class TestDensityValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Density({(0,): bad, (1,): 0.5})
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            Density({(0,): -0.25, (1,): 1.25})
+
+    def test_sum_off_by_1e9_rejected(self):
+        with pytest.raises(ValueError):
+            Density({(0,): 0.5, (1,): 0.5 + 1e-9})
+
+    @pytest.mark.parametrize("q,B,m", [(7, 0.5, 1), (11, 1.83, 4), (17, 3.0, 2), (521, 4.0, 2)])
+    def test_tables_construct(self, q, B, m):
+        g = gauss(q, B, m)
+        assert len(g.table().table) == g.support_size()
+        assert len(shifted_density(g, vec([3] * m, q)).table) == g.support_size()
+
+
 class TestDistances:
     def test_h2_identical(self):
         d = Density({(0,): 0.5, (1,): 0.5})

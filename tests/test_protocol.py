@@ -157,6 +157,18 @@ class TestFrameErrors:
         pytest.param(0x01, tiny_key_payload(0, "A=99999999999 99999999999"),
                      id="key-matrix-header-huge"),
         pytest.param(0x02, b"\xff\xfe", id="image-not-utf8"),
+        pytest.param(0x02, b"y=10 -2\n", id="image-negative-residue"),
+        pytest.param(0x02, b"y=+3 0\n", id="image-plus-sign"),
+        pytest.param(0x02, b"y=3_0 1\n", id="image-underscore"),
+        pytest.param(0x02, "y=\u0663 1\n".encode(), id="image-arabic-indic-digit"),
+        pytest.param(0x02, b"y=03 1\n", id="image-leading-zero"),
+        pytest.param(0x02, b"y= 3 1\n", id="image-leading-space"),
+        pytest.param(0x02, b"y=3  1\n", id="image-double-space"),
+        pytest.param(0x02, b"y=3 1 \n", id="image-trailing-space"),
+        pytest.param(0x02, b"y=3\t1\n", id="image-tab"),
+        pytest.param(0x02, b"y=7 1\n", id="image-residue-equals-q"),
+        pytest.param(0x02, b"y=99999999999999999999 1\n", id="image-residue-overflow"),
+        pytest.param(0x04, b"b=0\nx=99999999999999999999\n", id="preimage-residue-overflow"),
     ])
     def test_malformed_payload(self, tag, payload):
         frame = struct.pack(">I", len(payload)) + bytes([tag]) + payload
