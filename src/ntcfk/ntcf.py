@@ -23,7 +23,7 @@ import numpy as np
 from . import trapdoor as td
 from .gaussian import Density, TruncatedGaussian, hellinger_sq, shifted_density
 from .serialize import HEADER_KEY, HEADER_SK, LineReader, LineWriter
-from .zq import Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
+from .zq import DimensionError, Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
 
 RATIO_FLOOR = 8.0  # desk stand-in for the asymptotic width-ratio conditions
 GROWTH_CONST = 1.0  # constant in the dimension growth conditions
@@ -209,12 +209,16 @@ def chk(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> int:
 def claws(x0: np.ndarray, s: ZqVector, kappa: int) -> np.ndarray:
     """The claw of every row x_0 of x0 as one (rows, kappa, n) array whose
     [i, b] row is x_b = x_0 - b*s mod q."""
+    if x0.shape[-1] != len(s):
+        raise DimensionError(f"x_0 rows have length {x0.shape[-1]}, s has {len(s)}")
     b = np.arange(kappa)[:, None]
     return (x0[:, None, :] - b * s.entries) % s.modulus.q
 
 
 def claw(x0: ZqVector, s: ZqVector, kappa: int) -> tuple[ZqVector, ...]:
     """The claw x_b = x_0 - b*s mod q, for b in {0, ..., kappa-1}."""
+    if x0.modulus != s.modulus:
+        raise DimensionError("modulus mismatch")
     return tuple(ZqVector(x, s.modulus) for x in claws(x0.entries[None, :], s, kappa)[0])
 
 

@@ -20,7 +20,7 @@ from ntcfk.reductions import (
     solve_dcp_desk,
     solve_edcp_desk,
 )
-from ntcfk.zq import ZqVector
+from ntcfk.zq import DimensionError, Modulus, ZqVector
 
 DESK = get_preset("desk-k3")
 
@@ -137,6 +137,17 @@ def test_claws_rows_are_x0_minus_bs(kappa):
         for b in range(kappa):
             assert ZqVector(rows[i, b], mod) == x - s.scale(b)
         assert claw(x, s, kappa) == tuple(ZqVector(r, mod) for r in rows[i])
+
+
+def test_claw_checks_operands():
+    mod = DESK.modulus
+    s = ZqVector(np.array([1, 2]), mod)
+    with pytest.raises(DimensionError):
+        claws(np.zeros((3, 1), dtype=np.int64), s, 3)
+    with pytest.raises(DimensionError):
+        claw(ZqVector(np.array([1]), mod), s, 3)
+    with pytest.raises(DimensionError):
+        claw(ZqVector(np.array([1, 2]), Modulus(7)), s, 3)
 
 
 class TestSolverReports:
