@@ -60,12 +60,6 @@ class Density:
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"density sums to {s}, not 1")
 
-    def support(self):
-        return self.table.keys()
-
-    def __getitem__(self, point) -> float:
-        return self.table.get(point, 0.0)
-
 
 @dataclass(frozen=True)
 class TruncatedGaussian:

@@ -296,7 +296,7 @@ def key_to_text(k: NtcfKey) -> str:
 def key_from_text(text: str) -> NtcfKey:
     r = LineReader(text, HEADER_KEY)
     p = _params_read(r)
-    A = ZqMatrix(r.matrix("A"), p.modulus)
+    A = ZqMatrix(r.matrix("A", p.modulus), p.modulus)
     t = r.vector("t", p.modulus)
     r.done()
     return NtcfKey(p, A, t)
@@ -320,7 +320,7 @@ def trapdoor_to_text(k: NtcfKey, t: NtcfTrapdoor) -> str:
 def trapdoor_from_text(text: str) -> tuple[NtcfKey, NtcfTrapdoor]:
     r = LineReader(text, HEADER_SK)
     p = _params_read(r)
-    A = ZqMatrix(r.matrix("A"), p.modulus)
+    A = ZqMatrix(r.matrix("A", p.modulus), p.modulus)
     tvec = r.vector("t", p.modulus)
     mode = r.field("trap_mode")
     n_bar = r.int_field("n_bar")

@@ -4,11 +4,15 @@ A state is a label matrix and an amplitude vector. The int64 label
 matrix has one row per basis label and one column per register
 coordinate; each register owns a run of columns, in the order of its
 specs. Registers are either mod-q integer registers (coordinates in
-[0, q)) or bit registers. Row i has the complex amplitude vec[i], and
+[0, q)) or bit registers. Row i has the complex amplitude amps[i], and
 no two rows are equal. This is the ground-truth oracle for the sampling
 circuits: the function application is one modular update of the y
 columns, measurements use exact marginals, and the Hadamard / QFT
 transforms are dense per register.
+
+`SparseState(specs, labels, amps)` is the one constructor, and every
+transform builds its result with it. `init_uniform` takes a label matrix
+the caller chose and checks its shape, range and distinctness.
 
 Rows are grouped by mixed-radix codes: a row's coordinates read as the
 digits of one integer, each in the radix of its column (q or 2), so
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +75,11 @@ class RegisterSpec:
         return self.q if self.kind == "modq" else 2
 
 
+def _radices(specs) -> np.ndarray:
+    """The radix of every label column, in spec order."""
+    return np.array([s.radix for s in specs for _ in range(s.size)], dtype=np.int64)
+
+
 def _row_codes(rows: np.ndarray, radices: np.ndarray) -> np.ndarray:
     """One int64 per row, equal exactly when the rows are equal and
     ordered as the rows are lexicographically."""
@@ -96,78 +104,30 @@ def _marginal(state: "SparseState", cols):
     """|amp|^2 summed over the rows that agree on `cols`: the group of
     each row, the first row of each group and each group's weight."""
     group, first = _group_rows(state.labels[:, cols], state.radices[cols])
-    return group, first, np.bincount(group, weights=np.abs(state.vec) ** 2)
-
-
-class _AmpView(Mapping):
-    """Read-only label -> amplitude view of a state. Labels are tuples of
-    per-register tuples; the dict behind the view is built on first use.
-    It holds the state's arrays, not the state, so that no reference
-    cycle keeps a dropped state's arrays alive until the next collection."""
-
-    def __init__(self, labels: np.ndarray, vec: np.ndarray, cols):
-        self._arrays = (labels, vec, cols)
-        self._dict = None
-
-    def _items(self) -> dict:
-        if self._dict is None:
-            labels, vec, cols = self._arrays
-            keys = (tuple(tuple(row[c]) for c in cols) for row in labels.tolist())
-            self._dict = dict(zip(keys, vec.tolist()))
-        return self._dict
-
-    def __len__(self) -> int:
-        return len(self._arrays[1])
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __getitem__(self, label):
-        return self._items()[label]
+    return group, first, np.bincount(group, weights=np.abs(state.amps) ** 2)
 
 
 class SparseState:
     """Immutable-by-convention sparse state: an int64 label matrix and a
-    complex128 amplitude vector, one row per basis label."""
+    complex128 amplitude vector `amps`, one row per basis label."""
 
-    def __init__(self, specs, amps: Mapping):
-        specs = tuple(specs)
-        sizes = [s.size for s in specs]
-        rows = []
-        for lab in amps:
-            if [len(part) for part in lab] != sizes:
-                raise ValueError(f"label {lab!r} does not match register sizes {sizes}")
-            rows.append([v for part in lab for v in part])
-        labels = np.array(rows, dtype=np.int64).reshape(len(rows), sum(sizes))
-        vec = np.fromiter(amps.values(), dtype=np.complex128, count=len(rows))
-        self._init(specs, labels, vec)
-        if ((self.labels < 0) | (self.labels >= self.radices)).any():
-            raise ValueError("label coordinate outside its register's range")
-
-    @classmethod
-    def from_arrays(cls, specs, labels: np.ndarray, vec: np.ndarray) -> "SparseState":
-        """A state from distinct label rows and their amplitudes."""
-        state = cls.__new__(cls)
-        state._init(tuple(specs), labels, vec)
-        return state
-
-    def _init(self, specs, labels, vec):
-        self.specs = specs
-        self._index = {s.name: i for i, s in enumerate(specs)}
-        if len(self._index) != len(specs):
+    def __init__(self, specs, labels: np.ndarray, amps: np.ndarray):
+        """A state from distinct label rows and their amplitudes. Rows whose
+        amplitude is at most PRUNE_EPS are dropped, then the label cap and
+        the norm are checked."""
+        self.specs = tuple(specs)
+        self._index = {s.name: i for i, s in enumerate(self.specs)}
+        if len(self._index) != len(self.specs):
             raise ValueError("duplicate register names")
-        stops = list(itertools.accumulate(s.size for s in specs))
-        self.cols = tuple(slice(b - s.size, b) for b, s in zip(stops, specs))
-        self.radices = np.array(
-            [s.radix for s in specs for _ in range(s.size)], dtype=np.int64
-        )
-        keep = np.abs(vec) > PRUNE_EPS
+        stops = list(itertools.accumulate(s.size for s in self.specs))
+        self.cols = tuple(slice(b - s.size, b) for b, s in zip(stops, self.specs))
+        self.radices = _radices(self.specs)
+        keep = np.abs(amps) > PRUNE_EPS
         if not keep.all():
-            labels, vec = labels[keep], vec[keep]
-        _check_cap(len(vec))
+            labels, amps = labels[keep], amps[keep]
+        _check_cap(len(amps))
         self.labels = labels
-        self.vec = vec
-        self.amps = _AmpView(labels, vec, self.cols)
+        self.amps = amps
         n = self.norm_sq()
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {n}, not 1")
@@ -185,7 +145,7 @@ class SparseState:
         return self.cols[self.reg_pos(name)]
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.vec, self.vec).real)
+        return float(np.vdot(self.amps, self.amps).real)
 
     def fidelity(self, other: "SparseState") -> float:
         """|<self|other>|^2 over the common support."""
@@ -195,11 +155,11 @@ class SparseState:
             np.vstack([self.labels, other.labels]),
             np.maximum(self.radices, other.radices),
         )
-        n = len(self.vec)
+        n = len(self.amps)
         _common, i, j = np.intersect1d(
             codes[:n], codes[n:], assume_unique=True, return_indices=True
         )
-        return abs(np.vdot(self.vec[i], other.vec[j])) ** 2
+        return abs(np.vdot(self.amps[i], other.amps[j])) ** 2
 
 
 def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -209,13 +169,23 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     )
 
 
-def init_uniform(specs, domain) -> SparseState:
-    """Equal amplitudes over the given basis labels."""
-    labels = [tuple(tuple(part) for part in lab) for lab in domain]
-    if not labels:
+def init_uniform(specs, labels) -> SparseState:
+    """Equal amplitudes over the given basis labels: a matrix with one row
+    per label and its columns in spec order. The labels are the caller's
+    choice, so their shape, range and distinctness are checked here."""
+    specs = tuple(specs)
+    radices = _radices(specs)
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) == 0:
         raise ValueError("empty domain")
-    a = 1.0 / math.sqrt(len(labels))
-    return SparseState(specs, {lab: complex(a) for lab in labels})
+    if labels.ndim != 2 or labels.shape[1] != len(radices):
+        raise ValueError(f"label matrix of shape {labels.shape} needs {len(radices)} columns")
+    if ((labels < 0) | (labels >= radices)).any():
+        raise ValueError("label coordinate outside its register's range")
+    if len(np.unique(_row_codes(labels, radices))) != len(labels):
+        raise ValueError("repeated label")
+    amps = np.full(len(labels), 1.0 / math.sqrt(len(labels)), dtype=np.complex128)
+    return SparseState(specs, labels, amps)
 
 
 def init_uniform_full(specs) -> SparseState:
@@ -225,8 +195,7 @@ def init_uniform_full(specs) -> SparseState:
     labels = np.zeros((1, 0), dtype=np.int64)
     for s in specs:
         labels = _product(labels, domain_grid(s.radix, s.size))
-    vec = np.full(len(labels), 1.0 / math.sqrt(len(labels)), dtype=np.complex128)
-    return SparseState.from_arrays(specs, labels, vec)
+    return init_uniform(specs, labels)
 
 
 def load_gaussian_register(
@@ -243,11 +212,9 @@ def load_gaussian_register(
     points, probs = g.support_arrays()
     live = probs > 0.0
     points, roots = points[live], np.sqrt(probs[live])
-    _check_cap(len(state.vec) * len(roots))
-    vec = (state.vec[:, None] * roots[None, :]).reshape(-1)
-    return SparseState.from_arrays(
-        state.specs + (spec,), _product(state.labels, points), vec
-    )
+    _check_cap(len(state.amps) * len(roots))
+    amps = (state.amps[:, None] * roots[None, :]).reshape(-1)
+    return SparseState(state.specs + (spec,), _product(state.labels, points), amps)
 
 
 def apply_ufkb(
@@ -277,7 +244,7 @@ def apply_ufkb(
         shift += labels[:, xc.start + j, None] * A[:, j] % q
     out = labels.copy()
     out[:, yc] = (labels[:, yc] + (-shift if invert else shift)) % q
-    return SparseState.from_arrays(state.specs, out, state.vec)
+    return SparseState(state.specs, out, state.amps)
 
 
 def measure_register(state: SparseState, name: str, rng: np.random.Generator):
@@ -286,9 +253,9 @@ def measure_register(state: SparseState, name: str, rng: np.random.Generator):
     group, first, probs = _marginal(state, c)
     pick = int(rng.choice(len(probs), p=probs / probs.sum()))
     keep = group == pick
-    vec = state.vec[keep]
-    collapsed = SparseState.from_arrays(
-        state.specs, state.labels[keep], vec / math.sqrt(np.vdot(vec, vec).real)
+    amps = state.amps[keep]
+    collapsed = SparseState(
+        state.specs, state.labels[keep], amps / math.sqrt(np.vdot(amps, amps).real)
     )
     return tuple(state.labels[first[pick], c].tolist()), collapsed
 
@@ -302,7 +269,7 @@ def remove_register(state: SparseState, name: str) -> SparseState:
         raise ValueError(f"register {name!r} is entangled; cannot remove")
     labels = np.delete(state.labels, np.s_[c], axis=1)
     specs = state.specs[:i] + state.specs[i + 1 :]
-    return SparseState.from_arrays(specs, labels, state.vec)
+    return SparseState(specs, labels, state.amps)
 
 
 def _apply_dense(state: SparseState, c: slice, radix: int, U: np.ndarray) -> SparseState:
@@ -313,12 +280,12 @@ def _apply_dense(state: SparseState, c: slice, radix: int, U: np.ndarray) -> Spa
     group, first = _group_rows(rest, np.delete(state.radices, np.s_[c]))
     _check_cap(len(first) * len(basis))
     block = np.zeros((len(first), len(basis)), dtype=np.complex128)
-    block[group, _row_codes(state.labels[:, c], state.radices[c])] = state.vec
+    block[group, _row_codes(state.labels[:, c], state.radices[c])] = state.amps
     rest_rows = np.repeat(rest[first], len(basis), axis=0)
     labels = np.hstack(
         [rest_rows[:, : c.start], np.tile(basis, (len(first), 1)), rest_rows[:, c.start :]]
     )
-    return SparseState.from_arrays(state.specs, labels, (block @ U.T).reshape(-1))
+    return SparseState(state.specs, labels, (block @ U.T).reshape(-1))
 
 
 def apply_hadamard_bits(state: SparseState, name: str) -> SparseState:

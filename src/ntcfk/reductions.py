@@ -60,15 +60,6 @@ class EdcpState:
     def kappa(self) -> int:
         return len(self.support)
 
-    def label_difference(self) -> ZqVector:
-        """The common difference x_j - x_{j+1}; checked for consistency."""
-        xs = [x for _, x in self.support]
-        diff = xs[0] - xs[1]
-        for j in range(1, len(xs) - 1):
-            if xs[j] - xs[j + 1] != diff:
-                raise ValueError("inconsistent label differences")
-        return diff
-
 
 @dataclass(frozen=True)
 class SolverReport:

@@ -3,7 +3,9 @@
 One field per line as `name=value`. Vectors are residues in [0, q) as
 ASCII decimals split by single spaces, with no sign and no leading zero;
 the reader accepts nothing else.
-A matrix field is `name=rows cols` followed by one row per line. Floats
+A matrix field is `name=rows cols` followed by one row per line; a
+matrix over Z_q (the key's A) takes the vector grammar in its header and
+rows, while the trapdoor's signed R takes any integers. Floats
 use repr() so they round-trip bit-exactly. Files open with a versioned
 header line.
 """
@@ -28,6 +30,25 @@ class FormatError(ValueError):
 # leading zero. At most 10 digits each (q < 2^31), so every value fits
 # int64 before the range check.
 _RESIDUES = re.compile(r"(?:(?:0|[1-9][0-9]{0,9})(?: (?:0|[1-9][0-9]{0,9}))*)?")
+
+
+def _residues(name: str, text: str, q: int | None = None) -> np.ndarray:
+    """The values of a `_RESIDUES` line, each below q when q is given."""
+    if _RESIDUES.fullmatch(text) is None:
+        raise FormatError(f"field {name}: bad residues {text!r}")
+    parts = text.split(" ") if text else []
+    values = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
+    if q is not None and parts and values.max() >= q:
+        raise FormatError(f"field {name}: residue not below q={q}")
+    return values
+
+
+def _integers(name: str, text: str) -> np.ndarray:
+    """Whitespace-separated integers of any sign."""
+    try:
+        return np.fromiter(map(int, text.split()), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"field {name}: bad integer") from exc
 
 
 class LineWriter:
@@ -105,35 +126,29 @@ class LineReader:
 
     def vector(self, name: str, modulus: Modulus) -> ZqVector:
         """Canonical residues only: see `_RESIDUES`, and each below q."""
-        v = self._value(name)
-        if _RESIDUES.fullmatch(v) is None:
-            raise FormatError(f"field {name}: bad vector {v!r}")
-        parts = v.split(" ") if v else []
-        values = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
-        if parts and values.max() >= modulus.q:
-            raise FormatError(f"field {name}: residue not below q={modulus.q}")
-        return ZqVector(values, modulus)
+        return ZqVector(_residues(name, self._value(name), modulus.q), modulus)
 
-    def matrix(self, name: str) -> np.ndarray:
-        """A `rows cols` header, then one line per row. The array is built
-        from the rows actually read, never sized from the header alone."""
-        head = self._value(name).split()
-        try:
-            rows, cols = map(int, head)
-        except ValueError as exc:
-            raise FormatError(f"field {name}: bad matrix header {head!r}") from exc
+    def matrix(self, name: str, modulus: Modulus | None = None) -> np.ndarray:
+        """A `rows cols` header, then one line per row. With a modulus the
+        header and the rows take the vector grammar and every entry is a
+        residue below q; without one, entries are any integers (the signed
+        trapdoor R). The array is built from the rows actually read, never
+        sized from the header alone."""
+        signed = modulus is None
+        head = (_integers if signed else _residues)(name, self._value(name))
+        if len(head) != 2:
+            raise FormatError(f"field {name}: bad matrix header {head.tolist()!r}")
+        rows, cols = head.tolist()
         if rows < 0 or cols < 0:
             raise FormatError(f"field {name}: negative matrix size {rows} x {cols}")
-        parts: list[str] = []
+        lines = []
         for i in range(rows):
-            row = self._next_line().split()
-            if len(row) != cols:
-                raise FormatError(f"matrix {name}: row {i} has {len(row)} entries")
-            parts.extend(row)
-        try:
-            values = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"matrix {name}: bad entry") from exc
+            lines.append(self._next_line())
+            got = len(lines[-1].split())
+            if got != cols:
+                raise FormatError(f"matrix {name}: row {i} has {got} entries")
+        text = " ".join(lines)
+        values = _integers(name, text) if signed else _residues(name, text, modulus.q)
         return values.reshape(rows, cols)
 
     def bits(self, name: str) -> BitString:

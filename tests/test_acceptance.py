@@ -2,6 +2,7 @@
 
 Every criterion is an independent test with its tolerance pinned as a
 literal; the summary lines appear after the pytest report."""
+import itertools
 import math
 import time
 
@@ -230,17 +231,14 @@ def test_c08_oracle_unitarity():
     exhaustive bijection on the full tiny register space."""
     rng = np.random.default_rng(110)
     spec = (RegisterSpec("x", "modq", 2, 5),)
-    amps = {}
-    import itertools
-
-    for lab in itertools.product(range(5), repeat=2):
-        amps[((lab[0], lab[1]),)] = complex(rng.normal(), rng.normal())
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    st = SparseState(spec, {kk: v / norm for kk, v in amps.items()})
+    labels = np.array(list(itertools.product(range(5), repeat=2)))
+    amps = np.array([complex(rng.normal(), rng.normal()) for _ in labels])
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    st = SparseState(spec, labels, amps / norm)
     f_qft = apply_qft_q(apply_qft_q(st, "x"), "x", inverse=True).fidelity(st)
 
     bspec = (RegisterSpec("d", "bits", 4),)
-    bst = SparseState(bspec, {((1, 0, 1, 1),): complex(1.0)})
+    bst = SparseState(bspec, np.array([[1, 0, 1, 1]]), np.array([1.0 + 0j]))
     f_had = apply_hadamard_bits(apply_hadamard_bits(bst, "d"), "d").fidelity(bst)
 
     k, _t = gen(TINY, np.random.default_rng(111))

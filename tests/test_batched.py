@@ -175,7 +175,7 @@ class TestSolverReports:
             assert (report.success, report.candidate, report.states_consumed,
                     report.detail) == (False, None, 4, "inconsistent states")
 
-    def test_inconsistent_label_differences(self):
+    def test_inconsistent_edcp_differences(self):
         inst, _t = desk_instance(91)
         edcp = lwe_to_edcp(inst, 4, 3, np.random.default_rng(92))
         one = ZqVector(np.ones(DESK.n, dtype=np.int64), DESK.modulus)

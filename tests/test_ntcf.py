@@ -203,7 +203,7 @@ class TestChk:
         for b in range(2):
             for xv in range(17):
                 x = ZqVector(np.array([xv]), mod)
-                supp = set(f_prime_density(k, b, x).support())
+                supp = set(f_prime_density(k, b, x).table.keys())
                 for y_pt in itertools.product(range(17), repeat=2):
                     y = ZqVector(np.array(y_pt), mod)
                     assert chk(k, b, x, y) == (y_pt in supp)

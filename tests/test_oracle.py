@@ -25,6 +25,25 @@ from ntcfk.oracle import (
 from ntcfk.zq import DimensionError, Modulus, ZqMatrix, ZqVector, j_encode
 
 
+def rows(st):
+    """The state's labels as a set of row tuples."""
+    return set(map(tuple, st.labels.tolist()))
+
+
+def amp_dict(st):
+    """label row -> amplitude: the per-label form the references read."""
+    return dict(zip(map(tuple, st.labels.tolist()), st.amps.tolist()))
+
+
+def make_state(specs, labels, amps):
+    """A state from label rows and amplitudes given as lists."""
+    return SparseState(
+        specs,
+        np.array(labels, dtype=np.int64).reshape(len(labels), -1),
+        np.array(amps, dtype=np.complex128),
+    )
+
+
 def tiny_key(q=7, n=1, m=1, kappa=2, a=None, t=None):
     p = NtcfParams(
         q=q, n=n, m=m, ell=1, kappa=kappa, b_l=0.1, b_v=0.2,
@@ -39,8 +58,8 @@ def tiny_key(q=7, n=1, m=1, kappa=2, a=None, t=None):
 class TestInit:
     def test_singleton(self):
         spec = (RegisterSpec("x", "modq", 1, 7),)
-        st = init_uniform(spec, [((3,),)])
-        assert st.amps == {((3,),): pytest.approx(1.0 + 0j)}
+        st = init_uniform(spec, [[3]])
+        assert amp_dict(st) == {(3,): pytest.approx(1.0 + 0j)}
 
     def test_norm_one(self):
         spec = (RegisterSpec("x", "modq", 2, 5),)
@@ -51,23 +70,28 @@ class TestInit:
         specs = (RegisterSpec("b", "modq", 1, 3), RegisterSpec("x", "modq", 1, 7))
         st = init_uniform_full(specs)
         assert len(st.amps) == 21
-        assert all(a == pytest.approx(1 / math.sqrt(21)) for a in st.amps.values())
+        assert all(a == pytest.approx(1 / math.sqrt(21)) for a in st.amps)
 
     def test_empty_domain(self):
         with pytest.raises(ValueError):
             init_uniform((RegisterSpec("x", "modq", 1, 7),), [])
 
-    @pytest.mark.parametrize("label", [((1,), (2, 0)), ((1, 2),), ((1, 2), (0,), (0,))])
+    @pytest.mark.parametrize("label", [[1, 2], [1, 2, 0, 0]])
     def test_label_shape_checked(self, label):
         specs = (RegisterSpec("x", "modq", 2, 5), RegisterSpec("d", "bits", 1))
         with pytest.raises(ValueError):
-            SparseState(specs, {label: complex(1.0)})
+            init_uniform(specs, [label])
 
-    @pytest.mark.parametrize("label", [((5,), (0,)), ((-1,), (0,)), ((0,), (2,))])
+    @pytest.mark.parametrize("label", [[5, 0], [-1, 0], [0, 2]])
     def test_label_range_checked(self, label):
         specs = (RegisterSpec("x", "modq", 1, 5), RegisterSpec("d", "bits", 1))
         with pytest.raises(ValueError):
-            SparseState(specs, {label: complex(1.0)})
+            init_uniform(specs, [label])
+
+    def test_repeated_label(self):
+        specs = (RegisterSpec("x", "modq", 1, 5), RegisterSpec("d", "bits", 1))
+        with pytest.raises(ValueError, match="repeated label"):
+            init_uniform(specs, [[1, 0], [2, 1], [1, 0]])
 
 
 class TestGaussianLoad:
@@ -75,7 +99,7 @@ class TestGaussianLoad:
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 2),))
         g = TruncatedGaussian(Modulus(7), 0.5, 2)
         st = load_gaussian_register(st, RegisterSpec("e", "modq", 2, 7), g)
-        assert all(lab[1] == (0, 0) for lab in st.amps)
+        assert (st.labels[:, st.reg_cols("e")] == 0).all()
 
     def test_marginal_squares_to_density(self):
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 2),))
@@ -116,10 +140,10 @@ class TestUfkb:
                 RegisterSpec("x", "modq", 1, 7),
                 RegisterSpec("y", "modq", 1, 7),
             ),
-            [((0,), (0,), (0,))],
+            [[0, 0, 0]],
         )
         out = apply_ufkb(st, k)
-        assert list(out.amps) == [((0,), (0,), (0,))]
+        assert out.labels.tolist() == [[0, 0, 0]]
 
     def test_bijective_exhaustive(self):
         k = tiny_key()
@@ -132,7 +156,7 @@ class TestUfkb:
         k = tiny_key()
         st = self._full_state(k)
         back = apply_ufkb(apply_ufkb(st, k), k, invert=True)
-        assert set(back.amps) == set(st.amps)
+        assert rows(back) == rows(st)
         assert back.fidelity(st) == pytest.approx(1.0)
 
     def test_dimension_check(self):
@@ -165,8 +189,7 @@ class TestMeasure:
 
     def test_empirical_marginal(self):
         specs = (RegisterSpec("a", "modq", 1, 4),)
-        amps = {((i,),): math.sqrt(w) for i, w in enumerate((0.4, 0.3, 0.2, 0.1))}
-        st = SparseState(specs, amps)
+        st = make_state(specs, [[i] for i in range(4)], np.sqrt([0.4, 0.3, 0.2, 0.1]))
         rng = np.random.default_rng(8)
         n = 20_000
         counts = {}
@@ -191,17 +214,16 @@ class TestMeasure:
 class TestHadamard:
     def test_involution(self):
         spec = (RegisterSpec("d", "bits", 3),)
-        amps = {((1, 0, 1),): complex(1.0)}
-        st = SparseState(spec, amps)
+        st = make_state(spec, [[1, 0, 1]], [1.0])
         twice = apply_hadamard_bits(apply_hadamard_bits(st, "d"), "d")
         assert twice.fidelity(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_to_uniform(self):
         spec = (RegisterSpec("d", "bits", 2),)
-        st = SparseState(spec, {((0, 0),): complex(1.0)})
+        st = make_state(spec, [[0, 0]], [1.0])
         out = apply_hadamard_bits(st, "d")
         assert len(out.amps) == 4
-        assert all(a == pytest.approx(0.5) for a in out.amps.values())
+        assert all(a == pytest.approx(0.5) for a in out.amps)
 
     def test_rejects_modq(self):
         spec = (RegisterSpec("x", "modq", 1, 7),)
@@ -217,12 +239,9 @@ class TestHadamard:
         x1 = ZqVector(np.array([0]), mod)
         j0, j1 = j_encode(x0).bits, j_encode(x1).bits
         specs = (RegisterSpec("c", "bits", 1), RegisterSpec("d", "bits", 3))
-        st = SparseState(
-            specs,
-            {((0,), j0): complex(1 / math.sqrt(2)), ((1,), j1): complex(1 / math.sqrt(2))},
-        )
+        st = make_state(specs, [(0,) + j0, (1,) + j1], [1 / math.sqrt(2)] * 2)
         out = apply_hadamard_bits(apply_hadamard_bits(st, "c"), "d")
-        got = {(lab[0][0], lab[1]) for lab in out.amps}
+        got = {(lab[0], lab[1:]) for lab in rows(out)}
         expect = set()
         for d in itertools.product((0, 1), repeat=3):
             c = sum(di * (a ^ b) for di, a, b in zip(d, j0, j1)) % 2
@@ -234,29 +253,24 @@ class TestQft:
     def test_unitarity(self):
         spec = (RegisterSpec("x", "modq", 2, 5),)
         rng = np.random.default_rng(3)
-        amps = {}
-        for lab in itertools.product(range(5), repeat=2):
-            amps[((lab[0], lab[1]),)] = complex(rng.normal(), rng.normal())
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        st = SparseState(spec, {k: v / norm for k, v in amps.items()})
+        labels = list(itertools.product(range(5), repeat=2))
+        amps = np.array([complex(rng.normal(), rng.normal()) for _ in labels])
+        st = make_state(spec, labels, amps / np.linalg.norm(amps))
         back = apply_qft_q(apply_qft_q(st, "x"), "x", inverse=True)
         assert back.fidelity(st) >= 1.0 - 1e-9
 
     def test_zero_to_uniform_no_phase(self):
         spec = (RegisterSpec("x", "modq", 1, 7),)
-        st = SparseState(spec, {((0,),): complex(1.0)})
+        st = make_state(spec, [[0]], [1.0])
         out = apply_qft_q(st, "x")
-        assert all(
-            a == pytest.approx(1 / math.sqrt(7)) for a in out.amps.values()
-        )
+        assert all(a == pytest.approx(1 / math.sqrt(7)) for a in out.amps)
 
     def test_point_mass_phases_q5(self):
         j = 3
         spec = (RegisterSpec("x", "modq", 1, 5),)
-        st = SparseState(spec, {((j,),): complex(1.0)})
+        st = make_state(spec, [[j]], [1.0])
         out = apply_qft_q(st, "x")
-        for lab, a in out.amps.items():
-            y = lab[0][0]
+        for (y,), a in amp_dict(out).items():
             expect = cmath.exp(2j * cmath.pi * j * y / 5) / math.sqrt(5)
             assert a == pytest.approx(expect, abs=1e-12)
 
@@ -278,29 +292,27 @@ class TestFullDistribution:
 
     def test_prune_drops_negligible(self):
         spec = (RegisterSpec("x", "modq", 1, 7),)
-        st = SparseState(spec, {((0,),): complex(1.0), ((1,),): complex(1e-16)})
-        assert list(st.amps) == [((0,),)]
+        st = make_state(spec, [[0], [1]], [1.0, 1e-16])
+        assert st.labels.tolist() == [[0]]
 
 
 def random_state(specs, labels, seed):
     rng = np.random.default_rng(seed)
-    amps = {lab: complex(rng.normal(), rng.normal()) for lab in labels}
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return SparseState(specs, {lab: a / norm for lab, a in amps.items()})
+    amps = np.array([complex(rng.normal(), rng.normal()) for _ in labels])
+    return make_state(specs, labels, amps / np.linalg.norm(amps))
 
 
-def ref_dense(amps, reg, coords, radix, entry):
+def ref_dense(amps, cols, radix, entry):
     """Per-label reference: out[lab'] += entry(v', v) * amps[lab], where v
-    and v' are the values of coordinates `coords` of register `reg`."""
+    and v' are the values of label columns `cols`."""
     out = {}
     for lab, a in amps.items():
-        part = lab[reg]
-        for new in itertools.product(range(radix), repeat=len(coords)):
-            p2 = list(part)
-            for c, v in zip(coords, new):
+        for new in itertools.product(range(radix), repeat=len(cols)):
+            p2 = list(lab)
+            for c, v in zip(cols, new):
                 p2[c] = v
-            lab2 = lab[:reg] + (tuple(p2),) + lab[reg + 1 :]
-            old = tuple(part[c] for c in coords)
+            lab2 = tuple(p2)
+            old = tuple(lab[c] for c in cols)
             out[lab2] = out.get(lab2, 0.0) + entry(new, old) * a
     return {lab: a for lab, a in out.items() if abs(a) > 1e-12}
 
@@ -323,7 +335,7 @@ class TestMultiRegister:
     )
 
     def sparse_state(self, seed=5):
-        full = list(init_uniform_full(self.SPECS).amps)
+        full = init_uniform_full(self.SPECS).labels.tolist()
         rng = np.random.default_rng(seed)
         pick = rng.choice(len(full), size=40, replace=False)
         return random_state(self.SPECS, [full[i] for i in sorted(pick)], seed)
@@ -338,40 +350,40 @@ class TestMultiRegister:
         st = load_gaussian_register(st, RegisterSpec("y", "modq", p.m, p.q), g)
         assert len(st.amps) == 3 * 11 * 9
         fwd = apply_ufkb(st, k)
-        assert set(fwd.amps) != set(st.amps)
+        assert rows(fwd) != rows(st)
         back = apply_ufkb(fwd, k, invert=True)
-        assert set(back.amps) == set(st.amps)
+        assert rows(back) == rows(st)
         assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_qft_round_trip(self):
         st = self.sparse_state()
         out = apply_qft_q(st, "x")
         back = apply_qft_q(out, "x", inverse=True)
-        assert set(back.amps) == set(st.amps)
+        assert rows(back) == rows(st)
         assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_hadamard_round_trip(self):
         st = self.sparse_state()
         back = apply_hadamard_bits(apply_hadamard_bits(st, "d"), "d")
-        assert set(back.amps) == set(st.amps)
+        assert rows(back) == rows(st)
         assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
 
     def test_qft_matches_per_label_reference(self):
         st = self.sparse_state(seed=6)
         omega = cmath.exp(2j * cmath.pi / 5)
-        want = dict(st.amps)
-        for coord in range(2):
-            want = ref_dense(want, 1, (coord,), 5,
+        want = amp_dict(st)
+        for col in (1, 2):
+            want = ref_dense(want, (col,), 5,
                              lambda new, old: omega ** (new[0] * old[0]) / math.sqrt(5))
-        assert_amps_close(apply_qft_q(st, "x").amps, want)
+        assert_amps_close(amp_dict(apply_qft_q(st, "x")), want)
 
     def test_hadamard_matches_per_label_reference(self):
         st = self.sparse_state(seed=7)
         want = ref_dense(
-            dict(st.amps), 2, (0, 1), 2,
+            amp_dict(st), (3, 4), 2,
             lambda new, old: (-1) ** sum(u * v for u, v in zip(new, old)) / 2.0,
         )
-        assert_amps_close(apply_hadamard_bits(st, "d").amps, want)
+        assert_amps_close(amp_dict(apply_hadamard_bits(st, "d")), want)
 
 
 class TestMeasureThreeRegisters:
@@ -383,7 +395,7 @@ class TestMeasureThreeRegisters:
 
     def entangled(self):
         # sum_{a, c} |a>|bits(a)>|c>: d is a function of a, c is independent.
-        labels = [((a,), (a >> 1, a & 1), (c,)) for a in range(3) for c in range(5)]
+        labels = [(a, a >> 1, a & 1, c) for a in range(3) for c in range(5)]
         return init_uniform(self.SPECS, labels)
 
     def test_measure_collapses_and_keeps_rest(self, rng):
@@ -391,8 +403,8 @@ class TestMeasureThreeRegisters:
         before = full_distribution(st, ("c",))
         out, collapsed = measure_register(st, "a", rng)
         assert out in {(0,), (1,), (2,)}
-        assert {lab[0] for lab in collapsed.amps} == {out}
-        assert {lab[1] for lab in collapsed.amps} == {(out[0] >> 1, out[0] & 1)}
+        assert {lab[:1] for lab in rows(collapsed)} == {out}
+        assert {lab[1:3] for lab in rows(collapsed)} == {(out[0] >> 1, out[0] & 1)}
         assert len(collapsed.amps) == 5
         assert collapsed.norm_sq() == pytest.approx(1.0)
         assert tv_distance(before, full_distribution(collapsed, ("c",))) < 1e-12
@@ -414,14 +426,14 @@ class TestMeasureThreeRegisters:
         out, collapsed = measure_register(st, "a", rng)
         smaller = remove_register(remove_register(collapsed, "d"), "a")
         assert [s.name for s in smaller.specs] == ["c"]
-        assert set(smaller.amps) == {((c,),) for c in range(5)}
+        assert rows(smaller) == {(c,) for c in range(5)}
         assert smaller.norm_sq() == pytest.approx(1.0)
 
     def test_remove_middle_register(self, rng):
         _out, collapsed = measure_register(self.entangled(), "a", rng)
         smaller = remove_register(collapsed, "d")
         assert [s.name for s in smaller.specs] == ["a", "c"]
-        assert all(len(lab) == 2 for lab in smaller.amps)
+        assert smaller.labels.shape == (5, 2)
 
 
 class TestLabelCap:
@@ -449,7 +461,7 @@ class TestLabelCap:
 
     def test_dense_block(self, monkeypatch):
         spec = (RegisterSpec("x", "modq", 1, 7), RegisterSpec("d", "bits", 3))
-        st = init_uniform(spec, [((v,), (1, 0, 1)) for v in range(7)])
+        st = init_uniform(spec, [[v, 1, 0, 1] for v in range(7)])
         monkeypatch.setattr(oracle, "MAX_LABELS", 50)
         with pytest.raises(StateTooLarge):
             apply_hadamard_bits(st, "d")  # 7 groups x 8 values
@@ -457,4 +469,49 @@ class TestLabelCap:
     def test_constructor(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_LABELS", 6)
         with pytest.raises(StateTooLarge):
-            init_uniform((RegisterSpec("x", "modq", 1, 7),), [((v,),) for v in range(7)])
+            init_uniform((RegisterSpec("x", "modq", 1, 7),), [[v] for v in range(7)])
+
+
+class TestWideState:
+    """A 64-bit register takes the radix product past 2^63, so rows are
+    ranked with `np.unique(axis=0)` instead of mixed-radix codes."""
+
+    SPECS = (RegisterSpec("w", "bits", 64), RegisterSpec("x", "modq", 1, 5))
+
+    def state(self):
+        # Three 64-bit words, each with two x values; word 0 sets the top bit.
+        words = np.random.default_rng(12).integers(0, 2, size=(3, 64))
+        words[0, 0] = 1
+        labels = [tuple(w) + (x,) for i, w in enumerate(words.tolist()) for x in (i, i + 2)]
+        return random_state(self.SPECS, labels, 13)
+
+    def test_full_distribution(self):
+        st = self.state()
+        d = full_distribution(st, ("w", "x"))
+        assert list(d.table) == sorted(d.table)
+        want = {lab: abs(a) ** 2 for lab, a in amp_dict(st).items()}
+        assert d.table.keys() == want.keys()
+        for lab, pr in want.items():
+            assert d.table[lab] == pytest.approx(pr, abs=1e-15)
+
+    def test_measure_wide_register(self):
+        st = self.state()
+        out, collapsed = measure_register(st, "w", np.random.default_rng(0))
+        before = amp_dict(st)
+        kept = {lab for lab in before if lab[:64] == out}
+        assert len(kept) == 2
+        assert rows(collapsed) == kept
+        norm = math.sqrt(sum(abs(before[lab]) ** 2 for lab in kept))
+        for lab, a in amp_dict(collapsed).items():
+            assert a == pytest.approx(before[lab] / norm, abs=1e-12)
+
+    def test_qft(self):
+        st = self.state()
+        omega = cmath.exp(2j * cmath.pi / 5)
+        out = apply_qft_q(st, "x")
+        want = ref_dense(amp_dict(st), (64,), 5,
+                         lambda new, old: omega ** (new[0] * old[0]) / math.sqrt(5))
+        assert_amps_close(amp_dict(out), want)
+        back = apply_qft_q(out, "x", inverse=True)
+        assert rows(back) == rows(st)
+        assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)

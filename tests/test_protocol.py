@@ -156,6 +156,11 @@ class TestFrameErrors:
         pytest.param(0x01, tiny_key_payload(1, "x"), id="key-matrix-entry-not-int"),
         pytest.param(0x01, tiny_key_payload(0, "A=99999999999 99999999999"),
                      id="key-matrix-header-huge"),
+        pytest.param(0x01, tiny_key_payload(1, "+3"), id="key-matrix-plus-sign"),
+        pytest.param(0x01, tiny_key_payload(1, "03"), id="key-matrix-leading-zero"),
+        pytest.param(0x01, tiny_key_payload(1, "\u0663"), id="key-matrix-arabic-indic-digit"),
+        pytest.param(0x01, tiny_key_payload(1, "-4"), id="key-matrix-negative-entry"),
+        pytest.param(0x01, tiny_key_payload(1, "12"), id="key-matrix-entry-above-q"),
         pytest.param(0x02, b"\xff\xfe", id="image-not-utf8"),
         pytest.param(0x02, b"y=10 -2\n", id="image-negative-residue"),
         pytest.param(0x02, b"y=+3 0\n", id="image-plus-sign"),

@@ -79,7 +79,6 @@ class TestLweToEdcp:
         inst, t = desk_instance(rng)
         for st in lwe_to_edcp(inst, 6, kappa, rng):
             assert st.kappa == kappa
-            assert st.label_difference() == t.s
             for j, x in st.support:
                 assert x == st.support[0][1] - t.s.scale(j)
 
@@ -89,7 +88,7 @@ class TestLweToEdcp:
         dcp = lwe_to_dcp(inst, 5, rng)
         edcp = lwe_to_edcp(inst, 5, 2, rng)
         for a, b in zip(dcp, edcp):
-            assert (a.x1 - a.x0) == -b.label_difference()
+            assert (a.x1 - a.x0) == -(b.support[0][1] - b.support[1][1])
 
     def test_kappa_floor(self, rng):
         inst, _t = desk_instance(rng)
@@ -100,8 +99,7 @@ class TestLweToEdcp:
         mod = TINY.modulus
         v = lambda a: ZqVector(np.array([a]), mod)
         st = EdcpState(((0, v(5)), (1, v(3)), (2, v(2))))
-        with pytest.raises(ValueError):
-            st.label_difference()
+        assert solve_edcp_desk([st]).detail == "inconsistent label differences"
 
     def test_label_order_enforced(self):
         mod = TINY.modulus
