@@ -182,7 +182,7 @@ def init_uniform(specs, labels) -> SparseState:
         raise ValueError(f"label matrix of shape {labels.shape} needs {len(radices)} columns")
     if ((labels < 0) | (labels >= radices)).any():
         raise ValueError("label coordinate outside its register's range")
-    if len(np.unique(_row_codes(labels, radices))) != len(labels):
+    if len(_group_rows(labels, radices)[1]) != len(labels):
         raise ValueError("repeated label")
     amps = np.full(len(labels), 1.0 / math.sqrt(len(labels)), dtype=np.complex128)
     return SparseState(specs, labels, amps)

@@ -36,9 +36,9 @@ def _residues(name: str, text: str, q: int | None = None) -> np.ndarray:
     """The values of a `_RESIDUES` line, each below q when q is given."""
     if _RESIDUES.fullmatch(text) is None:
         raise FormatError(f"field {name}: bad residues {text!r}")
-    parts = text.split(" ") if text else []
-    values = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
-    if q is not None and parts and values.max() >= q:
+    # The grammar is checked, so numpy's text parser reads every value.
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if q is not None and values.size and values.max() >= q:
         raise FormatError(f"field {name}: residue not below q={q}")
     return values
 
