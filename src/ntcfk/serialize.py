@@ -37,7 +37,10 @@ def _residues(name: str, text: str, q: int | None = None) -> np.ndarray:
     if _RESIDUES.fullmatch(text) is None:
         raise FormatError(f"field {name}: bad residues {text!r}")
     # The grammar is checked, so numpy's text parser reads every value.
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    # Given no count it over-allocates and shrinks each result, which
+    # raised the desk-inproc peak RSS by ~0.7 MiB.
+    count = text.count(" ") + 1 if text else 0
+    values = np.fromstring(text, dtype=np.int64, count=count, sep=" ")
     if q is not None and values.size and values.max() >= q:
         raise FormatError(f"field {name}: residue not below q={q}")
     return values
