@@ -195,7 +195,8 @@ def init_uniform_full(specs) -> SparseState:
     labels = np.zeros((1, 0), dtype=np.int64)
     for s in specs:
         labels = _product(labels, domain_grid(s.radix, s.size))
-    return init_uniform(specs, labels)
+    amps = np.full(len(labels), 1.0 / math.sqrt(len(labels)), dtype=np.complex128)
+    return SparseState(specs, labels, amps)
 
 
 def load_gaussian_register(
