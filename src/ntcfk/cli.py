@@ -118,9 +118,10 @@ def cmd_protocol(args) -> int:
             stats = run_protocol(p, prover, args.rounds, v_rng, keep_transcripts=True)
         elif args.transport.startswith("tcp:"):
             _tcp, host, port = args.transport.split(":")
-            stats = run_protocol_tcp(
-                p, prover, args.rounds, v_rng, host=host, port=int(port)
-            )
+            port = int(port)
+            if not 0 <= port <= 65535:
+                raise ValueError(f"--transport port {port} is outside 0-65535")
+            stats = run_protocol_tcp(p, prover, args.rounds, v_rng, host=host, port=port)
         else:
             raise ValueError(f"bad --transport {args.transport!r}")
     except SessionAbort as exc:

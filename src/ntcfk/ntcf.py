@@ -22,7 +22,7 @@ import numpy as np
 
 from . import trapdoor as td
 from .gaussian import Density, TruncatedGaussian, hellinger_sq, shifted_density
-from .serialize import HEADER_KEY, HEADER_SK, LineReader, LineWriter
+from .serialize import HEADER_KEY, HEADER_SK, FormatError, LineReader, LineWriter
 from .zq import DimensionError, Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
 
 RATIO_FLOOR = 8.0  # desk stand-in for the asymptotic width-ratio conditions
@@ -293,13 +293,29 @@ def key_to_text(k: NtcfKey) -> str:
     return w.text()
 
 
+def _key_read(r: LineReader) -> NtcfKey:
+    """The params, A and t of a key, with q in [2, 2^31), A of shape
+    m x n and t of length m; anything else is a FormatError."""
+    p = _params_read(r)
+    try:
+        modulus = p.modulus
+    except ValueError as exc:
+        raise FormatError(f"field q: {exc}") from exc
+    A = r.matrix("A", modulus)
+    if A.shape != (p.m, p.n):
+        raise FormatError(f"matrix A: {A.shape[0]} x {A.shape[1]}, "
+                          f"not m x n = {p.m} x {p.n}")
+    t = r.vector("t", modulus)
+    if len(t) != p.m:
+        raise FormatError(f"field t: length {len(t)}, not m={p.m}")
+    return NtcfKey(p, ZqMatrix(A, modulus), t)
+
+
 def key_from_text(text: str) -> NtcfKey:
     r = LineReader(text, HEADER_KEY)
-    p = _params_read(r)
-    A = ZqMatrix(r.matrix("A", p.modulus), p.modulus)
-    t = r.vector("t", p.modulus)
+    k = _key_read(r)
     r.done()
-    return NtcfKey(p, A, t)
+    return k
 
 
 def trapdoor_to_text(k: NtcfKey, t: NtcfTrapdoor) -> str:
@@ -319,20 +335,19 @@ def trapdoor_to_text(k: NtcfKey, t: NtcfTrapdoor) -> str:
 
 def trapdoor_from_text(text: str) -> tuple[NtcfKey, NtcfTrapdoor]:
     r = LineReader(text, HEADER_SK)
-    p = _params_read(r)
-    A = ZqMatrix(r.matrix("A", p.modulus), p.modulus)
-    tvec = r.vector("t", p.modulus)
+    k = _key_read(r)
+    p = k.params
     mode = r.field("trap_mode")
     n_bar = r.int_field("n_bar")
     if mode == "gadget":
         base = r.int_field("gadget_base")
         R = r.matrix("R")
         t_a = td.TrapdoorKey(
-            A=A, mode="gadget", R=R, gadget=td.GadgetParams(base, p.q), n_bar=n_bar
+            A=k.A, mode="gadget", R=R, gadget=td.GadgetParams(base, p.q), n_bar=n_bar
         )
     else:
-        t_a = td.TrapdoorKey(A=A, mode="exhaustive", R=None, gadget=None, n_bar=0)
+        t_a = td.TrapdoorKey(A=k.A, mode="exhaustive", R=None, gadget=None, n_bar=0)
     s = r.vector("s", p.modulus)
     e = r.vector("e", p.modulus)
     r.done()
-    return NtcfKey(p, A, tvec), NtcfTrapdoor(t_a, s, e)
+    return k, NtcfTrapdoor(t_a, s, e)

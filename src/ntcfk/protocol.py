@@ -11,20 +11,19 @@ outcomes consume a retry with a fresh key instead of a rejection.
 Wire format: a frame is a 4-byte big-endian payload length, a 1-byte
 message tag, then the payload in canonical text.
 
-One verifier loop runs every session over a channel that moves whole
-frames: an in-memory loopback, where the prover answers on the calling
-thread, or a TCP socket (TCP_NODELAY set), where the verifier is a server
-thread and the prover the calling thread. On both, each frame is encoded
-once by its sender and decoded once by its receiver, so transcripts are
+One verifier loop runs every session on the calling thread, over a
+loopback channel where the prover answers each frame as it is sent. Over
+TCP (TCP_NODELAY set) the same loopback first carries each frame across
+a localhost connection, from the sender's end to the receiver's; there
+is no server thread. On both transports each frame is encoded once by
+its sender and decoded once by its receiver, so transcripts are
 byte-comparable across transports. The idealized honest prover's secret
 hint travels beside the channel, never through it.
 """
 from __future__ import annotations
 
-import queue
 import socket
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,13 +345,7 @@ class SessionStats:
 
 # round engine --------------------------------------------------------------
 
-TCP_TIMEOUT_S = 30.0  # bound on each socket call, the hint hand-off and the join
-
-
-def _retry_cap(n_rounds: int, retry_cap: int | None) -> int:
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-    return 10 + 2 * n_rounds if retry_cap is None else retry_cap
+TCP_TIMEOUT_S = 30.0  # bound on each socket call
 
 
 def _prover_step(prover, msg):
@@ -373,18 +366,36 @@ def _prover_step(prover, msg):
     raise ProtocolError(f"prover got unexpected {type(msg).__name__}")
 
 
-class _Loopback:
-    """In-memory channel: the prover decodes and answers each frame as
-    the verifier sends it, on the calling thread."""
+def _cross(frame: bytes, src, dst) -> bytes:
+    """Send a frame from one end of a connection and read it at the other."""
+    src.send(frame)
+    got = dst.recv()
+    if got is None:
+        raise SessionAbort("peer closed connection mid-round")
+    return got
 
-    def __init__(self, prover, params: NtcfParams):
+
+class _Loopback:
+    """The session's channel: the prover decodes and answers each frame
+    as the verifier sends it, on the calling thread. Given the verifier's
+    and the prover's ends of a connection, each frame crosses it first,
+    and the reply crosses back."""
+
+    def __init__(self, prover, params: NtcfParams, ends=None):
         self._prover = prover
         self._params = params
+        self._ends = ends
         self._reply: bytes | None = None
 
     def send(self, frame: bytes) -> None:
+        if self._ends is not None:
+            frame = _cross(frame, *self._ends)
         reply = _prover_step(self._prover, frame_decode(frame, self._params))
-        self._reply = None if reply is None else frame_encode(reply)
+        if reply is not None:
+            reply = frame_encode(reply)
+            if self._ends is not None:
+                reply = _cross(reply, *reversed(self._ends))
+        self._reply = reply
 
     def recv(self) -> bytes | None:
         frame, self._reply = self._reply, None
@@ -440,8 +451,6 @@ def _verify_attempt(channel, params, rng, hint) -> Transcript:
 
     def recv(*expected):
         frame = channel.recv()
-        if frame is None:
-            raise SessionAbort("peer closed connection mid-round")
         t.frames.append(frame)
         msg = frame_decode(frame, params)
         if not isinstance(msg, expected):
@@ -470,14 +479,21 @@ def _verify_attempt(channel, params, rng, hint) -> Transcript:
     return t
 
 
-def _run_verifier(channel, params, n_rounds, rng, retry_cap, hint,
-                  keep_transcripts=True) -> SessionStats:
-    """The verifier's session over any channel: rounds, verdicts, stats.
+def _run_session(params, prover, n_rounds, rng, retry_cap, keep_transcripts=True,
+                 ends=None) -> SessionStats:
+    """The verifier's session over a `_Loopback`: rounds, verdicts, stats.
 
     Retries (RED failure, all-zero d) get a fresh key and do not count
-    toward the round total; exceeding the retry cap aborts the session.
-    `hint` receives each round's secret off the wire, or is None.
+    toward the round total; exceeding the retry cap (default 10 + 2 per
+    round) aborts the session. A prover that wants the secret hint gets
+    each round's secret off the wire.
     """
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be >= 1")
+    if retry_cap is None:
+        retry_cap = 10 + 2 * n_rounds
+    hint = prover.set_secret_hint if getattr(prover, "wants_secret_hint", False) else None
+    channel = _Loopback(prover, params, ends)
     stats = SessionStats(rounds_requested=n_rounds)
     while stats.rounds_completed < n_rounds:
         t = _verify_attempt(channel, params, rng, hint)
@@ -514,35 +530,7 @@ def run_protocol(
 ) -> SessionStats:
     """Drive n_rounds completed rounds against the given prover, in
     process: every message still passes through the frame codec."""
-    retry_cap = _retry_cap(n_rounds, retry_cap)
-    hint = prover.set_secret_hint if getattr(prover, "wants_secret_hint", False) else None
-    return _run_verifier(_Loopback(prover, params), params, n_rounds, rng,
-                         retry_cap, hint, keep_transcripts)
-
-
-# TCP transport -------------------------------------------------------------
-
-def _serve_verifier(channel, outcome: list, *session) -> None:
-    """Verifier thread: the session's stats or its error go to `outcome`."""
-    try:
-        outcome.append(_run_verifier(channel, *session))
-    except OSError as exc:
-        outcome.append(SessionAbort(f"transport failure: {exc!r}"))
-    except Exception as exc:  # re-raised on the calling thread
-        outcome.append(exc)
-    finally:
-        channel.close()  # the prover reads end of session
-
-
-def _serve_prover(channel, prover, params, hints: queue.Queue | None) -> None:
-    """Answer verifier frames until the verifier closes the connection."""
-    while (frame := channel.recv()) is not None:
-        msg = frame_decode(frame, params)
-        if hints is not None and isinstance(msg, MsgKey):
-            prover.set_secret_hint(hints.get(timeout=TCP_TIMEOUT_S))
-        reply = _prover_step(prover, msg)
-        if reply is not None:
-            channel.send(frame_encode(reply))
+    return _run_session(params, prover, n_rounds, rng, retry_cap, keep_transcripts)
 
 
 def run_protocol_tcp(
@@ -554,34 +542,17 @@ def run_protocol_tcp(
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> SessionStats:
-    """Same contract as run_protocol, but verifier and prover exchange
-    frames over a localhost TCP connection (verifier = server thread,
-    prover = calling thread)."""
-    retry_cap = _retry_cap(n_rounds, retry_cap)
-    hints = queue.Queue() if getattr(prover, "wants_secret_hint", False) else None
-    with socket.create_server((host, port)) as server:
-        client = _SocketChannel(socket.create_connection(server.getsockname()[:2]))
-        verifier = _SocketChannel(server.accept()[0])
-    outcome: list = []
-    thread = threading.Thread(
-        target=_serve_verifier,
-        args=(verifier, outcome, params, n_rounds, rng, retry_cap,
-              None if hints is None else hints.put),
-    )
-    thread.start()
-    client_error = None
+    """Same contract as run_protocol, but every frame also crosses a TCP
+    connection opened on host:port, on the calling thread: no server
+    thread. A socket error, set-up included, aborts the session."""
+    ends: list[_SocketChannel] = []  # the verifier's, then the prover's
     try:
-        _serve_prover(client, prover, params, hints)
-    except OSError as exc:  # the verifier's own error, if any, says more
-        client_error = exc
+        with socket.create_server((host, port)) as server:
+            ends.append(_SocketChannel(socket.create_connection(server.getsockname()[:2])))
+            ends.append(_SocketChannel(server.accept()[0]))
+        return _run_session(params, prover, n_rounds, rng, retry_cap, ends=ends)
+    except OSError as exc:
+        raise SessionAbort(f"transport failure: {exc!r}") from exc
     finally:
-        client.close()
-        thread.join(timeout=TCP_TIMEOUT_S)
-    if thread.is_alive():
-        raise SessionAbort(f"verifier did not finish within {TCP_TIMEOUT_S} s")
-    (result,) = outcome
-    if isinstance(result, Exception):
-        raise result
-    if client_error is not None:
-        raise SessionAbort(f"transport failure: {client_error!r}") from client_error
-    return result
+        for end in ends:
+            end.close()

@@ -2,6 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# The same examples on every run: a property test passes or fails on the
+# code, not on the draw. Example counts and deadlines keep their defaults.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 SESSION_T0 = time.time()
 

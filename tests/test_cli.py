@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ class TestProtocol:
     def test_bad_transport_exit_2(self, tmp_path):
         rc = run(["protocol", "--preset", "tiny-exact", "--rounds", "2",
                   "--transport", "carrier-pigeon", "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+
+    def test_busy_tcp_port_exit_2(self, tmp_path, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            rc = run(["protocol", "--preset", "tiny-exact", "--rounds", "2",
+                      "--transport", f"tcp:127.0.0.1:{port}", "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+        assert "transport failure" in capsys.readouterr().err
+
+    def test_tcp_port_out_of_range_exit_2(self, tmp_path):
+        rc = run(["protocol", "--preset", "tiny-exact", "--rounds", "2",
+                  "--transport", "tcp:127.0.0.1:70000", "--out", str(tmp_path)])
         assert rc == EXIT_ERROR
 
     def test_zero_rounds_exit_2(self, tmp_path):
