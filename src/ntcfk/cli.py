@@ -8,7 +8,6 @@ protocol error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from .ntcf import (
     compute_bp,
     gen,
     hellinger_branch,
+    hellinger_display_bound,
     key_to_text,
     trapdoor_to_text,
     validate_params,
@@ -86,8 +86,7 @@ def cmd_keygen(args) -> int:
     print(f"q={p.q} n={p.n} m={p.m} kappa={p.kappa} ell={p.ell}")
     print(f"B_L={p.b_l!r} B_V={p.b_v!r} B_P={p.b_p!r} (condition-(iii) formula)")
     for b in range(p.kappa):
-        bound = 1.0 - math.exp(-2.0 * math.pi * p.m * b * p.b_v / p.b_p)
-        print(f"branch b={b}: Hellinger^2 bound {bound:.6g}")
+        print(f"branch b={b}: Hellinger^2 bound {hellinger_display_bound(p, b):.6g}")
     print(f"wrote {out / 'key.pub'} and {out / 'key.sk'}")
     return EXIT_OK
 

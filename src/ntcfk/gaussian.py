@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import Modulus, ZqVector, domain_grid, lift_value
+from .zq import Modulus, ZqVector, domain_grid
 
 DEFAULT_TABLE_CAP = 10**6
 
@@ -30,19 +30,16 @@ def _table_1d_cached(q: int, width: float):
     return lifts, probs
 
 
+@functools.lru_cache(maxsize=64)
+def _residue_probs_cached(q: int, width: float) -> np.ndarray:
+    lifts, probs = _table_1d_cached(q, width)
+    by_residue = np.bincount(lifts % q, weights=probs, minlength=q)
+    by_residue.setflags(write=False)
+    return by_residue
+
+
 class TableTooLarge(RuntimeError):
     """Raised when an exact density table would exceed the configured cap."""
-
-
-def _kahan_sum(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 @dataclass(frozen=True)
@@ -78,28 +75,21 @@ class TruncatedGaussian:
     @property
     def radius(self) -> int:
         """Largest integer lift magnitude inside the 1-D truncation."""
-        return min(int(math.floor(self.width)), (self.modulus.q - 1) // 2)
+        return int(self._table_1d()[0][-1])
 
     def _table_1d(self) -> tuple[np.ndarray, np.ndarray]:
         return _table_1d_cached(self.modulus.q, self.width)
 
-    def eval_1d(self, residue: int) -> float:
-        lift = lift_value(residue, self.modulus.q)
-        if abs(lift) > self.radius:
-            return 0.0
-        lifts, probs = self._table_1d()
-        return float(probs[lift + self.radius])
+    def residue_probs(self) -> np.ndarray:
+        """The 1-D probability of every residue in [0, q), indexed by the
+        residue; 0 outside the truncation."""
+        return _residue_probs_cached(self.modulus.q, self.width)
 
     def density_eval(self, x: ZqVector) -> float:
         """Probability of x; 0 outside the truncated support."""
         if len(x) != self.dim:
             raise ValueError(f"expected length {self.dim}")
-        p = 1.0
-        for v in x.entries:
-            p *= self.eval_1d(int(v))
-            if p == 0.0:
-                return 0.0
-        return p
+        return float(self.residue_probs()[x.entries].prod())
 
     def support_size(self) -> int:
         return (2 * self.radius + 1) ** self.dim
@@ -135,7 +125,7 @@ class TruncatedGaussian:
 def hellinger_sq(f0: Density, f1: Density) -> float:
     """H^2(f0, f1) = 1 - sum_x sqrt(f0(x) f1(x))."""
     common = f0.table.keys() & f1.table.keys()
-    bc = _kahan_sum(math.sqrt(f0.table[x] * f1.table[x]) for x in common)
+    bc = math.fsum(math.sqrt(f0.table[x] * f1.table[x]) for x in common)
     return min(max(1.0 - bc, 0.0), 1.0)
 
 
@@ -145,7 +135,7 @@ def tv_distance(f0: Density, f1: Density) -> float:
     get1 = t1.get
     diffs = [abs(p - get1(x, 0.0)) for x, p in t0.items()]
     diffs += [p for x, p in t1.items() if x not in t0]
-    return min(max(0.5 * _kahan_sum(diffs), 0.0), 1.0)
+    return min(max(0.5 * math.fsum(diffs), 0.0), 1.0)
 
 
 def trace_distance_from_h2(h2: float) -> float:

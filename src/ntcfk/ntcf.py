@@ -30,7 +30,15 @@ GROWTH_CONST = 1.0  # constant in the dimension growth conditions
 
 
 def compute_bp(q: int, n: int, m: int, kappa: int, c_t: float) -> float:
-    """B_P = q / (kappa * C_T * sqrt(m * n * ceil(log2 q)))."""
+    """B_P = q / (kappa * C_T * sqrt(m * n * ceil(log2 q))).
+
+    Raises ValueError unless kappa, C_T, m and n are all positive.
+    """
+    if not (kappa > 0 and c_t > 0 and m > 0 and n > 0):
+        raise ValueError(
+            f"B_P needs positive kappa, C_T, m and n; got kappa={kappa}, "
+            f"C_T={c_t}, m={m}, n={n}"
+        )
     logq = Modulus(q).bits
     return q / (kappa * c_t * math.sqrt(m * n * logq))
 
@@ -89,9 +97,13 @@ def validate_params(p: NtcfParams) -> ValidationReport:
         hard.append(f"kappa={p.kappa} must be >= 2")
     if p.mode not in ("desk", "asymptotic"):
         hard.append(f"unknown mode {p.mode!r}")
-    expect_bp = compute_bp(p.q, p.n, p.m, p.kappa, p.c_t)
-    if not math.isclose(p.b_p, expect_bp, rel_tol=1e-12, abs_tol=0.0):
-        hard.append(f"B_P={p.b_p!r} does not match the formula value {expect_bp!r}")
+    try:
+        expect_bp = compute_bp(p.q, p.n, p.m, p.kappa, p.c_t)
+    except ValueError as exc:
+        hard.append(str(exc))
+    else:
+        if not math.isclose(p.b_p, expect_bp, rel_tol=1e-12, abs_tol=0.0):
+            hard.append(f"B_P={p.b_p!r} does not match the formula value {expect_bp!r}")
     if not (0 < p.b_l < p.b_v < p.b_p < p.q):
         hard.append(
             f"width ordering violated: need 0 < B_L={p.b_l} < B_V={p.b_v} "
@@ -157,14 +169,18 @@ def _image_gaussian(p: NtcfParams) -> TruncatedGaussian:
     return TruncatedGaussian(p.modulus, p.b_p, p.m)
 
 
+def _center(k: NtcfKey, b: int, x: ZqVector) -> ZqVector:
+    """The center A x + b*t of the branch f'_{k,b}(x)."""
+    return mat_vec_mul(k.A, x) + k.t.scale(b)
+
+
 def f_prime_density(k: NtcfKey, b: int, x: ZqVector) -> Density:
     """Exact table of f'_{k,b}(x): the image Gaussian shifted to Ax + b*t.
 
     Public: uses only the key. Desk scale only (materializes the table).
     """
     _check_branch(k.params, b)
-    shift = mat_vec_mul(k.A, x) + k.t.scale(b)
-    return shifted_density(_image_gaussian(k.params), shift)
+    return shifted_density(_image_gaussian(k.params), _center(k, b, x))
 
 
 def f_density(k: NtcfKey, t: NtcfTrapdoor, b: int, x: ZqVector) -> Density:
@@ -178,9 +194,10 @@ def f_density(k: NtcfKey, t: NtcfTrapdoor, b: int, x: ZqVector) -> Density:
 
 
 def f_prime_eval(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> float:
-    """Point evaluation of f'_{k,b}(x)(y); works at any scale."""
+    """Point evaluation of f'_{k,b}(x)(y); needs no joint table, only the
+    q-entry 1-D residue table."""
     _check_branch(k.params, b)
-    return _image_gaussian(k.params).density_eval(y - mat_vec_mul(k.A, x) - k.t.scale(b))
+    return _image_gaussian(k.params).density_eval(y - _center(k, b, x))
 
 
 def inv(k: NtcfKey, t: NtcfTrapdoor, b: int, y: ZqVector) -> ZqVector:
@@ -202,8 +219,7 @@ def chk(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> int:
     p = k.params
     if not 0 <= b < p.kappa:
         return 0
-    resid = y - mat_vec_mul(k.A, x) - k.t.scale(b)
-    return int(euclidean_norm(resid) <= p.b_p * math.sqrt(p.m))
+    return int(euclidean_norm(y - _center(k, b, x)) <= p.b_p * math.sqrt(p.m))
 
 
 def claws(x0: np.ndarray, s: ZqVector, kappa: int) -> np.ndarray:
@@ -231,11 +247,17 @@ def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: ZqVector) -> tuple[ZqVector, 
     return claw(inv(k, t, 0, y), t.s, k.params.kappa)
 
 
+def hellinger_display_bound(p: NtcfParams, b: int) -> float:
+    """The family's display bound 1 - exp(-2*pi*m*b*B_V/B_P) on the H^2
+    of branch b."""
+    return 1.0 - math.exp(-2.0 * math.pi * p.m * b * p.b_v / p.b_p)
+
+
 def hellinger_branch(
     k: NtcfKey, t: NtcfTrapdoor, b: int, x: ZqVector
 ) -> tuple[float, float]:
     """Exact H^2 between f_{k,b}(x) and f'_{k,b}(x), with the family's
-    display bound 1 - exp(-2*pi*m*b*B_V/B_P).
+    display bound `hellinger_display_bound`.
 
     The two branch densities are shifts of each other by b*e, so the
     exact value only depends on b and e. Both are products of 1-D
@@ -250,9 +272,7 @@ def hellinger_branch(
     for ei in t.e.entries:
         shift = ZqVector(np.array([(b * int(ei)) % p.q]), p.modulus)
         affinity *= 1.0 - hellinger_sq(base, shifted_density(g1, shift))
-    exact = 1.0 - affinity
-    bound = 1.0 - math.exp(-2.0 * math.pi * p.m * b * p.b_v / p.b_p)
-    return exact, bound
+    return 1.0 - affinity, hellinger_display_bound(p, b)
 
 
 # serialization -------------------------------------------------------------
@@ -294,13 +314,17 @@ def key_to_text(k: NtcfKey) -> str:
 
 
 def _key_read(r: LineReader) -> NtcfKey:
-    """The params, A and t of a key, with q in [2, 2^31), A of shape
-    m x n and t of length m; anything else is a FormatError."""
+    """The params, A and t of a key, with q in [2, 2^31), params that
+    `validate_params` passes, A of shape m x n and t of length m;
+    anything else is a FormatError."""
     p = _params_read(r)
     try:
         modulus = p.modulus
     except ValueError as exc:
         raise FormatError(f"field q: {exc}") from exc
+    report = validate_params(p)
+    if not report.ok:
+        raise FormatError("invalid parameters: " + "; ".join(report.violations))
     A = r.matrix("A", modulus)
     if A.shape != (p.m, p.n):
         raise FormatError(f"matrix A: {A.shape[0]} x {A.shape[1]}, "

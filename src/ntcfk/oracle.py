@@ -218,28 +218,22 @@ def load_gaussian_register(
     return SparseState(state.specs + (spec,), _product(state.labels, points), amps)
 
 
-def apply_ufkb(
-    state: SparseState,
-    key: NtcfKey,
-    b_reg: str = "b",
-    x_reg: str = "x",
-    y_reg: str = "y",
-    invert: bool = False,
-) -> SparseState:
-    """Basis permutation |b>|x>|w> -> |b>|x>|w + Ax + b*t mod q>.
+def apply_ufkb(state: SparseState, key: NtcfKey, invert: bool = False) -> SparseState:
+    """Basis permutation |b>|x>|w> -> |b>|x>|w + Ax + b*t mod q> on the
+    registers named "b", "x" and "y".
 
     With invert=True the shift is subtracted (the uncompute direction).
     """
     p = key.params
-    if state.spec(x_reg).size != p.n or state.spec(y_reg).size != p.m:
+    if state.spec("x").size != p.n or state.spec("y").size != p.m:
         raise DimensionError("register sizes do not match the key")
     q = p.q
     A = key.A.entries
     labels = state.labels
-    xc, yc = state.reg_cols(x_reg), state.reg_cols(y_reg)
-    b = labels[:, state.reg_cols(b_reg).start, None]
+    xc, yc = state.reg_cols("x"), state.reg_cols("y")
+    b = labels[:, state.reg_cols("b").start, None]
     shift = b * key.t.entries
-    # Reduce each product mod q before summing, as zq.mat_vec_mul does,
+    # Reduce each product mod q before summing, as zq.mul_rows_mod does,
     # so the sums stay inside int64 for any q < 2^31.
     for j in range(p.n):
         shift += labels[:, xc.start + j, None] * A[:, j] % q

@@ -161,10 +161,9 @@ def _enumerate_residual(k: NtcfKey, y: ZqVector):
         raise ValueError(
             f"enumeration size {p.kappa * p.q ** p.n} exceeds cap {ENUM_CAP}"
         )
-    g = TruncatedGaussian(p.modulus, p.b_p, p.m)
-    prob_by_residue = np.array([g.eval_1d(r) for r in range(p.q)])
+    prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
     grid = domain_grid(p.q, p.n)
-    images = (grid @ k.A.entries.T) % p.q  # q^n x m
+    images = mul_rows_mod(k.A.entries, grid, p.q)  # q^n x m
     entries = []
     for b in range(p.kappa):
         res = (y.entries[None, :] - images - b * k.t.entries[None, :]) % p.q

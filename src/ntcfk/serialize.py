@@ -1,13 +1,14 @@
 """Canonical text encoding shared by every serializer.
 
-One field per line as `name=value`. Vectors are residues in [0, q) as
-ASCII decimals split by single spaces, with no sign and no leading zero;
-the reader accepts nothing else.
+One field per line as `name=value`. An integer field is its str() and a
+float field its repr(), so floats round-trip bit-exactly; the reader
+accepts a scalar only in exactly that text. Vectors are residues in
+[0, q) as ASCII decimals split by single spaces, with no sign and no
+leading zero; the reader accepts nothing else.
 A matrix field is `name=rows cols` followed by one row per line; a
 matrix over Z_q (the key's A) takes the vector grammar in its header and
-rows, while the trapdoor's signed R takes any integers. Floats
-use repr() so they round-trip bit-exactly. Files open with a versioned
-header line.
+rows, while the trapdoor's signed R takes any integers. Files open with
+a versioned header line.
 """
 from __future__ import annotations
 
@@ -114,18 +115,24 @@ class LineReader:
         return self._value(name)
 
     def int_field(self, name: str) -> int:
+        """A canonical integer only: the text str() writes for it."""
         v = self._value(name)
         try:
-            return int(v)
-        except ValueError as exc:
-            raise FormatError(f"field {name}: bad integer {v!r}") from exc
+            if str(int(v)) == v:
+                return int(v)
+        except ValueError:
+            pass
+        raise FormatError(f"field {name}: bad integer {v!r}")
 
     def float_field(self, name: str) -> float:
+        """A canonical float only: the text repr() writes for it."""
         v = self._value(name)
         try:
-            return float(v)
-        except ValueError as exc:
-            raise FormatError(f"field {name}: bad float {v!r}") from exc
+            if repr(float(v)) == v:
+                return float(v)
+        except ValueError:
+            pass
+        raise FormatError(f"field {name}: bad float {v!r}")
 
     def vector(self, name: str, modulus: Modulus) -> ZqVector:
         """Canonical residues only: see `_RESIDUES`, and each below q."""

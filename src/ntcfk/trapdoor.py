@@ -1,20 +1,21 @@
 """Gadget-based trapdoor key generation and noisy linear-system inversion.
 
 The public matrix is the tall stack A = [Abar ; G - Rbar*Abar] mod q, where
-G is the n-column power-of-base gadget block and Rbar has uniform entries
-in {-1, 0, 1}. The short relation [Rbar | I] * A = G turns a noisy image
-v = A s + e into a noisy gadget syndrome G s + e', from which each
-coordinate of s is decoded independently.
+G is the n-column gadget block of powers of GADGET_BASE and Rbar has
+uniform entries in {-1, 0, 1}. The short relation [Rbar | I] * A = G
+turns a noisy image v = A s + e into a noisy gadget syndrome G s + e',
+from which each coordinate of s is decoded independently.
 
 Per-coordinate decoding minimizes the max syndrome residual over the
 gadget rows. Decoding is declared certain only when that residual is
 strictly below half the gadget code's minimax distance; anything else
 raises DecodeFailure rather than returning a guess.
 
-Keys whose dimensions cannot fit the gadget layout (m < n_bar + n*k_g)
-fall back to an exhaustive-search trapdoor: inversion scans all q^n
-secrets. This is only allowed under a small search cap and exists so the
-tiniest oracle-comparable parameter sets still support key generation.
+The gadget layout needs m >= n*k + 1 (k gadget digits per coordinate,
+n_bar = m - n*k >= 1 rows of Abar). Keys with fewer rows fall back to an
+exhaustive-search trapdoor: inversion scans all q^n secrets. This is
+only allowed under a small search cap and exists so the tiniest
+oracle-comparable parameter sets still support key generation.
 """
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .zq import (DimensionError, Modulus, ZqMatrix, ZqVector, domain_grid,
-                 euclidean_norm, mat_vec_mul)
+                 euclidean_norm, lift_residues, mat_vec_mul, mul_rows_mod)
 
 EXHAUSTIVE_CAP = 2**16
+GADGET_BASE = 2
 
 
 class DecodeFailure(RuntimeError):
@@ -71,8 +73,7 @@ def gadget_minimax_distance(q: int, base: int) -> int:
     deltas = np.arange(1, q, dtype=np.int64)
     worst = np.zeros(q - 1, dtype=np.int64)
     for j in range(g.k):
-        v = (deltas * (base**j)) % q
-        v = np.where(v > q // 2, v - q, v)
+        v = lift_residues((deltas * (base**j)) % q, q)
         worst = np.maximum(worst, np.abs(v))
     return int(worst.min())
 
@@ -120,34 +121,21 @@ def _gadget_block(n: int, g: GadgetParams) -> np.ndarray:
     return G
 
 
-def required_rows(n: int, q: int, base: int = 2, n_bar: int | None = None) -> int:
-    """Minimum m for the gadget layout."""
-    k = GadgetParams(base, q).k
-    nb = n * k if n_bar is None else n_bar
-    return nb + n * k
-
-
 def gen_trap(
-    n: int,
-    m: int,
-    q: int,
-    rng: np.random.Generator,
-    base: int = 2,
-    mode: str = "auto",
+    n: int, m: int, q: int, rng: np.random.Generator
 ) -> tuple[ZqMatrix, TrapdoorKey]:
     """Generate (A, trapdoor) with A statistically close to uniform.
 
-    mode "gadget" insists on the gadget layout and raises LayoutError if m
-    is too small; "auto" falls back to the exhaustive trapdoor when the
-    layout does not fit and q^n is under the search cap.
+    Uses the gadget layout when m >= n*k + 1, and otherwise falls back to
+    the exhaustive trapdoor when q^n is under the search cap.
     """
     modulus = Modulus(q)
     if not modulus.is_prime:
         raise ValueError(f"q={q} must be prime")
-    g = GadgetParams(base, q)
+    g = GadgetParams(GADGET_BASE, q)
     w = n * g.k
 
-    if m >= w + 1 and mode in ("auto", "gadget"):
+    if m >= w + 1:
         n_bar = m - w
         Abar = rng.integers(0, q, size=(n_bar, n), dtype=np.int64)
         Rbar = rng.integers(-1, 2, size=(w, n_bar), dtype=np.int64)
@@ -156,10 +144,6 @@ def gen_trap(
         t = TrapdoorKey(A=A, mode="gadget", R=Rbar, gadget=g, n_bar=n_bar)
         return A, t
 
-    if mode == "gadget":
-        raise LayoutError(
-            f"gadget layout needs m >= {w + 1} (n*k + n_bar with n_bar >= 1), got m={m}"
-        )
     if q**n > EXHAUSTIVE_CAP:
         raise LayoutError(
             f"m={m} too small for gadget layout (need >= {w + 1}) and "
@@ -179,7 +163,7 @@ def _injective_on_domain(A: ZqMatrix) -> bool:
     q = A.modulus.q
     n = A.cols
     grid = domain_grid(q, n)
-    images = (grid @ A.entries.T) % q
+    images = mul_rows_mod(A.entries, grid, q)
     return len({row.tobytes() for row in images}) == len(grid)
 
 
@@ -187,8 +171,7 @@ def _decode_syndrome_coord(u: np.ndarray, g: GadgetParams, q: int) -> int:
     """Decode s_i from u ~ g_row * s_i + noise mod q by minimax search."""
     cands = np.arange(q, dtype=np.int64)
     # residual[j, s] = lift(u_j - base^j * s)
-    res = (u[:, None] - g.row[:, None] * cands[None, :]) % q
-    res = np.where(res > q // 2, res - q, res)
+    res = lift_residues((u[:, None] - g.row[:, None] * cands[None, :]) % q, q)
     cost = np.abs(res).max(axis=0)
     s_hat = int(cost.argmin())
     radius = gadget_minimax_distance(q, g.base) / 2.0
@@ -246,8 +229,7 @@ def _invert_exhaustive(t: TrapdoorKey, v: ZqVector) -> ZqVector:
     # Enumerate all secrets; pick the one with the smallest error norm and
     # demand a strict gap to the runner-up.
     grid = domain_grid(q, n)  # q^n x n
-    res = (v.entries[None, :] - grid @ t.A.entries.T) % q
-    res = np.where(res > q // 2, res - q, res)
+    res = lift_residues((v.entries - mul_rows_mod(t.A.entries, grid, q)) % q, q)
     norms = (res.astype(np.float64) ** 2).sum(axis=1)
     order = np.argsort(norms)
     best, second = order[0], order[1]
@@ -262,7 +244,6 @@ def calibrate_ct(
     q: int,
     trials: int,
     rng: np.random.Generator,
-    base: int = 2,
 ) -> float:
     """Empirically measure the constant C in the inversion threshold
     q / (C sqrt(n log q)).
@@ -279,7 +260,7 @@ def calibrate_ct(
 
     def all_pass(threshold: float) -> bool:
         for _ in range(trials):
-            A, t = gen_trap(n, m, q, rng, base=base)
+            A, t = gen_trap(n, m, q, rng)
             s = ZqVector.uniform(n, modulus, rng)
             e = _random_vector_of_norm(m, threshold, q, rng)
             v = mat_vec_mul(A, s) + e

@@ -1,8 +1,10 @@
 """Exact arithmetic over Z_q: vectors, matrices, centered lifts, and the
 bit-encoding map used by the equation check.
 
-All residues are stored in [0, q). Centered lifts live in (-q/2, q/2].
-q is restricted to < 2**31 so that int64 products never overflow.
+All residues are stored in [0, q). Centered lifts (`lift_residues`)
+live in (-q/2, q/2]. q is restricted to < 2**31 so that int64 products
+never overflow, and `mul_rows_mod`, the one A x mod q, reduces each
+product before summing so that its sums never do either.
 """
 from __future__ import annotations
 
@@ -52,8 +54,7 @@ class Modulus:
 
 
 def _as_residues(entries, q: int) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.int64) % q
-    return a
+    return np.asarray(entries, dtype=np.int64) % q
 
 
 @dataclass(frozen=True)
@@ -186,18 +187,16 @@ def mat_vec_mul(A: ZqMatrix, x: ZqVector) -> ZqVector:
     return ZqVector(mul_rows_mod(A.entries, x.entries, A.modulus.q), A.modulus)
 
 
+def lift_residues(a: np.ndarray, q: int) -> np.ndarray:
+    """Map each residue of an array in [0, q) to its representative in
+    (-q/2, q/2]."""
+    # odd q: (q-1)/2 stays positive; even q: q/2, boundary value kept positive
+    return np.where(a > q // 2, a - q, a)
+
+
 def centered_lift(x: ZqVector) -> np.ndarray:
     """Map each residue to its representative in (-q/2, q/2]."""
-    q = x.modulus.q
-    e = x.entries.astype(np.int64)
-    half = q // 2  # odd q: (q-1)/2; even q: q/2, boundary value kept positive
-    return np.where(e > half, e - q, e)
-
-
-def lift_value(v: int, q: int) -> int:
-    """Centered lift of a single residue."""
-    v %= q
-    return v - q if v > q // 2 else v
+    return lift_residues(x.entries, x.modulus.q)
 
 
 def euclidean_norm(x: ZqVector) -> float:

@@ -55,6 +55,13 @@ class TestKeygen:
         assert rc == EXIT_ERROR
         assert "violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--kappa", "0"), ("--ct", "0"), ("--m", "0")])
+    def test_non_positive_bp_input_exit_2(self, tmp_path, capsys, flag, value):
+        rc = run(["keygen", "--q", "7", "--n", "1", "--m", "2", "--kappa", "3",
+                  flag, value, "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+        assert "B_P needs positive" in capsys.readouterr().err
+
     def test_missing_params_exit_2(self, tmp_path):
         rc = run(["keygen", "--q", "97", "--out", str(tmp_path)])
         assert rc == EXIT_ERROR

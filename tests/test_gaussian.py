@@ -16,7 +16,7 @@ from ntcfk.gaussian import (
     trace_distance_from_h2,
     tv_distance,
 )
-from ntcfk.zq import Modulus, ZqVector
+from ntcfk.zq import Modulus, ZqVector, lift_residues
 
 
 def gauss(q, B, m):
@@ -53,6 +53,20 @@ class TestDensityEval:
     def test_table_cap(self):
         with pytest.raises(TableTooLarge):
             gauss(521, 100.0, 4).table(cap=1000)
+
+
+class TestResidueProbs:
+    @pytest.mark.parametrize("q,B", [(7, 1.0), (8, 10.0), (16, 3.5), (97, 5.0)])
+    def test_matches_support(self, q, B):
+        """Sums to 1, is 0 exactly outside the radius (odd and even q) and
+        equals the dim-1 support table."""
+        g = gauss(q, B, 1)
+        probs = g.residue_probs()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        inside = np.abs(lift_residues(np.arange(q), q)) <= g.radius
+        assert (probs[~inside] == 0.0).all() and (probs[inside] > 0.0).all()
+        points, expect = g.support_arrays()
+        assert np.array_equal(probs[points[:, 0]], expect)
 
 
 class TestSampling:

@@ -194,6 +194,22 @@ class TestFrameErrors:
         pytest.param(0x02, b"y=7 1\n", id="image-residue-equals-q"),
         pytest.param(0x02, b"y=99999999999999999999 1\n", id="image-residue-overflow"),
         pytest.param(0x04, b"b=0\nx=99999999999999999999\n", id="preimage-residue-overflow"),
+        pytest.param(0x01, tiny_key_with("kappa", "kappa=0"), id="key-kappa-zero"),
+        pytest.param(0x01, tiny_key_with("kappa", "kappa=-1"), id="key-kappa-negative"),
+        pytest.param(0x01, tiny_key_with("b_p", "b_p=0.0"), id="key-bp-zero"),
+        pytest.param(0x01, tiny_key_with("b_p", "b_p=-1.0"), id="key-bp-negative"),
+        pytest.param(0x01, tiny_key_with("b_p", "b_p=nan"), id="key-bp-nan"),
+        pytest.param(0x01, tiny_key_with("b_p", "b_p=1e+300"), id="key-bp-huge"),
+        pytest.param(0x01, tiny_key_with("kappa", "kappa=+3"), id="key-kappa-plus-sign"),
+        pytest.param(0x01, tiny_key_with("q", "q=07"), id="key-q-leading-zero"),
+        pytest.param(0x01, tiny_key_with("n", "n=\u0661"), id="key-n-arabic-indic-digit"),
+        pytest.param(0x01, tiny_key_with("b_l", "b_l=0.20"), id="key-float-not-repr"),
+        pytest.param(0x04, b"b=+1\nx=3\n", id="preimage-b-plus-sign"),
+        pytest.param(0x04, b"b=01\nx=3\n", id="preimage-b-leading-zero"),
+        pytest.param(0x04, "b=\u0661\nx=3\n".encode(), id="preimage-b-arabic-indic-digit"),
+        pytest.param(0x04, b"b= 1\nx=3\n", id="preimage-b-leading-space"),
+        pytest.param(0x04, b"b=1_0\nx=3\n", id="preimage-b-underscore"),
+        pytest.param(0x05, b"bprime=1\nc=-0\nd=101\n", id="equation-c-negative-zero"),
     ])
     def test_malformed_payload(self, tag, payload):
         frame = struct.pack(">I", len(payload)) + bytes([tag]) + payload

@@ -13,7 +13,6 @@ from ntcfk.trapdoor import (
     gadget_minimax_distance,
     gen_trap,
     invert,
-    required_rows,
 )
 from ntcfk.zq import Modulus, ZqVector, mat_vec_mul
 
@@ -30,9 +29,6 @@ class TestGadget:
         assert gadget_minimax_distance(17, 2) == 7
         assert gadget_minimax_distance(7, 2) == 3
 
-    def test_required_rows(self):
-        assert required_rows(2, 521) == 40  # n_bar defaults to n*k
-
 
 class TestGenTrap:
     def test_shape(self, rng):
@@ -44,10 +40,6 @@ class TestGenTrap:
         for _ in range(100):
             _A, t = gen_trap(1, 12, 17, rng)
             assert t.relation_holds()
-
-    def test_mode_gadget_rejects_small_m(self, rng):
-        with pytest.raises(LayoutError):
-            gen_trap(1, 2, 7, rng, mode="gadget")
 
     def test_exhaustive_fallback(self, rng):
         A, t = gen_trap(1, 2, 7, rng)

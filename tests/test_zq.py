@@ -17,6 +17,7 @@ from ntcfk.zq import (
     euclidean_norm,
     j_decode,
     j_encode,
+    lift_residues,
     mat_vec_mul,
 )
 
@@ -84,6 +85,10 @@ class TestCenteredLift:
 
     def test_zero(self):
         assert list(centered_lift(vec([0, 0, 0], 7))) == [0, 0, 0]
+
+    def test_array_lift_2d(self):
+        a = np.array([[0, 3, 4], [5, 7, 1]], dtype=np.int64)
+        assert lift_residues(a, 8).tolist() == [[0, 3, 4], [-3, -1, 1]]
 
     def test_bijection(self):
         for q in (7, 8, 13):
