@@ -14,28 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import Modulus, ZqVector, domain_grid
+from .zq import Modulus, ZqVector, domain_grid, lift_residues
 
 DEFAULT_TABLE_CAP = 10**6
 
 
+def _radius(q: int, width: float) -> int:
+    return min(int(math.floor(width)), (q - 1) // 2)
+
+
 @functools.lru_cache(maxsize=64)
 def _table_1d_cached(q: int, width: float):
-    r = min(int(math.floor(width)), (q - 1) // 2)
+    r = _radius(q, width)
     lifts = np.arange(-r, r + 1, dtype=np.int64)
     w = np.exp(-math.pi * lifts.astype(np.float64) ** 2 / width**2)
     probs = w / w.sum()
     lifts.setflags(write=False)
     probs.setflags(write=False)
     return lifts, probs
-
-
-@functools.lru_cache(maxsize=64)
-def _residue_probs_cached(q: int, width: float) -> np.ndarray:
-    lifts, probs = _table_1d_cached(q, width)
-    by_residue = np.bincount(lifts % q, weights=probs, minlength=q)
-    by_residue.setflags(write=False)
-    return by_residue
 
 
 class TableTooLarge(RuntimeError):
@@ -75,21 +71,27 @@ class TruncatedGaussian:
     @property
     def radius(self) -> int:
         """Largest integer lift magnitude inside the 1-D truncation."""
-        return int(self._table_1d()[0][-1])
+        return _radius(self.modulus.q, self.width)
 
     def _table_1d(self) -> tuple[np.ndarray, np.ndarray]:
         return _table_1d_cached(self.modulus.q, self.width)
 
     def residue_probs(self) -> np.ndarray:
         """The 1-D probability of every residue in [0, q), indexed by the
-        residue; 0 outside the truncation."""
-        return _residue_probs_cached(self.modulus.q, self.width)
+        residue; 0 outside the truncation. It has q entries, so it is for
+        small q only (the enumerating prover, whose q^n is capped)."""
+        lifts, probs = self._table_1d()
+        return np.bincount(lifts % self.modulus.q, weights=probs, minlength=self.modulus.q)
 
     def density_eval(self, x: ZqVector) -> float:
         """Probability of x; 0 outside the truncated support."""
         if len(x) != self.dim:
             raise ValueError(f"expected length {self.dim}")
-        return float(self.residue_probs()[x.entries].prod())
+        r = self.radius
+        idx = lift_residues(x.entries, self.modulus.q) + r
+        if idx.min() < 0 or idx.max() > 2 * r:
+            return 0.0
+        return float(self._table_1d()[1][idx].prod())
 
     def support_size(self) -> int:
         return (2 * self.radius + 1) ** self.dim

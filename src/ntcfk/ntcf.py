@@ -26,13 +26,13 @@ from .serialize import HEADER_KEY, HEADER_SK, FormatError, LineReader, LineWrite
 from .zq import DimensionError, Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
 
 RATIO_FLOOR = 8.0  # desk stand-in for the asymptotic width-ratio conditions
-GROWTH_CONST = 1.0  # constant in the dimension growth conditions
+GROWTH_CONST = 1  # constant in the dimension growth conditions
 
 
 def compute_bp(q: int, n: int, m: int, kappa: int, c_t: float) -> float:
     """B_P = q / (kappa * C_T * sqrt(m * n * ceil(log2 q))).
 
-    Raises ValueError unless kappa, C_T, m and n are all positive.
+    Raises ValueError unless kappa, C_T, m and n are positive and fit a float.
     """
     if not (kappa > 0 and c_t > 0 and m > 0 and n > 0):
         raise ValueError(
@@ -40,7 +40,10 @@ def compute_bp(q: int, n: int, m: int, kappa: int, c_t: float) -> float:
             f"C_T={c_t}, m={m}, n={n}"
         )
     logq = Modulus(q).bits
-    return q / (kappa * c_t * math.sqrt(m * n * logq))
+    try:
+        return q / (kappa * c_t * math.sqrt(m * n * logq))
+    except OverflowError as exc:
+        raise ValueError(f"B_P: kappa, m or n too large ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,8 @@ def validate_params(p: NtcfParams) -> ValidationReport:
     formula, or a broken ordering 0 < B_L < B_V < B_P < q. The dimension
     growth conditions (n vs ell*log q, m vs n*log q), the lower bound
     2*sqrt(n) <= B_L, and the width-ratio conditions are warnings in desk
-    mode and failures in asymptotic mode.
+    mode and failures in asymptotic mode. Any field values that a valid
+    modulus q admits give a report, never an exception.
     """
     hard: list[str] = []
     soft: list[str] = []
@@ -101,10 +105,12 @@ def validate_params(p: NtcfParams) -> ValidationReport:
         expect_bp = compute_bp(p.q, p.n, p.m, p.kappa, p.c_t)
     except ValueError as exc:
         hard.append(str(exc))
+        expect_bp = None
     else:
         if not math.isclose(p.b_p, expect_bp, rel_tol=1e-12, abs_tol=0.0):
             hard.append(f"B_P={p.b_p!r} does not match the formula value {expect_bp!r}")
-    if not (0 < p.b_l < p.b_v < p.b_p < p.q):
+    ordered = 0 < p.b_l < p.b_v < p.b_p < p.q
+    if not ordered:
         hard.append(
             f"width ordering violated: need 0 < B_L={p.b_l} < B_V={p.b_v} "
             f"< B_P={p.b_p} < q"
@@ -113,16 +119,14 @@ def validate_params(p: NtcfParams) -> ValidationReport:
     growth = [
         (p.n >= GROWTH_CONST * p.ell * p.logq, f"n={p.n} < ell*log2(q)={p.ell * p.logq}"),
         (p.m >= GROWTH_CONST * p.n * p.logq, f"m={p.m} < n*log2(q)={p.n * p.logq}"),
-        (2 * math.sqrt(p.n) <= p.b_l, f"2*sqrt(n)={2 * math.sqrt(p.n):.3f} > B_L={p.b_l}"),
-        (
-            p.b_p / p.b_v >= RATIO_FLOOR,
-            f"B_P/B_V={p.b_p / p.b_v:.3f} below floor {RATIO_FLOOR}",
-        ),
-        (
-            p.b_v / p.b_l >= RATIO_FLOOR,
-            f"B_V/B_L={p.b_v / p.b_l:.3f} below floor {RATIO_FLOOR}",
-        ),
     ]
+    if expect_bp is not None and ordered:  # else sqrt(n) or a ratio may be undefined
+        bl_floor, bp_bv, bv_bl = 2 * math.sqrt(p.n), p.b_p / p.b_v, p.b_v / p.b_l
+        growth += [
+            (bl_floor <= p.b_l, f"2*sqrt(n)={bl_floor:.3f} > B_L={p.b_l}"),
+            (bp_bv >= RATIO_FLOOR, f"B_P/B_V={bp_bv:.3f} below floor {RATIO_FLOOR}"),
+            (bv_bl >= RATIO_FLOOR, f"B_V/B_L={bv_bl:.3f} below floor {RATIO_FLOOR}"),
+        ]
     sink = soft if p.mode == "desk" else hard
     for ok, msg in growth:
         if not ok:
@@ -194,8 +198,7 @@ def f_density(k: NtcfKey, t: NtcfTrapdoor, b: int, x: ZqVector) -> Density:
 
 
 def f_prime_eval(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> float:
-    """Point evaluation of f'_{k,b}(x)(y); needs no joint table, only the
-    q-entry 1-D residue table."""
+    """Point evaluation of f'_{k,b}(x)(y); works at any scale."""
     _check_branch(k.params, b)
     return _image_gaussian(k.params).density_eval(y - _center(k, b, x))
 

@@ -62,6 +62,15 @@ class TestKeygen:
         assert rc == EXIT_ERROR
         assert "B_P needs positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--bv", "0"), ("--bl", "0"), ("--kappa", "1" + "0" * 400),
+    ], ids=["bv-zero", "bl-zero", "kappa-huge"])
+    def test_degenerate_params_exit_2(self, tmp_path, capsys, flag, value):
+        rc = run(["keygen", "--q", "7", "--n", "1", "--m", "2", "--kappa", "3",
+                  flag, value, "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err
+
     def test_missing_params_exit_2(self, tmp_path):
         rc = run(["keygen", "--q", "97", "--out", str(tmp_path)])
         assert rc == EXIT_ERROR

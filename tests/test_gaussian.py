@@ -59,7 +59,7 @@ class TestResidueProbs:
     @pytest.mark.parametrize("q,B", [(7, 1.0), (8, 10.0), (16, 3.5), (97, 5.0)])
     def test_matches_support(self, q, B):
         """Sums to 1, is 0 exactly outside the radius (odd and even q) and
-        equals the dim-1 support table."""
+        equals the dim-1 support table and `density_eval`."""
         g = gauss(q, B, 1)
         probs = g.residue_probs()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -67,6 +67,7 @@ class TestResidueProbs:
         assert (probs[~inside] == 0.0).all() and (probs[inside] > 0.0).all()
         points, expect = g.support_arrays()
         assert np.array_equal(probs[points[:, 0]], expect)
+        assert [g.density_eval(vec([r], q)) for r in range(q)] == probs.tolist()
 
 
 class TestSampling:

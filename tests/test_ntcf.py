@@ -87,6 +87,18 @@ class TestValidate:
         p = replace(get_preset("desk-k3"), mode="asymptotic")
         assert not validate_params(p).ok
 
+    @pytest.mark.parametrize("field,value", [
+        ("b_v", 0.0), ("b_l", 0.0), ("n", -1), ("kappa", 10**400), ("m", 10**400),
+    ], ids=["bv-zero", "bl-zero", "n-negative", "kappa-huge", "m-huge"])
+    def test_degenerate_fields_reported(self, field, value):
+        report = validate_params(replace(get_preset("tiny-exact"), **{field: value}))
+        assert not report.ok
+
+    def test_huge_ell_is_a_growth_warning(self):
+        report = validate_params(replace(get_preset("desk-k3"), ell=10**400))
+        assert report.ok
+        assert any("ell*log2(q)" in w for w in report.warnings)
+
     def test_composite_q(self):
         p = make_params(15, 1, 2, 2, c_t=1.1, b_v=0.5, b_l=0.2)
         assert any("prime" in v for v in validate_params(p).violations)

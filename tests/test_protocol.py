@@ -200,6 +200,10 @@ class TestFrameErrors:
         pytest.param(0x01, tiny_key_with("b_p", "b_p=-1.0"), id="key-bp-negative"),
         pytest.param(0x01, tiny_key_with("b_p", "b_p=nan"), id="key-bp-nan"),
         pytest.param(0x01, tiny_key_with("b_p", "b_p=1e+300"), id="key-bp-huge"),
+        pytest.param(0x01, tiny_key_with("b_v", "b_v=0.0"), id="key-bv-zero"),
+        pytest.param(0x01, tiny_key_with("b_l", "b_l=0.0"), id="key-bl-zero"),
+        pytest.param(0x01, tiny_key_with("n", "n=-1"), id="key-n-negative"),
+        pytest.param(0x01, tiny_key_with("kappa", "kappa=1" + "0" * 400), id="key-kappa-huge"),
         pytest.param(0x01, tiny_key_with("kappa", "kappa=+3"), id="key-kappa-plus-sign"),
         pytest.param(0x01, tiny_key_with("q", "q=07"), id="key-q-leading-zero"),
         pytest.param(0x01, tiny_key_with("n", "n=\u0661"), id="key-n-arabic-indic-digit"),
@@ -223,7 +227,7 @@ class TestFrameErrors:
             st.one_of(
                 st.lists(st.integers(0, 9), max_size=3).map(
                     lambda v: " ".join(map(str, v))),
-                st.sampled_from(["-1", "2147483648", "x"]),
+                st.sampled_from(["-1", "0.0", "2147483648", "x"]),
                 st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
             ),
         ),
