@@ -19,13 +19,8 @@ from .zq import Modulus, ZqVector, domain_grid, lift_residues
 DEFAULT_TABLE_CAP = 10**6
 
 
-def _radius(q: int, width: float) -> int:
-    return min(int(math.floor(width)), (q - 1) // 2)
-
-
 @functools.lru_cache(maxsize=64)
-def _table_1d_cached(q: int, width: float):
-    r = _radius(q, width)
+def _table_1d_cached(r: int, width: float):
     lifts = np.arange(-r, r + 1, dtype=np.int64)
     w = np.exp(-math.pi * lifts.astype(np.float64) ** 2 / width**2)
     probs = w / w.sum()
@@ -71,10 +66,10 @@ class TruncatedGaussian:
     @property
     def radius(self) -> int:
         """Largest integer lift magnitude inside the 1-D truncation."""
-        return _radius(self.modulus.q, self.width)
+        return min(int(math.floor(self.width)), (self.modulus.q - 1) // 2)
 
     def _table_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        return _table_1d_cached(self.modulus.q, self.width)
+        return _table_1d_cached(self.radius, self.width)
 
     def residue_probs(self) -> np.ndarray:
         """The 1-D probability of every residue in [0, q), indexed by the

@@ -86,7 +86,8 @@ class ValidationReport:
 def validate_params(p: NtcfParams) -> ValidationReport:
     """Check the family's parameter conditions.
 
-    Hard failures: q not prime, kappa < 2, stored B_P off the defining
+    Hard failures: q not prime, kappa outside [2, q] (past q the claw
+    x_b = x_0 - b s repeats mod q), stored B_P off the defining
     formula, or a broken ordering 0 < B_L < B_V < B_P < q. The dimension
     growth conditions (n vs ell*log q, m vs n*log q), the lower bound
     2*sqrt(n) <= B_L, and the width-ratio conditions are warnings in desk
@@ -97,8 +98,8 @@ def validate_params(p: NtcfParams) -> ValidationReport:
     soft: list[str] = []
     if not p.modulus.is_prime:
         hard.append(f"q={p.q} is not prime")
-    if p.kappa < 2:
-        hard.append(f"kappa={p.kappa} must be >= 2")
+    if not 2 <= p.kappa <= p.q:
+        hard.append(f"kappa={p.kappa} must be >= 2 and <= q={p.q}")
     if p.mode not in ("desk", "asymptotic"):
         hard.append(f"unknown mode {p.mode!r}")
     try:

@@ -94,6 +94,13 @@ class TestValidate:
         report = validate_params(replace(get_preset("tiny-exact"), **{field: value}))
         assert not report.ok
 
+    def test_kappa_above_q(self):
+        """Widths consistent with the B_P formula do not let kappa pass q."""
+        p = get_preset("tiny-exact")
+        b_p = compute_bp(p.q, p.n, p.m, 10**300, p.c_t)
+        p = replace(p, kappa=10**300, b_p=b_p, b_v=b_p / 16, b_l=b_p / 256)
+        assert any("<= q" in v for v in validate_params(p).violations)
+
     def test_huge_ell_is_a_growth_warning(self):
         report = validate_params(replace(get_preset("desk-k3"), ell=10**400))
         assert report.ok

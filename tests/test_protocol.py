@@ -220,6 +220,17 @@ class TestFrameErrors:
         with pytest.raises(FrameError):
             frame_decode(frame, TINY)
 
+    def test_kappa_above_q_key_rejected(self):
+        """A key frame whose widths fit the B_P formula for kappa = 10^300
+        (a kappa the prover cannot draw a branch from) is FrameError."""
+        b_p = compute_bp(TINY.q, TINY.n, TINY.m, 10**300, TINY.c_t)
+        p = replace(TINY, kappa=10**300, b_p=b_p, b_v=b_p / 16, b_l=b_p / 256)
+        key = gen(TINY, np.random.default_rng(0))[0]
+        payload = key_to_text(replace(key, params=p)).encode()
+        frame = struct.pack(">I", len(payload)) + bytes([protocol.TAG_KEY]) + payload
+        with pytest.raises(FrameError):
+            frame_decode(frame)
+
     @given(st.lists(
         st.tuples(
             st.integers(0, len(TINY_KEY_LINES)),
