@@ -66,6 +66,9 @@ def sample_image(k, t, b, rng):
     return x, mat_vec_mul(k.A, x) + e0 + k.t.scale(b)
 
 
+HUGE_KAPPA_BP = compute_bp(7, 1, 2, 10**300, get_preset("tiny-exact").c_t)
+
+
 class TestValidate:
     def test_width_ordering_violation(self):
         p = replace(get_preset("desk-k3"), b_v=10.0)
@@ -87,19 +90,15 @@ class TestValidate:
         p = replace(get_preset("desk-k3"), mode="asymptotic")
         assert not validate_params(p).ok
 
-    @pytest.mark.parametrize("field,value", [
-        ("b_v", 0.0), ("b_l", 0.0), ("n", -1), ("kappa", 10**400), ("m", 10**400),
-    ], ids=["bv-zero", "bl-zero", "n-negative", "kappa-huge", "m-huge"])
-    def test_degenerate_fields_reported(self, field, value):
-        report = validate_params(replace(get_preset("tiny-exact"), **{field: value}))
+    @pytest.mark.parametrize("fields", [
+        {"b_v": 0.0}, {"b_l": 0.0}, {"n": -1}, {"kappa": 10**400}, {"m": 10**400},
+        # widths that fit the B_P formula for kappa = 10^300, so only kappa <= q fails
+        {"kappa": 10**300, "b_p": HUGE_KAPPA_BP, "b_v": HUGE_KAPPA_BP / 16,
+         "b_l": HUGE_KAPPA_BP / 256},
+    ], ids=["bv-zero", "bl-zero", "n-negative", "kappa-huge", "m-huge", "kappa-above-q"])
+    def test_degenerate_fields_reported(self, fields):
+        report = validate_params(replace(get_preset("tiny-exact"), **fields))
         assert not report.ok
-
-    def test_kappa_above_q(self):
-        """Widths consistent with the B_P formula do not let kappa pass q."""
-        p = get_preset("tiny-exact")
-        b_p = compute_bp(p.q, p.n, p.m, 10**300, p.c_t)
-        p = replace(p, kappa=10**300, b_p=b_p, b_v=b_p / 16, b_l=b_p / 256)
-        assert any("<= q" in v for v in validate_params(p).violations)
 
     def test_huge_ell_is_a_growth_warning(self):
         report = validate_params(replace(get_preset("desk-k3"), ell=10**400))

@@ -78,6 +78,16 @@ def tiny_key_with(name, *lines):
     return ("\n".join(out) + "\n").encode()
 
 
+def tiny_key_for(**fields):
+    """A tiny-exact key frame payload with the params replaced by `fields`."""
+    key = gen(TINY, np.random.default_rng(0))[0]
+    return key_to_text(replace(key, params=replace(TINY, **fields))).encode()
+
+
+# Widths that fit the B_P formula for kappa = 10^300, so only kappa <= q fails.
+HUGE_KAPPA_BP = compute_bp(TINY.q, TINY.n, TINY.m, 10**300, TINY.c_t)
+
+
 def counters(stats):
     return {f.name: getattr(stats, f.name) for f in fields(SessionStats)
             if f.name != "transcripts"}
@@ -204,6 +214,8 @@ class TestFrameErrors:
         pytest.param(0x01, tiny_key_with("b_l", "b_l=0.0"), id="key-bl-zero"),
         pytest.param(0x01, tiny_key_with("n", "n=-1"), id="key-n-negative"),
         pytest.param(0x01, tiny_key_with("kappa", "kappa=1" + "0" * 400), id="key-kappa-huge"),
+        pytest.param(0x01, tiny_key_for(kappa=10**300, b_p=HUGE_KAPPA_BP, b_v=HUGE_KAPPA_BP / 16,
+                                         b_l=HUGE_KAPPA_BP / 256), id="key-kappa-above-q"),
         pytest.param(0x01, tiny_key_with("kappa", "kappa=+3"), id="key-kappa-plus-sign"),
         pytest.param(0x01, tiny_key_with("q", "q=07"), id="key-q-leading-zero"),
         pytest.param(0x01, tiny_key_with("n", "n=\u0661"), id="key-n-arabic-indic-digit"),
@@ -219,17 +231,6 @@ class TestFrameErrors:
         frame = struct.pack(">I", len(payload)) + bytes([tag]) + payload
         with pytest.raises(FrameError):
             frame_decode(frame, TINY)
-
-    def test_kappa_above_q_key_rejected(self):
-        """A key frame whose widths fit the B_P formula for kappa = 10^300
-        (a kappa the prover cannot draw a branch from) is FrameError."""
-        b_p = compute_bp(TINY.q, TINY.n, TINY.m, 10**300, TINY.c_t)
-        p = replace(TINY, kappa=10**300, b_p=b_p, b_v=b_p / 16, b_l=b_p / 256)
-        key = gen(TINY, np.random.default_rng(0))[0]
-        payload = key_to_text(replace(key, params=p)).encode()
-        frame = struct.pack(">I", len(payload)) + bytes([protocol.TAG_KEY]) + payload
-        with pytest.raises(FrameError):
-            frame_decode(frame)
 
     @given(st.lists(
         st.tuples(
