@@ -117,21 +117,20 @@ def validate_params(p: NtcfParams) -> ValidationReport:
             f"< B_P={p.b_p} < q"
         )
 
-    growth = [
-        (p.n >= GROWTH_CONST * p.ell * p.logq, f"n={p.n} < ell*log2(q)={p.ell * p.logq}"),
-        (p.m >= GROWTH_CONST * p.n * p.logq, f"m={p.m} < n*log2(q)={p.n * p.logq}"),
-    ]
+    sink = soft if p.mode == "desk" else hard  # messages are built only on failure
+    logq = p.logq
+    if p.n < GROWTH_CONST * p.ell * logq:
+        sink.append(f"n={p.n} < ell*log2(q)={p.ell * logq}")
+    if p.m < GROWTH_CONST * p.n * logq:
+        sink.append(f"m={p.m} < n*log2(q)={p.n * logq}")
     if expect_bp is not None and ordered:  # else sqrt(n) or a ratio may be undefined
         bl_floor, bp_bv, bv_bl = 2 * math.sqrt(p.n), p.b_p / p.b_v, p.b_v / p.b_l
-        growth += [
-            (bl_floor <= p.b_l, f"2*sqrt(n)={bl_floor:.3f} > B_L={p.b_l}"),
-            (bp_bv >= RATIO_FLOOR, f"B_P/B_V={bp_bv:.3f} below floor {RATIO_FLOOR}"),
-            (bv_bl >= RATIO_FLOOR, f"B_V/B_L={bv_bl:.3f} below floor {RATIO_FLOOR}"),
-        ]
-    sink = soft if p.mode == "desk" else hard
-    for ok, msg in growth:
-        if not ok:
-            sink.append(msg)
+        if bl_floor > p.b_l:
+            sink.append(f"2*sqrt(n)={bl_floor:.3f} > B_L={p.b_l}")
+        if bp_bv < RATIO_FLOOR:
+            sink.append(f"B_P/B_V={bp_bv:.3f} below floor {RATIO_FLOOR}")
+        if bv_bl < RATIO_FLOOR:
+            sink.append(f"B_V/B_L={bv_bl:.3f} below floor {RATIO_FLOOR}")
     return ValidationReport(tuple(hard), tuple(soft))
 
 

@@ -118,8 +118,9 @@ class LineReader:
         """A canonical integer only: the text str() writes for it."""
         v = self._value(name)
         try:
-            if str(int(v)) == v:
-                return int(v)
+            value = int(v)
+            if str(value) == v:
+                return value
         except ValueError:
             pass
         raise FormatError(f"field {name}: bad integer {v!r}")
@@ -128,8 +129,9 @@ class LineReader:
         """A canonical float only: the text repr() writes for it."""
         v = self._value(name)
         try:
-            if repr(float(v)) == v:
-                return float(v)
+            value = float(v)
+            if repr(value) == v:
+                return value
         except ValueError:
             pass
         raise FormatError(f"field {name}: bad float {v!r}")
