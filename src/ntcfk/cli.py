@@ -202,9 +202,9 @@ def cmd_oracle_compare(args) -> int:
         return EXIT_ERROR
     print(f"TV(analytic, oracle) = {tv:.3e}")
     if args.verbose:
-        d = crosscheck.oracle_joint(k)
-        for key in sorted(d.table):
-            print(" ".join(str(v) for v in key), "->", repr(d.table[key]))
+        table = crosscheck.oracle_joint(k).table
+        for key in sorted(table):
+            print(" ".join(str(v) for v in key), "->", repr(table[key]))
     return EXIT_OK if tv <= 1e-9 else EXIT_FAIL
 
 

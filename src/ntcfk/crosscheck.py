@@ -26,7 +26,7 @@ ANALYTIC_CAP = 2**20
 
 
 def analytic_joint(k: NtcfKey, mis_shift: int = 0) -> Density:
-    """Exact joint over flattened (y..., b, x...) tuples.
+    """Exact joint over (y..., b, x...) rows.
 
     mis_shift deliberately offsets the y coordinates; it exists as a
     fault-injection hook so the comparison's sensitivity is testable.
@@ -47,14 +47,14 @@ def analytic_joint(k: NtcfKey, mis_shift: int = 0) -> Density:
     for j in range(p.n):
         center += x[:, j, None] * k.A.entries[:, j] % q
     # Distinct support points are distinct mod q, so every (y, b, x) below
-    # is one key with probability D(e0) / (kappa q^n).
+    # is one row with probability D(e0) / (kappa q^n).
     y = (center[:, None, :] + e0[None, :, :] + mis_shift) % q
     bx = np.hstack([b, x])
     keys = np.concatenate(
         [y.reshape(-1, p.m), np.repeat(bx, len(e0), axis=0)], axis=1
     )
     probs = np.tile(prob / (p.kappa * q**p.n), len(bx))
-    return Density(dict(zip(zip(*keys.T.tolist()), probs.tolist())))
+    return Density(keys, probs)
 
 
 def oracle_joint(k: NtcfKey) -> Density:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import Modulus, ZqVector, domain_grid, lift_residues
+from .zq import Q_MAX, Modulus, ZqVector, common_rows, domain_grid, lift_residues, row_codes
 
 DEFAULT_TABLE_CAP = 10**6
 
@@ -33,20 +33,48 @@ class TableTooLarge(RuntimeError):
     """Raised when an exact density table would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Density:
-    """A finite probability table keyed by support point (tuple of residues)."""
+    """A finite probability distribution: row i of the int64 matrix
+    `points` is a support point, its coordinates residues in [0, 2^31),
+    and probs[i] is its probability. No point appears twice."""
 
-    table: dict
+    points: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.fromiter(self.table.values(), dtype=np.float64, count=len(self.table))
+        points, probs = np.asarray(self.points), np.asarray(self.probs, dtype=np.float64)
+        if points.ndim != 2 or not np.issubdtype(points.dtype, np.integer):
+            raise ValueError("points must be an integer matrix, one row per point")
+        if probs.shape != (len(points),):
+            raise ValueError(f"{len(points)} points need as many probabilities, got {probs.shape}")
         # NaN fails `>= 0` and +inf fails the sum check, so both raise.
         if not (probs >= 0).all():
             raise ValueError("probabilities must be non-negative numbers")
         s = float(probs.sum())
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"density sums to {s}, not 1")
+        points = points.astype(np.int64, copy=False)
+        if points.min(initial=0) < 0 or points.max(initial=0) >= Q_MAX:
+            raise ValueError("point coordinates must be residues in [0, 2^31)")
+        codes = np.sort(row_codes(points, _radices(points)))
+        if (codes[1:] == codes[:-1]).any():
+            raise ValueError("repeated point")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def table(self) -> dict:
+        """The distribution as a dict from point tuples to probabilities,
+        for display."""
+        return dict(zip(map(tuple, self.points.tolist()), self.probs.tolist()))
+
+
+def _radices(*point_sets: np.ndarray) -> np.ndarray:
+    """One radix for every column, above every coordinate of the point
+    sets. (A column-wise max costs ten times a global one here.)"""
+    top = max(int(p.max(initial=0)) for p in point_sets)
+    return np.full(point_sets[0].shape[1], top + 1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -103,9 +131,8 @@ class TruncatedGaussian:
         return lifts[idx] % self.modulus.q, probs[idx].prod(axis=1)
 
     def table(self, cap: int = DEFAULT_TABLE_CAP) -> Density:
-        """Materialize the exact density table (residue tuples -> prob)."""
-        points, probs = self.support_arrays(cap)
-        return Density(dict(zip(map(tuple, points.tolist()), probs.tolist())))
+        """The exact density over the truncated support."""
+        return Density(*self.support_arrays(cap))
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """The 1-D lift drawn by each uniform in u (any shape), by inverse
@@ -119,20 +146,32 @@ class TruncatedGaussian:
         return ZqVector(self.inverse_cdf(rng.random(self.dim)), self.modulus)
 
 
-def hellinger_sq(f0: Density, f1: Density) -> float:
-    """H^2(f0, f1) = 1 - sum_x sqrt(f0(x) f1(x))."""
-    common = f0.table.keys() & f1.table.keys()
-    bc = math.fsum(math.sqrt(f0.table[x] * f1.table[x]) for x in common)
+def _shared(f0: Density, f1: Density):
+    """Indices (i, j) of the points the two supports share, with
+    f0.points[i] == f1.points[j]. Points of different widths never match."""
+    if f0.points.shape[1] != f1.points.shape[1]:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    return common_rows(f0.points, f1.points, _radices(f0.points, f1.points))
+
+
+def _h2_from_affinity(bc: float) -> float:
     return min(max(1.0 - bc, 0.0), 1.0)
 
 
+def hellinger_sq(f0: Density, f1: Density) -> float:
+    """H^2(f0, f1) = 1 - sum_x sqrt(f0(x) f1(x))."""
+    i, j = _shared(f0, f1)
+    return _h2_from_affinity(math.fsum(np.sqrt(f0.probs[i] * f1.probs[j]).tolist()))
+
+
 def tv_distance(f0: Density, f1: Density) -> float:
-    """(1/2) sum_x |f0(x) - f1(x)|, one pass over each table."""
-    t0, t1 = f0.table, f1.table
-    get1 = t1.get
-    diffs = [abs(p - get1(x, 0.0)) for x, p in t0.items()]
-    diffs += [p for x, p in t1.items() if x not in t0]
-    return min(max(0.5 * math.fsum(diffs), 0.0), 1.0)
+    """(1/2) sum_x |f0(x) - f1(x)|: one term per shared point and one per
+    point of only one support, summed exactly rounded."""
+    i, j = _shared(f0, f1)
+    terms = np.concatenate(
+        [np.abs(f0.probs[i] - f1.probs[j]), np.delete(f0.probs, i), np.delete(f1.probs, j)]
+    )
+    return min(max(0.5 * math.fsum(terms.tolist()), 0.0), 1.0)
 
 
 def trace_distance_from_h2(h2: float) -> float:
@@ -144,18 +183,26 @@ def trace_distance_from_h2(h2: float) -> float:
 
 
 def shifted_density(g: TruncatedGaussian, shift: ZqVector) -> Density:
-    """Table of the distribution of (X + shift) mod q for X ~ g."""
+    """The distribution of (X + shift) mod q for X ~ g."""
     if len(shift) != g.dim:
         raise ValueError("shift dimension mismatch")
-    q = g.modulus.q
     base = g.table()
-    sh = shift.as_tuple()
-    return Density(
-        {
-            tuple((p + s) % q for p, s in zip(point, sh)): prob
-            for point, prob in base.table.items()
-        }
-    )
+    return Density((base.points + shift.entries) % g.modulus.q, base.probs)
+
+
+def hellinger_sq_shifts(g: TruncatedGaussian, shifts: np.ndarray) -> list[float]:
+    """hellinger_sq(g.table(), shifted_density(g, s)) for a 1-D g and each
+    residue s in shifts, read off the 1-D table: the same products and
+    the same exactly rounded sum, so the same figures."""
+    if g.dim != 1:
+        raise ValueError("shifts of a 1-D Gaussian only")
+    points, probs = g.support_arrays()
+    r, q = g.radius, g.modulus.q
+    # Shifted point k lands on the base point of lift `moved` when |moved| <= r.
+    moved = lift_residues((points[:, 0] + np.asarray(shifts)[:, None]) % q, q)
+    hit = np.abs(moved) <= r
+    roots = np.where(hit, np.sqrt(probs[np.where(hit, moved + r, 0)] * probs), 0.0)
+    return [_h2_from_affinity(math.fsum(row)) for row in roots.tolist()]
 
 
 def hellinger_shift_bound(B: float, m: int, shift_norm: float) -> float:

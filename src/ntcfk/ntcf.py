@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trapdoor as td
-from .gaussian import Density, TruncatedGaussian, hellinger_sq, shifted_density
+from .gaussian import Density, TruncatedGaussian, hellinger_sq_shifts, shifted_density
 from .serialize import HEADER_KEY, HEADER_SK, FormatError, LineReader, LineWriter
 from .zq import DimensionError, Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
 
@@ -270,11 +270,9 @@ def hellinger_branch(
     p = k.params
     _check_branch(p, b)
     g1 = TruncatedGaussian(p.modulus, p.b_p, 1)
-    base = g1.table()
     affinity = 1.0
-    for ei in t.e.entries:
-        shift = ZqVector(np.array([(b * int(ei)) % p.q]), p.modulus)
-        affinity *= 1.0 - hellinger_sq(base, shifted_density(g1, shift))
+    for h2 in hellinger_sq_shifts(g1, b * t.e.entries % p.q):
+        affinity *= 1.0 - h2
     return 1.0 - affinity, hellinger_display_bound(p, b)
 
 

@@ -14,8 +14,8 @@ transforms are dense per register.
 transform builds its result with it. `init_uniform` takes a label matrix
 the caller chose and checks its shape, range and distinctness.
 
-Rows are grouped by mixed-radix codes: a row's coordinates read as the
-digits of one integer, each in the radix of its column (q or 2), so
+Rows are grouped by their `zq.row_codes`: a row's coordinates read as
+the digits of one integer, each in the radix of its column (q or 2), so
 equal rows get equal codes and `np.unique` / `np.bincount` group them.
 A transform groups rows by the code of every other column into a dense
 (groups x values) block and applies one matrix product.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .gaussian import Density, TruncatedGaussian
 from .ntcf import NtcfKey
-from .zq import DimensionError, domain_grid
+from .zq import DimensionError, common_rows, domain_grid, row_codes
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-9
@@ -80,22 +80,11 @@ def _radices(specs) -> np.ndarray:
     return np.array([s.radix for s in specs for _ in range(s.size)], dtype=np.int64)
 
 
-def _row_codes(rows: np.ndarray, radices: np.ndarray) -> np.ndarray:
-    """One int64 per row, equal exactly when the rows are equal and
-    ordered as the rows are lexicographically."""
-    if math.prod(radices.tolist()) < 2**63:
-        weights = np.ones(len(radices), dtype=np.int64)
-        weights[:-1] = np.cumprod(radices[:0:-1])[::-1]
-        return rows @ weights
-    # Too many digits for one int64: rank the distinct rows instead.
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
-
-
 def _group_rows(rows: np.ndarray, radices: np.ndarray):
     """Group equal rows: (group of each row, first row of each group),
     groups in lexicographic order."""
     _codes, first, group = np.unique(
-        _row_codes(rows, radices), return_index=True, return_inverse=True
+        row_codes(rows, radices), return_index=True, return_inverse=True
     )
     return group.reshape(-1), first
 
@@ -151,13 +140,8 @@ class SparseState:
         """|<self|other>|^2 over the common support."""
         if [s.size for s in self.specs] != [s.size for s in other.specs]:
             return 0.0
-        codes = _row_codes(
-            np.vstack([self.labels, other.labels]),
-            np.maximum(self.radices, other.radices),
-        )
-        n = len(self.amps)
-        _common, i, j = np.intersect1d(
-            codes[:n], codes[n:], assume_unique=True, return_indices=True
+        i, j = common_rows(
+            self.labels, other.labels, np.maximum(self.radices, other.radices)
         )
         return abs(np.vdot(self.amps[i], other.amps[j])) ** 2
 
@@ -275,7 +259,7 @@ def _apply_dense(state: SparseState, c: slice, radix: int, U: np.ndarray) -> Spa
     group, first = _group_rows(rest, np.delete(state.radices, np.s_[c]))
     _check_cap(len(first) * len(basis))
     block = np.zeros((len(first), len(basis)), dtype=np.complex128)
-    block[group, _row_codes(state.labels[:, c], state.radices[c])] = state.amps
+    block[group, row_codes(state.labels[:, c], state.radices[c])] = state.amps
     rest_rows = np.repeat(rest[first], len(basis), axis=0)
     labels = np.hstack(
         [rest_rows[:, : c.start], np.tile(basis, (len(first), 1)), rest_rows[:, c.start :]]
@@ -310,9 +294,9 @@ def apply_qft_q(state: SparseState, name: str, inverse: bool = False) -> SparseS
 
 
 def full_distribution(state: SparseState, names) -> Density:
-    """Exact |amp|^2 marginal over the named registers, flattened to a
-    single tuple of ints per outcome."""
+    """Exact |amp|^2 marginal over the named registers: one row per
+    outcome, the registers' columns side by side, rows in lexicographic
+    order."""
     cols = np.r_[tuple(state.reg_cols(n) for n in names)]
     _group, first, probs = _marginal(state, cols)
-    keys = zip(*state.labels[np.ix_(first, cols)].T.tolist())
-    return Density(dict(zip(keys, (probs / probs.sum()).tolist())))
+    return Density(state.labels[np.ix_(first, cols)], probs / probs.sum())

@@ -285,17 +285,23 @@ class HonestProver:
         return preimage_measure(self._residual, self.rng)
 
     def respond_test(self):
-        """Returns (b_hat_prime, EquationResponse); may raise RedFailed.
+        """Returns (b_hat_prime, EquationResponse); may raise RedFailed,
+        also when an exact residual is not a clean claw (noise can drop or
+        reweight its branches), so the verifier retries the round.
 
         kappa = 2 skips RED (the residual is already a two-point state)
         and reports b_hat_prime = 0 to mean the direct claw.
         """
         kappa = self._residual.key.params.kappa
-        if kappa == 2:
-            xs = self._residual.branches()
-            i, j = red_branches(kappa, 0)
-            return 0, equation_measure(DcpState(xs[i], xs[j]), self.rng)
-        v, d_state = red(self._residual, self.rng)
+        try:
+            if kappa == 2:
+                xs = self._residual.branches()
+                i, j = red_branches(kappa, 0)
+                v, d_state = 0, DcpState(xs[i], xs[j])
+            else:
+                v, d_state = red(self._residual, self.rng)
+        except ValueError as exc:
+            raise RedFailed(str(exc)) from exc
         return v, equation_measure(d_state, self.rng)
 
 

@@ -170,6 +170,33 @@ def domain_grid(q: int, n: int) -> np.ndarray:
     return np.indices((q,) * n).reshape(n, -1).T.astype(np.int64)
 
 
+def row_codes(rows: np.ndarray, radices: np.ndarray) -> np.ndarray:
+    """One int64 per row of a matrix whose column j holds digits below
+    radices[j]: equal exactly when the rows are equal, and ordered as the
+    rows are lexicographically."""
+    if math.prod(radices.tolist()) < 2**63:
+        weights = np.ones(len(radices), dtype=np.int64)
+        weights[:-1] = np.cumprod(radices[:0:-1])[::-1]
+        return rows @ weights
+    # Too many digits for one int64: rank the distinct rows instead.
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def common_rows(a: np.ndarray, b: np.ndarray, radices: np.ndarray):
+    """Indices (i, j) with a[i] == b[j], one pair per row the two matrices
+    share, in the order of row_codes, for matrices of distinct rows whose
+    digits fit `radices`."""
+    codes = row_codes(np.vstack([a, b]), radices)
+    ca, cb = codes[: len(a)], codes[len(a) :]
+    # A stable sort is linear on the already sorted codes of a marginal.
+    i, j = np.argsort(ca, kind="stable"), np.argsort(cb, kind="stable")
+    ca, cb = ca[i], cb[j]
+    pos = np.searchsorted(cb, ca)
+    hit = pos < len(cb)
+    hit[hit] = cb[pos[hit]] == ca[hit]
+    return i[hit], j[pos[hit]]
+
+
 def mul_rows_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
     """A x mod q for every x along the last axis of X (a vector or a stack
     of row vectors); the result has A's row count as its last axis."""

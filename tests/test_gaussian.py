@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import density
 from ntcfk.gaussian import (
     Density,
     TableTooLarge,
     TruncatedGaussian,
     hellinger_shift_bound,
     hellinger_sq,
+    hellinger_sq_shifts,
     shifted_density,
     trace_distance_from_h2,
     tv_distance,
@@ -25,6 +27,49 @@ def gauss(q, B, m):
 
 def vec(entries, q):
     return ZqVector(np.array(entries, dtype=np.int64), Modulus(q))
+
+
+def tv_reference(t0, t1):
+    """TV over {point: prob} dicts, one term per point of either table."""
+    diffs = [abs(p - t1.get(x, 0.0)) for x, p in t0.items()]
+    diffs += [p for x, p in t1.items() if x not in t0]
+    return min(max(0.5 * math.fsum(diffs), 0.0), 1.0)
+
+
+def h2_reference(t0, t1):
+    """H^2 over {point: prob} dicts, one term per shared point."""
+    common = t0.keys() & t1.keys()
+    return min(max(1.0 - math.fsum(math.sqrt(t0[x] * t1[x]) for x in common), 0.0), 1.0)
+
+
+@st.composite
+def density_pairs(draw):
+    """Two {point: prob} tables over one pool of points, so their supports
+    partly overlap. Width 70 with bit coordinates has 2^70 > 2^63 rows, so
+    the row codes fall back to ranks; its points differ in the first and
+    the last two columns only. "mixed" gives f1 one more column than f0,
+    so no point is shared."""
+    width = draw(st.sampled_from([1, 3, 70, "mixed"]))
+    if width == 70:
+        bits = st.tuples(*[st.integers(0, 1)] * 4)
+        point = bits.map(lambda b: b[:2] + (0,) * 66 + b[2:])
+    else:
+        point = st.tuples(*[st.integers(0, 4)] * (2 if width == "mixed" else width))
+    pool = draw(st.lists(point, min_size=1, max_size=12, unique=True))
+    tables = []
+    for _ in range(2):
+        support = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        weights = draw(
+            st.lists(st.floats(0.0, 1.0), min_size=len(support), max_size=len(support))
+        )
+        total = sum(weights)
+        if total == 0.0:
+            weights, total = [1.0] * len(support), float(len(support))
+        tables.append({x: w / total for x, w in zip(support, weights)})
+    t0, t1 = tables
+    if width == "mixed":
+        t1 = {x + (0,): p for x, p in t1.items()}
+    return t0, t1
 
 
 class TestDensityEval:
@@ -95,15 +140,33 @@ class TestDensityValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            Density({(0,): bad, (1,): 0.5})
+            density({(0,): bad, (1,): 0.5})
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            Density({(0,): -0.25, (1,): 1.25})
+            density({(0,): -0.25, (1,): 1.25})
 
     def test_sum_off_by_1e9_rejected(self):
         with pytest.raises(ValueError):
-            Density({(0,): 0.5, (1,): 0.5 + 1e-9})
+            density({(0,): 0.5, (1,): 0.5 + 1e-9})
+
+    @pytest.mark.parametrize(
+        "points,probs",
+        [
+            ([[2, 1], [0, 3], [2, 1]], [0.25, 0.5, 0.25]),
+            ([[0, 1], [-1, 3]], [0.5, 0.5]),
+            ([[0, 1], [2**63 - 1, 3]], [0.5, 0.5]),
+            ([[0], [1]], [1.0]),
+            ([[0], [1], [2]], [0.5, 0.5]),
+            ([[0.0], [1.0]], [0.5, 0.5]),
+            ([0, 1], [0.5, 0.5]),
+        ],
+        ids=["repeated-row", "negative-coordinate", "huge-coordinate", "fewer-probs",
+             "more-points", "float-points", "points-not-a-matrix"],
+    )
+    def test_bad_arrays_rejected(self, points, probs):
+        with pytest.raises(ValueError):
+            Density(np.array(points), np.array(probs))
 
     @pytest.mark.parametrize("q,B,m", [(7, 0.5, 1), (11, 1.83, 4), (17, 3.0, 2), (521, 4.0, 2)])
     def test_tables_construct(self, q, B, m):
@@ -114,36 +177,36 @@ class TestDensityValidation:
 
 class TestDistances:
     def test_h2_identical(self):
-        d = Density({(0,): 0.5, (1,): 0.5})
+        d = density({(0,): 0.5, (1,): 0.5})
         assert hellinger_sq(d, d) == pytest.approx(0.0, abs=1e-15)
 
     def test_h2_disjoint(self):
-        a = Density({(0,): 1.0})
-        b = Density({(1,): 1.0})
+        a = density({(0,): 1.0})
+        b = density({(1,): 1.0})
         assert hellinger_sq(a, b) == pytest.approx(1.0)
 
     def test_h2_uniform_vs_point(self):
-        a = Density({(0,): 0.5, (1,): 0.5})
-        b = Density({(0,): 1.0})
+        a = density({(0,): 0.5, (1,): 0.5})
+        b = density({(0,): 1.0})
         assert hellinger_sq(a, b) == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-15)
 
     def test_h2_symmetric(self, rng):
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
             r = rng.dirichlet(np.ones(4))
-            a = Density({(i,): float(v) for i, v in enumerate(p)})
-            b = Density({(i,): float(v) for i, v in enumerate(r)})
+            a = density({(i,): float(v) for i, v in enumerate(p)})
+            b = density({(i,): float(v) for i, v in enumerate(r)})
             assert hellinger_sq(a, b) == pytest.approx(hellinger_sq(b, a), abs=1e-14)
 
     def test_tv_identical_and_disjoint(self):
-        a = Density({(0,): 1.0})
-        b = Density({(1,): 1.0})
+        a = density({(0,): 1.0})
+        b = density({(1,): 1.0})
         assert tv_distance(a, a) == 0.0
         assert tv_distance(a, b) == pytest.approx(1.0)
 
     def test_tv_uniform_vs_point(self):
-        a = Density({(0,): 0.5, (1,): 0.5})
-        b = Density({(0,): 1.0})
+        a = density({(0,): 0.5, (1,): 0.5})
+        b = density({(0,): 1.0})
         assert tv_distance(a, b) == pytest.approx(0.5)
 
     def test_tv_triangle(self, rng):
@@ -151,9 +214,22 @@ class TestDistances:
             ds = []
             for _ in range(3):
                 p = rng.dirichlet(np.ones(5))
-                ds.append(Density({(i,): float(v) for i, v in enumerate(p)}))
+                ds.append(density({(i,): float(v) for i, v in enumerate(p)}))
             a, b, c = ds
             assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-12
+
+    @given(density_pairs())
+    @settings(max_examples=150)
+    def test_distances_equal_dict_formulas(self, pair):
+        t0, t1 = pair
+        f0, f1 = density(t0), density(t1)
+        assert tv_distance(f0, f1) == tv_reference(t0, t1)
+        assert tv_distance(f1, f0) == tv_reference(t1, t0)
+        assert hellinger_sq(f0, f1) == h2_reference(t0, t1)
+        assert hellinger_sq(f1, f0) == h2_reference(t1, t0)
+        if len(next(iter(t0))) != len(next(iter(t1))):
+            assert hellinger_sq(f0, f1) == 1.0
+            assert tv_distance(f0, f1) == pytest.approx(1.0)
 
     def test_trace_distance_endpoints(self):
         assert trace_distance_from_h2(0.0) == 0.0
@@ -179,13 +255,20 @@ class TestShifts:
     def test_shift_and_unshift(self):
         g = gauss(17, 2.0, 1)
         once = shifted_density(g, vec([3], 17))
-        back = Density({((p[0] - 3) % 17,): v for p, v in once.table.items()})
+        back = density({((p[0] - 3) % 17,): v for p, v in once.table.items()})
         assert back.table == pytest.approx(g.table().table)
 
     def test_mode_relocates(self):
         g = gauss(17, 2.0, 2)
         d = shifted_density(g, vec([5, 9], 17))
         assert max(d.table, key=d.table.get) == (5, 9)
+
+    @pytest.mark.parametrize("q,B", [(7, 0.5), (11, 1.83), (17, 3.0), (97, 5.0), (521, 4.0)])
+    def test_1d_shift_figures_equal_table_figures(self, q, B):
+        g = gauss(q, B, 1)
+        shifts = np.arange(q)
+        want = [hellinger_sq(g.table(), shifted_density(g, vec([s], q))) for s in shifts]
+        assert hellinger_sq_shifts(g, shifts) == want
 
     def test_bound_zero_shift(self):
         assert hellinger_shift_bound(5.0, 2, 0.0) == 0.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ntcfk.protocol as protocol
-from ntcfk.ntcf import compute_bp, gen, key_to_text, trapdoor_to_text
+from ntcfk.ntcf import NtcfParams, compute_bp, gen, key_to_text, trapdoor_to_text
 from ntcfk.presets import PRESETS, get_preset
 from ntcfk.prover import (
     CheatCommitProver,
@@ -365,6 +365,21 @@ class TestHonestCompleteness:
         assert stats.all_accepted
         # RED fails 1/3 (kappa=3) or 1/2 (kappa=4) of T rounds; retries stay moderate
         assert stats.retries <= 50
+
+    # q=3 with B_V = B_P/2: the exact residual often has fewer than kappa
+    # branches, on the kappa = 2 path and on the RED path alike.
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_non_clean_residual_is_a_retry(self, kappa):
+        b_p = compute_bp(3, 1, 1, kappa, 0.5)
+        params = NtcfParams(q=3, n=1, m=1, ell=1, kappa=kappa,
+                            b_l=b_p / 4, b_v=b_p / 2, b_p=b_p, c_t=0.5)
+        pr = HonestProver(np.random.default_rng(0), mode="exact-enumeration")
+        try:
+            stats = run_protocol(params, pr, 20, np.random.default_rng(100))
+        except SessionAbort:
+            return
+        assert stats.rounds_completed == 20
+        assert any("clean" in t.reason for t in stats.transcripts if t.verdict == "retry")
 
     def test_retry_reasons_are_marked(self):
         pr = HonestProver(np.random.default_rng(6), mode="idealized-claw")

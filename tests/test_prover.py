@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ntcfk.gaussian import Density, TruncatedGaussian, tv_distance
+from conftest import density
+from ntcfk.gaussian import TruncatedGaussian, tv_distance
 from ntcfk.ntcf import NtcfKey, NtcfParams, chk, compute_bp, gen
 from ntcfk.oracle import (
     RegisterSpec,
@@ -74,7 +75,7 @@ class TestSampAndMeasure:
             y_out, collapsed = measure_register(state, "y", rng)
             oracle_bx = full_distribution(collapsed, ("b", "x"))
             support = _enumerate_residual(k, ZqVector(np.array(y_out), p.modulus))
-            analytic = Density(
+            analytic = density(
                 {(b,) + x.as_tuple(): a * a for (b, x), a in support}
             )
             assert tv_distance(oracle_bx, analytic) < 1e-12
