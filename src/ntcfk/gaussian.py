@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import Q_MAX, Modulus, ZqVector, common_rows, domain_grid, lift_residues, row_codes
+from .zq import Q_MAX, Modulus, ZqVector, common_rows, domain_grid, lift_residues, rows_distinct
 
 DEFAULT_TABLE_CAP = 10**6
 
@@ -57,8 +57,7 @@ class Density:
         points = points.astype(np.int64, copy=False)
         if points.min(initial=0) < 0 or points.max(initial=0) >= Q_MAX:
             raise ValueError("point coordinates must be residues in [0, 2^31)")
-        codes = np.sort(row_codes(points, _radices(points)))
-        if (codes[1:] == codes[:-1]).any():
+        if not rows_distinct(points, _radices(points)):
             raise ValueError("repeated point")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "probs", probs)

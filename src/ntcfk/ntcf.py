@@ -350,29 +350,51 @@ def trapdoor_to_text(k: NtcfKey, t: NtcfTrapdoor) -> str:
     w.vector("t", k.t)
     w.field("trap_mode", t.t_a.mode)
     w.field("n_bar", t.t_a.n_bar)
-    if t.t_a.mode == "gadget":
-        w.field("gadget_base", t.t_a.gadget.base)
+    if t.t_a.R is not None:
+        w.field("gadget_base", td.GADGET_BASE)
         w.matrix("R", t.t_a.R)
     w.vector("s", t.s)
     w.vector("e", t.e)
     return w.text()
 
 
+def _expect(r: LineReader, name: str, value) -> None:
+    """Read a field that must hold exactly the writer's text of value."""
+    got = r.field(name)
+    if got != str(value):
+        raise FormatError(f"field {name}: {got!r}, not {str(value)!r}")
+
+
+def _trapdoor_read(r: LineReader, A: ZqMatrix) -> td.TrapdoorKey:
+    """The trapdoor fields of a secret key for A. The mode, n_bar and base
+    must be the ones A's shape and q give, and R an n*k x n_bar matrix
+    over {-1, 0, 1} with [R | I] A = G; anything else is a FormatError."""
+    q, n, m = A.modulus.q, A.cols, A.rows
+    if not td.gadget_fits(n, m, q):
+        _expect(r, "trap_mode", "exhaustive")
+        _expect(r, "n_bar", 0)
+        return td.TrapdoorKey(A)
+    w = n * A.modulus.bits
+    _expect(r, "trap_mode", "gadget")
+    _expect(r, "n_bar", m - w)
+    _expect(r, "gadget_base", td.GADGET_BASE)
+    R = r.matrix("R")
+    if R.shape != (w, m - w):
+        raise FormatError(f"matrix R: {R.shape[0]} x {R.shape[1]}, "
+                          f"not n*k x n_bar = {w} x {m - w}")
+    if R.min() < -1 or R.max() > 1:
+        raise FormatError("matrix R: entries must be in {-1, 0, 1}")
+    t_a = td.TrapdoorKey(A, R)
+    if not t_a.relation_holds():
+        raise FormatError("matrix R: [R | I] A != G mod q")
+    return t_a
+
+
 def trapdoor_from_text(text: str) -> tuple[NtcfKey, NtcfTrapdoor]:
     r = LineReader(text, HEADER_SK)
     k = _key_read(r)
-    p = k.params
-    mode = r.field("trap_mode")
-    n_bar = r.int_field("n_bar")
-    if mode == "gadget":
-        base = r.int_field("gadget_base")
-        R = r.matrix("R")
-        t_a = td.TrapdoorKey(
-            A=k.A, mode="gadget", R=R, gadget=td.GadgetParams(base, p.q), n_bar=n_bar
-        )
-    else:
-        t_a = td.TrapdoorKey(A=k.A, mode="exhaustive", R=None, gadget=None, n_bar=0)
-    s = r.vector("s", p.modulus)
-    e = r.vector("e", p.modulus)
+    t_a = _trapdoor_read(r, k.A)
+    s = r.vector("s", k.params.modulus)
+    e = r.vector("e", k.params.modulus)
     r.done()
     return k, NtcfTrapdoor(t_a, s, e)

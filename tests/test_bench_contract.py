@@ -56,7 +56,7 @@ def test_traced_sessions_record_protocol_spans():
     wanted = {
         "protocol.frame_encode", "protocol.frame_decode", "ntcf.key_to_text",
         "ntcf.key_from_text", "protocol.read_frame", "protocol.verifier",
-        "ntcf.gen", "ntcf.inv", "ntcf.chk",
+        "ntcf.gen", "ntcf.inv", "ntcf.chk", "trapdoor.gen_trap", "trapdoor.invert",
     }
     assert wanted <= recorded, wanted - recorded
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -24,6 +25,7 @@ from ntcfk.ntcf import (
     validate_params,
 )
 from ntcfk.presets import get_preset
+from ntcfk.serialize import FormatError
 from ntcfk.zq import ZqVector, euclidean_norm, mat_vec_mul
 
 
@@ -55,7 +57,7 @@ def manual_key(p, a_col, s_val, e_entries):
     s = ZqVector(np.array([s_val]), mod)
     e = ZqVector(np.array(e_entries), mod)
     t_vec = mat_vec_mul(A, s) + e
-    t_a = TrapdoorKey(A=A, mode="exhaustive", R=None, gadget=None, n_bar=0)
+    t_a = TrapdoorKey(A)
     return NtcfKey(p, A, t_vec), NtcfTrapdoor(t_a, s, e)
 
 
@@ -308,3 +310,65 @@ class TestSerialization:
         k, t = gen(get_preset("desk-k3"), rng)
         assert key_to_text(k).splitlines()[0] == "ntcf-key v1"
         assert trapdoor_to_text(k, t).splitlines()[0] == "ntcf-sk v1"
+
+    # sha256 of trapdoor_to_text for the key gen draws from default_rng(5),
+    # recorded before the trapdoor key was cut down to (A, R).
+    SK_PINS = {
+        "tiny-exact": "3b022363a4654052668df21c1a26483b41c50739835e5f08f9ed34b08aa008b0",
+        "desk-k3": "b5f52d099c6a62e6e6ff1e8137baca08a72e0bf0220be731266cf539bcf976b6",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(SK_PINS))
+    def test_sk_file_pinned(self, preset):
+        k, t = gen(get_preset(preset), np.random.default_rng(5))
+        text = trapdoor_to_text(k, t)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SK_PINS[preset]
+        assert trapdoor_to_text(*trapdoor_from_text(text)) == text
+
+
+def _set_field(name, value):
+    def edit(lines, _other):
+        return [f"{name}={value}" if line.startswith(name + "=") else line for line in lines]
+    return edit
+
+
+def _r_rows(lines):
+    """The slice of lines holding the matrix R: its header and rows."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("R="))
+    return slice(i, i + 1 + int(lines[i][2:].split()[0]))
+
+
+def _plus_q(row):
+    first, rest = row.split(" ", 1)
+    return f"{int(first) + get_preset('desk-k3').q} {rest}"
+
+
+def _set_r(make):
+    def edit(lines, other):
+        rows = _r_rows(lines)
+        return lines[: rows.start] + make(lines[rows], other) + lines[rows.stop :]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_field("n_bar", 0),
+    _set_field("n_bar", 99),
+    _set_field("gadget_base", 3),
+    _set_field("gadget_base", 1),
+    _set_field("trap_mode", "exhaustive"),
+    _set_r(lambda r, _other: ["R=1 1", "0"]),
+    _set_r(lambda r, _other: [r[0], "2" + r[1][r[1].index(" "):]] + r[2:]),
+    # an entry moved by q still satisfies [R | I] A = G mod q
+    _set_r(lambda r, _other: [r[0], _plus_q(r[1])] + r[2:]),
+    _set_r(lambda _r, other: other[_r_rows(other)]),
+], ids=["n_bar-0", "n_bar-99", "base-3", "base-1", "mode-exhaustive",
+        "R-1x1", "R-entry-2", "R-entry-plus-q", "R-of-another-key"])
+def test_malformed_sk_file_rejected(edit):
+    """A secret key whose trapdoor fields are not the ones its A gives
+    fails when it is read, not at the first inversion."""
+    p = get_preset("desk-k3")
+    lines = trapdoor_to_text(*gen(p, np.random.default_rng(5))).splitlines()
+    other = trapdoor_to_text(*gen(p, np.random.default_rng(6))).splitlines()
+    bad = "\n".join(edit(lines, other)) + "\n"
+    with pytest.raises(FormatError):
+        trapdoor_from_text(bad)

@@ -7,27 +7,47 @@ import scipy.stats
 from ntcfk.gaussian import TruncatedGaussian
 from ntcfk.trapdoor import (
     DecodeFailure,
-    GadgetParams,
     LayoutError,
-    calibrate_ct,
     gadget_minimax_distance,
+    gadget_row,
     gen_trap,
     invert,
 )
 from ntcfk.zq import Modulus, ZqVector, mat_vec_mul
 
 
-class TestGadget:
-    def test_digit_count(self):
-        assert GadgetParams(2, 521).k == 10
-        assert GadgetParams(2, 7).k == 3
-        assert GadgetParams(4, 17).k == 3
+def minimax_distance_double_loop(q):
+    """min over delta != 0 of max over j < k of |lift(2^j * delta mod q)|,
+    with k the smallest digit count with 2^k >= q."""
+    k = 1
+    while 2**k < q:
+        k += 1
+    best = q
+    for delta in range(1, q):
+        worst = 0
+        for j in range(k):
+            r = 2**j * delta % q
+            worst = max(worst, min(r, q - r))
+        best = min(best, worst)
+    return k, best
 
+
+PRIMES_BELOW_200 = [q for q in range(2, 200) if Modulus(q).is_prime]
+
+
+class TestGadget:
     def test_minimax_distance_values(self):
-        # brute force verified separately for these moduli
-        assert gadget_minimax_distance(521, 2) == 210
-        assert gadget_minimax_distance(17, 2) == 7
-        assert gadget_minimax_distance(7, 2) == 3
+        assert gadget_minimax_distance(521) == 210
+        assert gadget_minimax_distance(17) == 7
+        assert gadget_minimax_distance(7) == 3
+
+    def test_minimax_distance_matches_double_loop(self):
+        for q in PRIMES_BELOW_200:
+            k, distance = minimax_distance_double_loop(q)
+            row = gadget_row(q)
+            assert len(row) == Modulus(q).bits == k, q
+            assert row.tolist() == [2**j for j in range(k)], q
+            assert gadget_minimax_distance(q) == distance, q
 
 
 class TestGenTrap:
@@ -127,23 +147,3 @@ class TestInvert:
             s = ZqVector(rng.integers(0, 7, size=1, dtype=np.int64), mod)
             s_hat, _e = invert(t, mat_vec_mul(A, s))
             assert s_hat == s
-
-
-class TestCalibrate:
-    def test_floor_and_determinism(self):
-        c1 = calibrate_ct(1, 12, 97, 100, np.random.default_rng(7))
-        c2 = calibrate_ct(1, 12, 97, 100, np.random.default_rng(7))
-        assert c1 >= 1.0
-        assert c1 == c2
-
-    def test_threshold_shrinks_with_q(self):
-        rng = np.random.default_rng(11)
-        thresholds = {}
-        for q in (97, 521):
-            c = calibrate_ct(1, 14, q, 100, rng)
-            thresholds[q] = q / (c * math.sqrt(1 * Modulus(q).bits))
-        assert thresholds[97] < thresholds[521]
-
-    def test_trials_floor(self, rng):
-        with pytest.raises(ValueError):
-            calibrate_ct(1, 12, 97, 10, rng)
