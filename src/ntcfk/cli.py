@@ -26,7 +26,7 @@ from .ntcf import (
     trapdoor_to_text,
     validate_params,
 )
-from .prover import CheatCommitProver, CheatRandomProver, DcpState, HonestProver, fits_enumeration
+from .prover import CheatCommitProver, CheatRandomProver, CosetState, HonestProver, fits_enumeration
 from .protocol import SessionAbort, run_protocol, run_protocol_tcp
 from .reductions import (
     end_to_end_recover,
@@ -175,9 +175,8 @@ def cmd_reduce(args) -> int:
     inst = instance_from_key(k, planted_s=t.s)
     if args.inject_fault:
         states = lwe_to_dcp(inst, args.ell, rng)
-        broken = states[0]
-        one = ZqVector(np.ones(p.n, dtype=np.int64), p.modulus)
-        states[0] = DcpState(broken.x0, broken.x1 + one)
+        labels = (states[0].labels + [[0], [1]]) % p.q  # row 1 plus one
+        states[0] = CosetState(labels, p.modulus)
         report = solve_dcp_desk(states)
         print(f"fault injection: success={report.success} detail={report.detail}")
         return EXIT_FAIL if not report.success else EXIT_OK

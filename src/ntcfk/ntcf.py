@@ -234,20 +234,14 @@ def claws(x0: np.ndarray, s: ZqVector, kappa: int) -> np.ndarray:
     return (x0[:, None, :] - b * s.entries) % s.modulus.q
 
 
-def claw(x0: ZqVector, s: ZqVector, kappa: int) -> tuple[ZqVector, ...]:
-    """The claw x_b = x_0 - b*s mod q, for b in {0, ..., kappa-1}."""
-    if x0.modulus != s.modulus:
-        raise DimensionError("modulus mismatch")
-    return tuple(ZqVector(x, s.modulus) for x in claws(x0.entries[None, :], s, kappa)[0])
-
-
 def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: ZqVector) -> tuple[ZqVector, ...]:
     """All kappa preimages of y, one per branch.
 
     Every branch inverts y to the same decode, and branch 0 has the
     tightest noise bound, so inverting at b = 0 settles the whole claw.
     """
-    return claw(inv(k, t, 0, y), t.s, k.params.kappa)
+    rows = claws(inv(k, t, 0, y).entries[None, :], t.s, k.params.kappa)[0]
+    return tuple(ZqVector(x, t.s.modulus) for x in rows)
 
 
 def hellinger_display_bound(p: NtcfParams, b: int) -> float:
@@ -367,12 +361,19 @@ def _expect(r: LineReader, name: str, value) -> None:
 
 def _trapdoor_read(r: LineReader, A: ZqMatrix) -> td.TrapdoorKey:
     """The trapdoor fields of a secret key for A. The mode, n_bar and base
-    must be the ones A's shape and q give, and R an n*k x n_bar matrix
-    over {-1, 0, 1} with [R | I] A = G; anything else is a FormatError."""
+    must be the ones A's shape and q give; in the gadget layout R is an
+    n*k x n_bar matrix over {-1, 0, 1} with [R | I] A = G, and in the
+    exhaustive one q^n is within the search cap and x -> Ax injective, as
+    `gen_trap` makes them. Anything else is a FormatError."""
     q, n, m = A.modulus.q, A.cols, A.rows
     if not td.gadget_fits(n, m, q):
         _expect(r, "trap_mode", "exhaustive")
         _expect(r, "n_bar", 0)
+        if q**n > td.EXHAUSTIVE_CAP:
+            raise FormatError(f"matrix A: q^n={q**n} exceeds the exhaustive-search "
+                              f"cap {td.EXHAUSTIVE_CAP}")
+        if not td._injective_on_domain(A):
+            raise FormatError("matrix A: x -> Ax is not injective on Z_q^n")
         return td.TrapdoorKey(A)
     w = n * A.modulus.bits
     _expect(r, "trap_mode", "gadget")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ntcf import NtcfKey, NtcfParams, chk, claw, gen, inv, key_from_text, key_to_text
+from .ntcf import NtcfKey, NtcfParams, chk, claws, gen, inv, key_from_text, key_to_text
 from .prover import RedFailed, red_branches
 from .serialize import HEADER_TRANSCRIPT, FormatError, LineReader, LineWriter
 from .trapdoor import DecodeFailure
@@ -218,7 +218,7 @@ class VerifierRound:
         self.key, self._trapdoor = gen(params, rng)
         self._state = "key-ready"
         self._y: ZqVector | None = None
-        self._claw: tuple[ZqVector, ...] | None = None
+        self._claw: np.ndarray | None = None  # (kappa, n): row b is x_b
         self._challenge: str | None = None
 
     def _expect(self, state: str):
@@ -249,7 +249,7 @@ class VerifierRound:
         except DecodeFailure as exc:
             self._state = "done"
             return MsgRoundResult(False, f"image decode failure: {exc}")
-        self._claw = claw(x0, self._trapdoor.s, self.params.kappa)
+        self._claw = claws(x0.entries[None, :], self._trapdoor.s, self.params.kappa)[0]
         self._state = "image-held"
         return None
 
@@ -280,7 +280,8 @@ class VerifierRound:
             return MsgRoundResult(False, f"b'={b_prime} out of range")
         if d.is_zero():
             return MsgRoundResult(False, "retry:all-zero d")
-        if c == equation_bit(d, self._claw[pair[0]], self._claw[pair[1]]):
+        x_bar0, x_bar1 = (ZqVector(self._claw[b], self._trapdoor.s.modulus) for b in pair)
+        if c == equation_bit(d, x_bar0, x_bar1):
             return MsgRoundResult(True, "equation check passed")
         return MsgRoundResult(False, "equation check failed")
 

@@ -18,9 +18,12 @@ case. Two modes for the residual:
                      which a physical device would hold implicitly in
                      its state. Simulation shortcut only.
 
-The RED procedure shifts branch labels by floor((kappa-1)/2), measures
-the absolute value, and keeps the two-branch outcomes; the surviving
-labels define the DCP state directly (no closed form needed).
+A residual is held as arrays in branch order: a branch vector, a label
+matrix and an amplitude vector. A claw is one (kappa, n) label array, and
+`CosetState` is the one coset-state form: row j holds x_j = x_0 - j*sbar,
+so two rows are a DCP state and kappa rows an EDCP state. RED
+(`red_edcp_to_dcp`) shifts branch labels by floor((kappa-1)/2), measures
+the absolute value, and keeps the two surviving rows as a DCP state.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import TruncatedGaussian
-from .ntcf import NtcfKey, NtcfParams, claw
-from .zq import BitString, ZqVector, domain_grid, equation_bit, mul_rows_mod
+from .ntcf import NtcfKey, NtcfParams, claws
+from .zq import BitString, Modulus, ZqVector, domain_grid, equation_bit, mul_rows_mod
 from .zq import mat_vec_mul  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 ENUM_CAP = 2**16
@@ -51,29 +54,32 @@ class RedFailed(RuntimeError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualState:
-    """Post-image-measurement superposition over (b, x) labels."""
+    """Post-image-measurement superposition sum_i amps[i] |branch[i], labels[i]>:
+    an int64 (N,) branch vector, an int64 (N, n) label matrix and a
+    float64 (N,) amplitude vector, in branch order."""
 
     key: NtcfKey
     image: ZqVector
-    support: tuple[tuple[tuple[int, ZqVector], float], ...]
+    branch: np.ndarray
+    labels: np.ndarray
+    amps: np.ndarray
 
     def __post_init__(self):
-        total = sum(a * a for _, a in self.support)
+        total = float(self.amps @ self.amps)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"residual amplitudes square-sum to {total}")
 
-    def branches(self) -> tuple[ZqVector, ...]:
-        """The claw (x_0, ..., x_{kappa-1}) held by this residual.
+    def branches(self) -> np.ndarray:
+        """The (kappa, n) claw held by this residual: row b is x_b.
 
         Raises ValueError unless there is exactly one point per branch.
         """
         kappa = self.key.params.kappa
-        xs = {b: x for (b, x), _ in self.support}
-        if len(self.support) != kappa or sorted(xs) != list(range(kappa)):
+        if not np.array_equal(self.branch, np.arange(kappa)):
             raise ValueError(f"residual is not a clean {kappa}-branch claw")
-        return tuple(xs[b] for b in range(kappa))
+        return self.labels
 
     def is_clean_claw(self) -> bool:
         """True when there is exactly one equal-weight branch per b."""
@@ -82,19 +88,38 @@ class ResidualState:
         except ValueError:
             return False
         target = 1.0 / math.sqrt(self.key.params.kappa)
-        return all(abs(a - target) <= 1e-9 for _, a in self.support)
+        return bool((np.abs(self.amps - target) <= 1e-9).all())
 
 
-@dataclass(frozen=True)
-class DcpState:
-    """(1/sqrt(2)) (|0, x0> + |1, x1>) with secret sbar = x0 - x1."""
+@dataclass(frozen=True, eq=False)
+class CosetState:
+    """The uniform coset state over an int64 (rows, n) array of residues
+    mod q: row j holds x_j = x_0 - j*sbar. Two rows make a DCP state and
+    kappa rows an EDCP state."""
 
-    x0: ZqVector
-    x1: ZqVector
+    labels: np.ndarray
+    modulus: Modulus
+
+    @property
+    def kappa(self) -> int:
+        return len(self.labels)
+
+    @property
+    def x0(self) -> ZqVector:
+        return ZqVector(self.labels[0], self.modulus)
+
+    @property
+    def x1(self) -> ZqVector:
+        return ZqVector(self.labels[1], self.modulus)
 
     @property
     def sbar(self) -> ZqVector:
         return self.x0 - self.x1
+
+    @property
+    def support(self) -> tuple[tuple[int, ZqVector], ...]:
+        """The (j, x_j) labels, for readers of the state one row at a time."""
+        return tuple((j, ZqVector(x, self.modulus)) for j, x in enumerate(self.labels))
 
 
 @dataclass(frozen=True)
@@ -110,19 +135,17 @@ def samp_and_measure(
     secret_s: ZqVector | None = None,
 ) -> tuple[ZqVector, ResidualState]:
     """Run SAMP and the Y measurement; return the image and residual."""
-    p = k.params
+    kappa = k.params.kappa
     b, x, y = sample_image(k, rng)
     if mode == "exact-enumeration":
-        support = _enumerate_residual(k, y)
-    elif mode == "idealized-claw":
-        if secret_s is None:
-            raise ValueError("idealized-claw mode needs the planted secret")
-        amp = 1.0 / math.sqrt(p.kappa)
-        xs = claw(x + secret_s.scale(b), secret_s, p.kappa)
-        support = tuple(((bb, xb), amp) for bb, xb in enumerate(xs))
-    else:
+        return y, _enumerate_residual(k, y)
+    if mode != "idealized-claw":
         raise ValueError(f"unknown mode {mode!r}")
-    return y, ResidualState(k, y, support)
+    if secret_s is None:
+        raise ValueError("idealized-claw mode needs the planted secret")
+    labels = claws(x.entries[None, :] + b * secret_s.entries, secret_s, kappa)[0]
+    amps = np.full(kappa, 1.0 / math.sqrt(kappa))
+    return y, ResidualState(k, y, np.arange(kappa), labels, amps)
 
 
 def sample_images(
@@ -154,8 +177,12 @@ def sample_image(k: NtcfKey, rng: np.random.Generator) -> tuple[int, ZqVector, Z
     return int(B[0]), ZqVector(X[0], k.params.modulus), ZqVector(Y[0], k.params.modulus)
 
 
-def _enumerate_residual(k: NtcfKey, y: ZqVector):
-    """Scan all (b', x') for nonzero amplitude sqrt(f'(x')(y))."""
+def _enumerate_residual(k: NtcfKey, y: ZqVector) -> ResidualState:
+    """Scan all (b', x') for nonzero amplitude sqrt(f'(x')(y)).
+
+    The weights are normalised by one sum over the nonzero entries in
+    branch-major order, so every amplitude is the same float as a scan
+    one entry at a time gives."""
     p = k.params
     if not fits_enumeration(p):
         raise ValueError(
@@ -164,22 +191,19 @@ def _enumerate_residual(k: NtcfKey, y: ZqVector):
     prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
     grid = domain_grid(p.q, p.n)
     images = mul_rows_mod(k.A.entries, grid, p.q)  # q^n x m
-    entries = []
-    for b in range(p.kappa):
-        res = (y.entries[None, :] - images - b * k.t.entries[None, :]) % p.q
-        w = prob_by_residue[res].prod(axis=1)
-        for i in np.nonzero(w)[0]:
-            entries.append(((b, ZqVector(grid[i], p.modulus)), float(w[i])))
-    total = sum(w for _, w in entries)
-    return tuple((lab, math.sqrt(w / total)) for lab, w in entries)
+    shifts = np.arange(p.kappa)[:, None, None] * k.t.entries  # kappa x 1 x m
+    weights = prob_by_residue[(y.entries - images - shifts) % p.q].prod(axis=2)
+    branch, idx = np.nonzero(weights)  # kappa x q^n, read branch-major
+    w = weights[branch, idx]
+    return ResidualState(k, y, branch, grid[idx], np.sqrt(w / sum(w.tolist())))
 
 
-def preimage_measure(r: ResidualState, rng: np.random.Generator):
+def preimage_measure(r: ResidualState, rng: np.random.Generator) -> tuple[int, ZqVector]:
     """Computational-basis measurement of the BX registers."""
-    probs = np.array([a * a for _, a in r.support])
+    probs = r.amps * r.amps
     probs /= probs.sum()
-    i = int(rng.choice(len(r.support), p=probs))
-    return r.support[i][0]
+    i = int(rng.choice(len(probs), p=probs))
+    return int(r.branch[i]), ZqVector(r.labels[i], r.image.modulus)
 
 
 def red_branches(kappa: int, b_prime: int) -> tuple[int, int] | None:
@@ -200,25 +224,26 @@ def red_valid_range(kappa: int) -> tuple[int, ...]:
     return tuple(v for v in range(1, kappa) if red_branches(kappa, v))
 
 
-def red(r: ResidualState, rng: np.random.Generator) -> tuple[int, DcpState]:
-    """Collapse a clean claw state to a DCP state.
+def red(r: ResidualState, rng: np.random.Generator) -> tuple[int, CosetState]:
+    """RED on a residual: ValueError unless it is a clean claw, else
+    `red_edcp_to_dcp` on its claw."""
+    if not r.is_clean_claw():
+        raise ValueError("RED needs a clean kappa-point claw residual")
+    return red_edcp_to_dcp(CosetState(r.branches(), r.image.modulus), rng)
+
+
+def red_edcp_to_dcp(
+    state: CosetState, rng: np.random.Generator
+) -> tuple[int, CosetState]:
+    """Collapse a uniform EDCP state to a DCP state.
 
     Shifts b to b' = b - floor((kappa-1)/2) and measures |b'|. On an
     outcome v with both b' = -v and b' = +v present, the survivors are
-    relabeled (0, x_bar0), (1, x_bar1) with x_bar0 the b' = -v branch,
-    so sbar = x_bar0 - x_bar1 = 2v*s. Outcome 0 and singleton outcomes
+    relabeled (0, x_bar0), (1, x_bar1) with x_bar0 the b' = -v row, so
+    sbar = x_bar0 - x_bar1 = 2v*s. Outcome 0 and singleton outcomes
     raise RedFailed.
     """
-    if not r.is_clean_claw():
-        raise ValueError("RED needs a clean kappa-point claw residual")
-    return _red_from_branches(r.branches(), rng)
-
-
-def _red_from_branches(
-    xs: tuple[ZqVector, ...], rng: np.random.Generator
-) -> tuple[int, DcpState]:
-    """Shared RED measurement over the equal-weight claw xs[b] = x_b."""
-    kappa = len(xs)
+    kappa = state.kappa
     shift = (kappa - 1) // 2
     sizes = Counter(abs(b - shift) for b in range(kappa))
     outcomes = sorted(sizes)
@@ -230,13 +255,13 @@ def _red_from_branches(
     pair = red_branches(kappa, v)
     if pair is None:
         raise RedFailed(f"singleton outcome |b'| = {v}")
-    return v, DcpState(x0=xs[pair[0]], x1=xs[pair[1]])
+    return v, CosetState(state.labels[list(pair)], state.modulus)
 
 
-def equation_measure(d_state: DcpState, rng: np.random.Generator) -> EquationResponse:
+def equation_measure(d_state: CosetState, rng: np.random.Generator) -> EquationResponse:
     """Hadamard measurement over the J-encoded DCP state: d uniform,
     c = d . (J(x_bar0) xor J(x_bar1))."""
-    d = BitString.uniform(len(d_state.x0) * d_state.x0.modulus.bits, rng)
+    d = BitString.uniform(d_state.labels.shape[1] * d_state.modulus.bits, rng)
     return EquationResponse(equation_bit(d, d_state.x0, d_state.x1), d)
 
 
@@ -292,14 +317,12 @@ class HonestProver:
         kappa = 2 skips RED (the residual is already a two-point state)
         and reports b_hat_prime = 0 to mean the direct claw.
         """
-        kappa = self._residual.key.params.kappa
+        r = self._residual
         try:
-            if kappa == 2:
-                xs = self._residual.branches()
-                i, j = red_branches(kappa, 0)
-                v, d_state = 0, DcpState(xs[i], xs[j])
+            if r.key.params.kappa == 2:
+                v, d_state = 0, CosetState(r.branches(), r.image.modulus)
             else:
-                v, d_state = red(self._residual, self.rng)
+                v, d_state = red(r, self.rng)
         except ValueError as exc:
             raise RedFailed(str(exc)) from exc
         return v, equation_measure(d_state, self.rng)

@@ -66,10 +66,9 @@ def claw_residual(kappa, q, s_val, x0_val):
         p, ZqMatrix(np.array([[1], [3]]), mod), ZqVector(np.array([0, 0]), mod)
     )
     s = ZqVector(np.array([s_val]), mod)
-    x0 = ZqVector(np.array([x0_val]), mod)
-    amp = 1.0 / math.sqrt(kappa)
-    support = tuple(((b, x0 - s.scale(b)), amp) for b in range(kappa))
-    return ResidualState(k, ZqVector(np.array([0, 0]), mod), support), s
+    labels = (x0_val - s_val * np.arange(kappa)[:, None]) % q
+    amps = np.full(kappa, 1.0 / math.sqrt(kappa))
+    return ResidualState(k, ZqVector(np.array([0, 0]), mod), np.arange(kappa), labels, amps), s
 
 
 def test_c01_keygen_and_inversion():

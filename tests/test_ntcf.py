@@ -8,7 +8,9 @@ import pytest
 
 from ntcfk.gaussian import TruncatedGaussian, hellinger_shift_bound
 from ntcfk.ntcf import (
+    NtcfKey,
     NtcfParams,
+    NtcfTrapdoor,
     chk,
     claw_enumerate,
     compute_bp,
@@ -26,7 +28,8 @@ from ntcfk.ntcf import (
 )
 from ntcfk.presets import get_preset
 from ntcfk.serialize import FormatError
-from ntcfk.zq import ZqVector, euclidean_norm, mat_vec_mul
+from ntcfk.trapdoor import TrapdoorKey
+from ntcfk.zq import ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
 
 
 def make_params(q, n, m, kappa, c_t, b_v, b_l, ell=1, **kw):
@@ -350,6 +353,21 @@ def _set_r(make):
     return edit
 
 
+def _exhaustive_sk(preset, m, zero_a=False):
+    """Instead of an edit: the secret key of `preset` cut to its first m
+    rows (A = 0 if zero_a), written in the exhaustive layout."""
+    def edit(_lines, _other):
+        base = get_preset(preset)
+        p = replace(base, m=m, b_p=compute_bp(base.q, base.n, m, base.kappa, base.c_t))
+        k, t = gen(base, np.random.default_rng(5))
+        A = ZqMatrix(np.zeros((m, p.n), dtype=np.int64) if zero_a else k.A.entries[:m],
+                     p.modulus)
+        e = ZqVector(t.e.entries[:m], p.modulus)
+        key = NtcfKey(p, A, mat_vec_mul(A, t.s) + e)
+        return trapdoor_to_text(key, NtcfTrapdoor(TrapdoorKey(A), t.s, e)).splitlines()
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _set_field("n_bar", 0),
     _set_field("n_bar", 99),
@@ -361,11 +379,17 @@ def _set_r(make):
     # an entry moved by q still satisfies [R | I] A = G mod q
     _set_r(lambda r, _other: [r[0], _plus_q(r[1])] + r[2:]),
     _set_r(lambda _r, other: other[_r_rows(other)]),
+    # q^n = 521^2 is over the exhaustive-search cap
+    _exhaustive_sk("desk-k3", 20),
+    # x -> Ax is not injective, so every decode ties
+    _exhaustive_sk("tiny-exact", 2, zero_a=True),
 ], ids=["n_bar-0", "n_bar-99", "base-3", "base-1", "mode-exhaustive",
-        "R-1x1", "R-entry-2", "R-entry-plus-q", "R-of-another-key"])
+        "R-1x1", "R-entry-2", "R-entry-plus-q", "R-of-another-key",
+        "exhaustive-over-cap", "exhaustive-A-zero"])
 def test_malformed_sk_file_rejected(edit):
-    """A secret key whose trapdoor fields are not the ones its A gives
-    fails when it is read, not at the first inversion."""
+    """A secret key whose trapdoor fields are not the ones its A gives,
+    or whose exhaustive layout `gen_trap` would not make, fails when it
+    is read, not at the first inversion."""
     p = get_preset("desk-k3")
     lines = trapdoor_to_text(*gen(p, np.random.default_rng(5))).splitlines()
     other = trapdoor_to_text(*gen(p, np.random.default_rng(6))).splitlines()

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import density
-from ntcfk.gaussian import TruncatedGaussian, tv_distance
+from ntcfk.gaussian import Density, TruncatedGaussian, tv_distance
 from ntcfk.ntcf import NtcfKey, NtcfParams, chk, compute_bp, gen
 from ntcfk.oracle import (
     RegisterSpec,
@@ -19,7 +18,7 @@ from ntcfk.oracle import (
 from ntcfk.presets import get_preset
 from ntcfk.prover import (
     CheatCommitProver,
-    DcpState,
+    CosetState,
     HonestProver,
     RedFailed,
     ResidualState,
@@ -37,55 +36,115 @@ from ntcfk.zq import (
     ZqMatrix,
     ZqVector,
     bit_dot_xor,
+    domain_grid,
     j_encode,
+    mul_rows_mod,
 )
+
+
+def params(q, n, m, kappa, c_t, b_v, b_l):
+    """Parameters with B_P from the formula."""
+    return NtcfParams(q=q, n=n, m=m, ell=1, kappa=kappa, b_l=b_l, b_v=b_v,
+                      b_p=compute_bp(q, n, m, kappa, c_t), c_t=c_t)
+
+
+# Keys small enough to enumerate. tiny-exact has zero noise, so each of
+# its residuals is one clean claw; the others are noisy, with residuals
+# that miss branches, hold several points per branch or weigh them
+# unequally. q11-k3 is the noisy oracle key (2,673 labels).
+ENUM_FAMILIES = {
+    "tiny-exact": get_preset("tiny-exact"),
+    "q11-k3": params(11, 1, 4, 3, 0.5, 0.3, 0.2),
+    "q97-n2-k2": params(97, 2, 20, 2, 2.0, 1.0, 0.5),
+    **{f"q2039-k{kappa}": params(2039, 1, 16, kappa, 1.0, 1.0, 0.5) for kappa in (3, 5, 8)},
+}
 
 
 def claw_residual(kappa, q, s_val, x0_val):
     """A clean claw ResidualState over a dummy key with the given kappa."""
-    p = NtcfParams(
-        q=q, n=1, m=2, ell=1, kappa=kappa, b_l=0.1, b_v=0.2,
-        b_p=compute_bp(q, 1, 2, kappa, 1.4), c_t=1.4,
-    )
+    p = params(q, 1, 2, kappa, 1.4, 0.2, 0.1)
     mod = Modulus(q)
     k = NtcfKey(
         p, ZqMatrix(np.array([[1], [3]]), mod), ZqVector(np.array([0, 0]), mod)
     )
     s = ZqVector(np.array([s_val]), mod)
     x0 = ZqVector(np.array([x0_val]), mod)
-    amp = 1.0 / math.sqrt(kappa)
-    support = tuple(((b, x0 - s.scale(b)), amp) for b in range(kappa))
-    return ResidualState(k, ZqVector(np.array([0, 0]), mod), support), s, x0
+    labels = (x0_val - s_val * np.arange(kappa)[:, None]) % q
+    amps = np.full(kappa, 1.0 / math.sqrt(kappa))
+    return ResidualState(k, ZqVector(np.array([0, 0]), mod), np.arange(kappa), labels, amps), s, x0
+
+
+def entry_loop_residual(k, y):
+    """The residual as (branch, labels, amps) lists, by a scan that takes
+    one (b', x') entry at a time, normalises by a running sum and takes
+    each square root on its own."""
+    p = k.params
+    prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
+    grid = domain_grid(p.q, p.n)
+    images = mul_rows_mod(k.A.entries, grid, p.q)
+    entries = []
+    for b in range(p.kappa):
+        res = (y.entries[None, :] - images - b * k.t.entries[None, :]) % p.q
+        w = prob_by_residue[res].prod(axis=1)
+        for i in np.nonzero(w)[0]:
+            entries.append((b, grid[i].tolist(), float(w[i])))
+    total = sum(w for _, _, w in entries)
+    return ([b for b, _, _ in entries], [x for _, x, _ in entries],
+            [math.sqrt(w / total) for _, _, w in entries])
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_FAMILIES))
+def test_enumeration_matches_entry_loop(name):
+    """The whole-array enumeration gives the entry loop's branches,
+    labels and amplitudes bit for bit."""
+    p = ENUM_FAMILIES[name]
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        k, _t = gen(p, rng)
+        for _ in range(5):
+            y, res = samp_and_measure(k, rng, mode="exact-enumeration")
+            branch, labels, amps = entry_loop_residual(k, y)
+            assert (res.branch.dtype, res.labels.dtype, res.amps.dtype) == (
+                np.int64, np.int64, np.float64)
+            assert res.branch.tolist() == branch
+            assert res.labels.tolist() == labels
+            assert res.amps.tolist() == amps
 
 
 class TestSampAndMeasure:
     def test_exact_mode_matches_oracle_residual(self):
-        p = get_preset("tiny-exact")
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            k, _t = gen(p, rng)
-            specs = (
-                RegisterSpec("b", "modq", 1, p.kappa),
-                RegisterSpec("x", "modq", p.n, p.q),
-            )
-            state = init_uniform_full(specs)
-            g = TruncatedGaussian(p.modulus, p.b_p, p.m)
-            state = load_gaussian_register(state, RegisterSpec("y", "modq", p.m, p.q), g)
-            state = apply_ufkb(state, k)
-            y_out, collapsed = measure_register(state, "y", rng)
-            oracle_bx = full_distribution(collapsed, ("b", "x"))
-            support = _enumerate_residual(k, ZqVector(np.array(y_out), p.modulus))
-            analytic = density(
-                {(b,) + x.as_tuple(): a * a for (b, x), a in support}
-            )
-            assert tv_distance(oracle_bx, analytic) < 1e-12
+        """On tiny-exact (one clean claw) and on the noisy q11-k3 key, the
+        enumerated residual equals the oracle's (b, x) marginal after its
+        y measurement. The noisy key's B_V puts most of its residuals on a
+        clean claw too, so it runs until some hold more points."""
+        multi_point = 0
+        for name, seeds in (("tiny-exact", 5), ("q11-k3", 60)):
+            p = ENUM_FAMILIES[name]
+            for seed in range(seeds):
+                rng = np.random.default_rng(seed)
+                k, _t = gen(p, rng)
+                specs = (
+                    RegisterSpec("b", "modq", 1, p.kappa),
+                    RegisterSpec("x", "modq", p.n, p.q),
+                )
+                state = init_uniform_full(specs)
+                g = TruncatedGaussian(p.modulus, p.b_p, p.m)
+                state = load_gaussian_register(state, RegisterSpec("y", "modq", p.m, p.q), g)
+                state = apply_ufkb(state, k)
+                y_out, collapsed = measure_register(state, "y", rng)
+                oracle_bx = full_distribution(collapsed, ("b", "x"))
+                res = _enumerate_residual(k, ZqVector(np.array(y_out), p.modulus))
+                analytic = Density(np.column_stack([res.branch, res.labels]), res.amps**2)
+                assert tv_distance(oracle_bx, analytic) < 1e-12
+                multi_point += len(res.amps) > p.kappa
+        assert multi_point >= 1, "no residual beyond a clean claw was checked"
 
     def test_idealized_support_by_construction(self, rng):
         p = get_preset("desk-k3")
         k, t = gen(p, rng)
         _y, res = samp_and_measure(k, rng, mode="idealized-claw", secret_s=t.s)
         assert res.is_clean_claw()
-        xs = {b: x for (b, x), _ in res.support}
+        xs = [ZqVector(x, p.modulus) for x in res.branches()]
         for b in range(1, p.kappa):
             assert xs[b] == xs[0] - t.s.scale(b)
 
@@ -109,9 +168,9 @@ class TestSampAndMeasure:
         k_full, _t = gen(base, rng)
         k = NtcfKey(p, k_full.A, k_full.t)
         y, res = samp_and_measure(k, rng, mode="exact-enumeration")
-        for (b, x), _amp in res.support:
-            assert b == 0
-            assert chk(k, 0, x, y) == 1
+        assert res.branch.tolist() == [0] * len(res.labels)
+        for x in res.labels:
+            assert chk(k, 0, ZqVector(x, p.modulus), y) == 1
 
 
 class TestPreimageMeasure:
@@ -187,9 +246,9 @@ class TestRed:
 
     def test_rejects_non_claw(self, rng):
         res, _s, _x0 = claw_residual(3, 7, 2, 4)
-        broken = ResidualState(res.key, res.image, res.support[:2] + (
-            ((0, ZqVector(np.array([1]), Modulus(7))), res.support[2][1]),
-        ))
+        # the third entry moved to branch 0, label 1
+        broken = ResidualState(res.key, res.image, np.array([0, 1, 0]),
+                               np.array([[4], [2], [1]]), res.amps)
         with pytest.raises(ValueError):
             red(broken, rng)
 
@@ -215,23 +274,19 @@ class TestRed:
 
 class TestEquationMeasure:
     def test_degenerate_sbar_zero(self, rng):
-        mod = Modulus(7)
-        x = ZqVector(np.array([4]), mod)
-        st = DcpState(x, x)
+        st = CosetState(np.array([[4], [4]]), Modulus(7))
         for _ in range(50):
             resp = equation_measure(st, rng)
             assert resp.c == 0
 
     def test_always_satisfies_equation(self, rng):
-        mod = Modulus(7)
-        st = DcpState(ZqVector(np.array([4]), mod), ZqVector(np.array([0]), mod))
+        st = CosetState(np.array([[4], [0]]), Modulus(7))
         for _ in range(200):
             resp = equation_measure(st, rng)
             assert resp.c == bit_dot_xor(resp.d, j_encode(st.x0), j_encode(st.x1))
 
     def test_d_marginal_uniform(self):
-        mod = Modulus(7)
-        st = DcpState(ZqVector(np.array([4]), mod), ZqVector(np.array([0]), mod))
+        st = CosetState(np.array([[4], [0]]), Modulus(7))
         rng = np.random.default_rng(13)
         n = 10_000
         counts = np.zeros(8, dtype=np.int64)
@@ -245,8 +300,7 @@ class TestEquationMeasure:
     def test_outcomes_cover_oracle_support(self):
         # the analytic (c, d) pairs are exactly the nonzero-amplitude
         # outcomes of the oracle's Hadamard measurement (see oracle test)
-        mod = Modulus(7)
-        st = DcpState(ZqVector(np.array([4]), mod), ZqVector(np.array([0]), mod))
+        st = CosetState(np.array([[4], [0]]), Modulus(7))
         j0, j1 = j_encode(st.x0), j_encode(st.x1)
         rng = np.random.default_rng(21)
         seen = set()

@@ -3,15 +3,13 @@ import pytest
 
 from ntcfk.ntcf import NtcfParams, compute_bp, gen
 from ntcfk.presets import get_preset
-from ntcfk.prover import RedFailed
+from ntcfk.prover import CosetState, RedFailed, red_edcp_to_dcp
 from ntcfk.reductions import (
-    EdcpState,
     LweInstance,
     end_to_end_recover,
     instance_from_key,
     lwe_to_dcp,
     lwe_to_edcp,
-    red_edcp_to_dcp,
     solve_dcp_desk,
     solve_edcp_desk,
     verify_candidate,
@@ -96,16 +94,8 @@ class TestLweToEdcp:
             lwe_to_edcp(inst, 1, 1, rng)
 
     def test_inconsistent_differences_rejected(self):
-        mod = TINY.modulus
-        v = lambda a: ZqVector(np.array([a]), mod)
-        st = EdcpState(((0, v(5)), (1, v(3)), (2, v(2))))
+        st = CosetState(np.array([[5], [3], [2]]), TINY.modulus)
         assert solve_edcp_desk([st]).detail == "inconsistent label differences"
-
-    def test_label_order_enforced(self):
-        mod = TINY.modulus
-        v = lambda a: ZqVector(np.array([a]), mod)
-        with pytest.raises(ValueError):
-            EdcpState(((1, v(0)), (0, v(1))))
 
 
 class TestRedOnEdcp:
@@ -147,11 +137,7 @@ class TestSolvers:
     def test_unanimity_required(self, rng):
         inst, _t = desk_instance(rng)
         states = lwe_to_dcp(inst, 6, rng)
-        from ntcfk.prover import DcpState
-
-        bad = DcpState(
-            states[0].x0, states[0].x1 + ZqVector(np.array([1, 0]), DESK.modulus)
-        )
+        bad = CosetState((states[0].labels + [[0, 0], [1, 0]]) % DESK.q, DESK.modulus)
         report = solve_dcp_desk(states + [bad])
         assert not report.success
         assert "inconsistent" in report.detail
@@ -159,13 +145,8 @@ class TestSolvers:
     def test_edcp_corrupted_state(self, rng):
         inst, _t = desk_instance(rng)
         good = lwe_to_edcp(inst, 4, 3, rng)
-        g = good[0]
-        bump = ZqVector(np.array([0, 1]), DESK.modulus)
-        corrupted = EdcpState(
-            tuple(
-                (j, x + bump if j == 2 else x) for j, x in g.support
-            )
-        )
+        bump = np.array([[0, 0], [0, 0], [0, 1]])  # row 2 plus (0, 1)
+        corrupted = CosetState((good[0].labels + bump) % DESK.q, DESK.modulus)
         report = solve_edcp_desk(good + [corrupted])
         assert not report.success
 
