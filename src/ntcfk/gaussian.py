@@ -21,12 +21,15 @@ DEFAULT_TABLE_CAP = 10**6
 
 @functools.lru_cache(maxsize=64)
 def _table_1d_cached(r: int, width: float):
+    """The lifts -r..r, their 1-D probabilities and the running sum of
+    those, all read-only."""
     lifts = np.arange(-r, r + 1, dtype=np.int64)
     w = np.exp(-math.pi * lifts.astype(np.float64) ** 2 / width**2)
     probs = w / w.sum()
-    lifts.setflags(write=False)
-    probs.setflags(write=False)
-    return lifts, probs
+    cdf = np.cumsum(probs)
+    for a in (lifts, probs, cdf):
+        a.setflags(write=False)
+    return lifts, probs, cdf
 
 
 class TableTooLarge(RuntimeError):
@@ -95,14 +98,14 @@ class TruncatedGaussian:
         """Largest integer lift magnitude inside the 1-D truncation."""
         return min(int(math.floor(self.width)), (self.modulus.q - 1) // 2)
 
-    def _table_1d(self) -> tuple[np.ndarray, np.ndarray]:
+    def _table_1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _table_1d_cached(self.radius, self.width)
 
     def residue_probs(self) -> np.ndarray:
         """The 1-D probability of every residue in [0, q), indexed by the
         residue; 0 outside the truncation. It has q entries, so it is for
         small q only (the enumerating prover, whose q^n is capped)."""
-        lifts, probs = self._table_1d()
+        lifts, probs, _cdf = self._table_1d()
         return np.bincount(lifts % self.modulus.q, weights=probs, minlength=self.modulus.q)
 
     def density_eval(self, x: ZqVector) -> float:
@@ -125,7 +128,7 @@ class TruncatedGaussian:
             raise TableTooLarge(
                 f"support has {self.support_size()} points, cap is {cap}"
             )
-        lifts, probs = self._table_1d()
+        lifts, probs, _cdf = self._table_1d()
         idx = domain_grid(len(lifts), self.dim)
         return lifts[idx] % self.modulus.q, probs[idx].prod(axis=1)
 
@@ -136,8 +139,8 @@ class TruncatedGaussian:
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """The 1-D lift drawn by each uniform in u (any shape), by inverse
         CDF over the cached table."""
-        lifts, probs = self._table_1d()
-        idx = np.searchsorted(np.cumsum(probs), u, side="right")
+        lifts, _probs, cdf = self._table_1d()
+        idx = np.searchsorted(cdf, u, side="right")
         return lifts[np.minimum(idx, len(lifts) - 1)]
 
     def sample(self, rng: np.random.Generator) -> ZqVector:

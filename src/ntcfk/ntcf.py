@@ -15,6 +15,7 @@ replaced by the numeric floors below).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,16 @@ def validate_params(p: NtcfParams) -> ValidationReport:
     2*sqrt(n) <= B_L, and the width-ratio conditions are warnings in desk
     mode and failures in asymptotic mode. Any field values that a valid
     modulus q admits give a report, never an exception.
+
+    Reports are cached by the params and their text: params that compare
+    equal but print differently (B_L=0.0 and -0.0) word their messages
+    differently.
     """
+    return _validate_params_cached(p, repr(p))
+
+
+@functools.lru_cache(maxsize=64)
+def _validate_params_cached(p: NtcfParams, _text: str) -> ValidationReport:
     hard: list[str] = []
     soft: list[str] = []
     if not p.modulus.is_prime:

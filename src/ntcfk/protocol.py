@@ -98,7 +98,8 @@ TAG_ROUND_RESULT = 0x07
 
 
 # Cap on a frame's declared payload length, checked before the payload is
-# read. The largest frame of any preset is a desk key at under 600 bytes.
+# read or parsed. The largest frame of any preset is its key frame, under
+# 1 KiB: about 670 bytes for desk-flood, whose residues have 4 digits.
 MAX_FRAME_BYTES = 1 << 16
 
 
@@ -143,12 +144,19 @@ def frame_encode(msg) -> bytes:
     return struct.pack(">I", len(payload)) + bytes([tag]) + payload
 
 
+def _check_declared(plen: int) -> None:
+    if plen > MAX_FRAME_BYTES:
+        raise FrameError(f"declared payload of {plen} bytes exceeds {MAX_FRAME_BYTES}")
+
+
 def frame_decode(data: bytes, params: NtcfParams | None = None):
-    """Decode one complete frame. Non-key payloads need the session
-    params to size their vectors."""
+    """Decode one complete frame. A declared payload over
+    MAX_FRAME_BYTES is a FrameError before anything is parsed. Non-key
+    payloads need the session params to size their vectors."""
     if len(data) < 5:
         raise FrameError("frame shorter than header")
     (plen,) = struct.unpack(">I", data[:4])
+    _check_declared(plen)
     tag = data[4]
     if len(data) != 5 + plen:
         raise FrameError(f"length mismatch: header says {plen}, got {len(data) - 5}")
@@ -410,8 +418,7 @@ def _read_frame(stream) -> bytes | None:
     if len(head) < 4:
         raise FrameError("truncated frame header")
     (plen,) = struct.unpack(">I", head)
-    if plen > MAX_FRAME_BYTES:
-        raise FrameError(f"declared payload of {plen} bytes exceeds {MAX_FRAME_BYTES}")
+    _check_declared(plen)
     rest = stream.read(1 + plen)
     if len(rest) != 1 + plen:
         raise FrameError("truncated frame body")

@@ -8,10 +8,19 @@ entries in {-1, 0, 1}. The trapdoor is R alone: the short relation
 syndrome G s + e', from which each coordinate of s is decoded
 independently.
 
-Per-coordinate decoding minimizes the max syndrome residual over the
-gadget rows. Decoding is declared certain only when that residual is
-strictly below half the gadget code's minimax distance; anything else
-raises DecodeFailure rather than returning a guess.
+Per-coordinate decoding returns the s whose max syndrome residual over
+the gadget rows is strictly below d/2, d the gadget code's minimax
+distance (`gadget_minimax_distance`); anything else raises DecodeFailure
+rather than returning a guess. At most one s qualifies, so this is the
+certified argmin of a scan over all q candidates. The decoder finds it
+in O(k) interval steps per coordinate (`_decode_syndrome_coord`); only a
+failure runs the O(q k) scan, because its text, "syndrome residual
+<scan minimum> >= certified radius <d/2>", reports the scan's minimum
+(the verifier sends it as "image decode failure: ...", and the pinned
+session transcripts hold it).
+
+The values that depend on q or n alone (the gadget row and block, the
+minimax distance) are computed once and cached read-only.
 
 One layout rule (`gadget_fits`): the gadget layout needs m >= n*k + 1,
 so that n_bar = m - n*k >= 1 rows of Abar. Keys with fewer rows fall
@@ -43,10 +52,13 @@ class LayoutError(ValueError):
     """Requested dimensions cannot accommodate the trapdoor layout."""
 
 
+@functools.lru_cache(maxsize=32)
 def gadget_row(q: int) -> np.ndarray:
     """The powers GADGET_BASE^j for j < ceil(log2 q): one coordinate's
-    rows of G."""
-    return GADGET_BASE ** np.arange(Modulus(q).bits, dtype=np.int64)
+    rows of G. Read-only."""
+    row = GADGET_BASE ** np.arange(Modulus(q).bits, dtype=np.int64)
+    row.setflags(write=False)
+    return row
 
 
 def gadget_fits(n: int, m: int, q: int) -> bool:
@@ -61,10 +73,17 @@ def gadget_minimax_distance(q: int) -> int:
     Half of this is the certified decoding radius for the per-coordinate
     minimax decoder.
     """
-    deltas = np.arange(1, q, dtype=np.int64)
-    worst = np.zeros(q - 1, dtype=np.int64)
-    for g in gadget_row(q).tolist():  # one digit at a time: O(q) memory
-        worst = np.maximum(worst, np.abs(lift_residues(deltas * g % q, q)))
+    row = gadget_row(q)  # |lift(-x)| = |lift(x)|: the scan of syndrome 0
+    return _scan_min_residual(np.zeros_like(row), row, q, first=1)
+
+
+def _scan_min_residual(u: np.ndarray, row: np.ndarray, q: int, first: int = 0) -> int:
+    """min over s in [first, q) of max_j |lift(u_j - 2^j s)|, one row at
+    a time: O(q k) time and O(q) memory."""
+    cands = np.arange(first, q, dtype=np.int64)
+    worst = np.zeros(len(cands), dtype=np.int64)
+    for g, c in zip(row.tolist(), u.tolist()):
+        worst = np.maximum(worst, np.abs(lift_residues((c - g * cands) % q, q)))
     return int(worst.min())
 
 
@@ -103,13 +122,16 @@ class TrapdoorKey:
         return np.array_equal((self.R @ Abar + bottom) % q, _gadget_block(self.n, q))
 
 
+@functools.lru_cache(maxsize=32)
 def _gadget_block(n: int, q: int) -> np.ndarray:
-    """The (n*k) x n block with base powers down each coordinate's rows."""
+    """The (n*k) x n block with base powers down each coordinate's rows.
+    Read-only."""
     row = gadget_row(q)
     k = len(row)
     G = np.zeros((n * k, n), dtype=np.int64)
     for i in range(n):
         G[i * k : (i + 1) * k, i] = row
+    G.setflags(write=False)
     return G
 
 
@@ -154,18 +176,42 @@ def _injective_on_domain(A: ZqMatrix) -> bool:
 
 
 def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
-    """Decode s_i from u ~ row * s_i + noise mod q by minimax search."""
-    cands = np.arange(q, dtype=np.int64)
-    # residual[j, s] = lift(u_j - 2^j * s)
-    res = lift_residues((u[:, None] - row[:, None] * cands[None, :]) % q, q)
-    cost = np.abs(res).max(axis=0)
-    s_hat = int(cost.argmin())
-    radius = gadget_minimax_distance(q) / 2.0
-    if cost[s_hat] >= radius:
-        raise DecodeFailure(
-            f"syndrome residual {cost[s_hat]} >= certified radius {radius}"
-        )
-    return s_hat
+    """Decode s_i from u ~ row * s_i + noise mod q.
+
+    Returns the s in [0, q) with max_j |lift(u_j - 2^j s)| < d/2, d =
+    `gadget_minimax_distance(q)`: the residuals are integers, so each row
+    must keep g s mod q in [c - r, c + r] with g = 2^j, c = u_j and
+    r = ceil(d/2) - 1. The candidates are held as integer intervals,
+    starting from [0, q - 1]. Row j replaces [lo, hi] by its
+    intersections with [ceil((c - r + tq)/g), floor((c + r + tq)/g)] for
+    t from ceil((g lo - c - r)/q) to floor((g hi - c + r)/q), the t whose
+    window g s can reach.
+
+    Exact: two survivors s, s' would have max_j |lift(2^j (s - s'))| <=
+    2r < d, against the minimax distance, so at most one s survives all
+    k rows, and a survivor is the unique argmin of the scan over all q
+    candidates. No survivor means that scan's minimum is >= d/2; only
+    then is the scan run, for the residual that DecodeFailure reports.
+    """
+    d = gadget_minimax_distance(q)
+    r = (d + 1) // 2 - 1
+    intervals = [(0, q - 1)]
+    for g, c in zip(row.tolist(), u.tolist()):
+        kept = []
+        for lo, hi in intervals:
+            for t in range(-((c + r - g * lo) // q), (g * hi - c + r) // q + 1):
+                a = -((r - c - t * q) // g)
+                b = (c + r + t * q) // g
+                a, b = (a if a > lo else lo), (b if b < hi else hi)  # clip to [lo, hi]
+                if a <= b:
+                    kept.append((a, b))
+        if not kept:
+            raise DecodeFailure(
+                f"syndrome residual {_scan_min_residual(u, row, q)} "
+                f">= certified radius {d / 2.0}"
+            )
+        intervals = kept
+    return intervals[0][0]
 
 
 def invert(

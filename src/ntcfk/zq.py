@@ -8,6 +8,7 @@ product before summing so that its sums never do either.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,17 +41,22 @@ class Modulus:
 
     @property
     def is_prime(self) -> bool:
-        q = self.q
-        if q < 4:
-            return q in (2, 3)
-        if q % 2 == 0:
+        return _is_prime(self.q)
+
+
+@functools.lru_cache(maxsize=64)
+def _is_prime(q: int) -> bool:
+    """Trial division, once per q."""
+    if q < 4:
+        return q in (2, 3)
+    if q % 2 == 0:
+        return False
+    f = 3
+    while f * f <= q:
+        if q % f == 0:
             return False
-        f = 3
-        while f * f <= q:
-            if q % f == 0:
-                return False
-            f += 2
-        return True
+        f += 2
+    return True
 
 
 def _as_residues(entries, q: int) -> np.ndarray:

@@ -4,6 +4,10 @@ tiny-exact (C03) has zero noise: its Gaussian register is one point, so
 the amplitude loading, the modular update of many y labels and the
 grouping of the marginal are never stressed there. These keys have
 B_P ~ 1.83, three noise values per coordinate and 2673 labels.
+
+NOISY's B_V = 0.3 truncates the key error to the single point 0, so its
+t is always As. WIDE has B_V = 1.0, whose error takes three values per
+coordinate, so the branch shift b*t also moves by b*e.
 """
 import hashlib
 
@@ -24,7 +28,14 @@ NOISY = ntcf.NtcfParams(
     q=11, n=1, m=4, ell=1, kappa=3, b_l=0.2, b_v=0.3,
     b_p=ntcf.compute_bp(11, 1, 4, 3, 0.5), c_t=0.5,
 )
+WIDE = ntcf.NtcfParams(
+    q=11, n=1, m=4, ell=1, kappa=3, b_l=0.5, b_v=1.0,
+    b_p=ntcf.compute_bp(11, 1, 4, 3, 0.5), c_t=0.5,
+)
 SEEDS = (0, 1, 2)
+KEYS = [pytest.param(NOISY, seed, id=str(seed)) for seed in SEEDS] + [
+    pytest.param(WIDE, seed, id=f"bv1-{seed}") for seed in SEEDS
+]
 
 # Captured from the per-label implementation, for the key of seed 0: the
 # distinct probabilities of the joint (each key's probability lies within
@@ -42,8 +53,8 @@ PIN_DIGEST = "ede87a10a995786aa4363153f76ca75c33bf2f66200ba7f0791615472c2ad0f7"
 PIN_TOL = 1e-15
 
 
-def noisy_key(seed):
-    key, _t = ntcf.gen(NOISY, np.random.default_rng(seed))
+def noisy_key(seed, params=NOISY):
+    key, _t = ntcf.gen(params, np.random.default_rng(seed))
     return key
 
 
@@ -61,14 +72,19 @@ def test_noise_is_nontrivial():
     assert TruncatedGaussian(NOISY.modulus, NOISY.b_p, NOISY.m).support_size() == 81
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_joints_agree(seed):
-    assert compare_joint(noisy_key(seed)) <= 1e-9
+def test_wide_key_error_is_nonzero():
+    errors = [ntcf.gen(WIDE, np.random.default_rng(seed))[1].e for seed in SEEDS]
+    assert any(e.entries.any() for e in errors)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_mis_shift_detected(seed):
-    assert compare_joint(noisy_key(seed), mis_shift=1) > 0.1
+@pytest.mark.parametrize("params, seed", KEYS)
+def test_joints_agree(params, seed):
+    assert compare_joint(noisy_key(seed, params)) <= 1e-9
+
+
+@pytest.mark.parametrize("params, seed", KEYS)
+def test_mis_shift_detected(params, seed):
+    assert compare_joint(noisy_key(seed, params), mis_shift=1) > 0.1
 
 
 @pytest.mark.parametrize("seed", SEEDS)

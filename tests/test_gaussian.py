@@ -127,6 +127,13 @@ class TestSampling:
         b = [g.sample(np.random.default_rng(5)).as_tuple() for _ in range(10)]
         assert a == b
 
+    def test_cached_table_is_read_only(self):
+        lifts, probs, cdf = gauss(521, 3.07, 40)._table_1d()
+        assert np.array_equal(cdf, np.cumsum(probs))
+        for a in (lifts, probs, cdf):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_frequencies_match_density(self):
         g = gauss(7, 1.0, 1)
         r = np.random.default_rng(99)

@@ -110,6 +110,15 @@ class TestValidate:
         assert report.ok
         assert any("ell*log2(q)" in w for w in report.warnings)
 
+    def test_cached_report_words_each_params_text(self):
+        # 0.0 == -0.0 and they hash alike, but print differently
+        pos = replace(get_preset("desk-k3"), b_l=0.0)
+        neg = replace(get_preset("desk-k3"), b_l=-0.0)
+        assert pos == neg and hash(pos) == hash(neg)
+        for p, text in ((pos, "B_L=0.0 "), (neg, "B_L=-0.0 "), (pos, "B_L=0.0 ")):
+            (violation,) = validate_params(p).violations
+            assert "ordering" in violation and text in violation
+
     def test_composite_q(self):
         p = make_params(15, 1, 2, 2, c_t=1.1, b_v=0.5, b_l=0.2)
         assert any("prime" in v for v in validate_params(p).violations)

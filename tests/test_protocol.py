@@ -299,6 +299,22 @@ class TestFrameLength:
         frame = frame_encode(MsgImage(vec([1, 2], TINY)))
         assert protocol._read_frame(RecordingStream(frame)) == frame
 
+    def test_frame_decode_rejects_oversized_frame_unparsed(self, monkeypatch):
+        def parse(*args):
+            raise AssertionError("payload parsed")
+
+        monkeypatch.setattr(protocol, "_decode_payload", parse)
+        payload = b"q=7\n" * (protocol.MAX_FRAME_BYTES // 4 + 1)
+        frame = struct.pack(">I", len(payload)) + bytes([protocol.TAG_KEY]) + payload
+        with pytest.raises(FrameError, match="exceeds"):
+            frame_decode(frame)
+
+    def test_frame_decode_parses_frame_at_cap(self):
+        payload = b"x" * protocol.MAX_FRAME_BYTES
+        frame = struct.pack(">I", len(payload)) + bytes([protocol.TAG_KEY]) + payload
+        with pytest.raises(FrameError, match="malformed payload"):
+            frame_decode(frame)
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_cap_well_above_key_frames(self, name):
         key, _t = gen(PRESETS[name], np.random.default_rng(0))
@@ -365,6 +381,13 @@ class TestHonestCompleteness:
         assert stats.all_accepted
         # RED fails 1/3 (kappa=3) or 1/2 (kappa=4) of T rounds; retries stay moderate
         assert stats.retries <= 50
+
+    def test_desk_flood_idealized_all_accept(self):
+        pr = HonestProver(np.random.default_rng(12), mode="idealized-claw")
+        stats = run_protocol(get_preset("desk-flood"), pr, 100, np.random.default_rng(13))
+        assert stats.all_accepted
+        assert stats.rounds_completed == 100
+        assert stats.gen_rounds and stats.test_rounds
 
     # q=3 with B_V = B_P/2: the exact residual often has fewer than kappa
     # branches, on the kappa = 2 path and on the RED path alike.

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntcfk.gaussian import TruncatedGaussian
 from ntcfk.trapdoor import (
     DecodeFailure,
     LayoutError,
+    _decode_syndrome_coord,
+    _gadget_block,
     gadget_minimax_distance,
     gadget_row,
     gen_trap,
     invert,
 )
-from ntcfk.zq import Modulus, ZqVector, mat_vec_mul
+from ntcfk.zq import Modulus, ZqVector, lift_residues, mat_vec_mul
 
 
 def minimax_distance_double_loop(q):
@@ -32,7 +36,34 @@ def minimax_distance_double_loop(q):
     return k, best
 
 
+def scan_decode(u, row, q):
+    """The O(q k) reference decoder: the argmin over all q candidates of
+    the max syndrome residual, accepted only below d/2."""
+    cands = np.arange(q, dtype=np.int64)
+    res = lift_residues((u[:, None] - row[:, None] * cands[None, :]) % q, q)
+    cost = np.abs(res).max(axis=0)
+    s_hat = int(cost.argmin())
+    radius = gadget_minimax_distance(q) / 2.0
+    if cost[s_hat] >= radius:
+        raise DecodeFailure(f"syndrome residual {cost[s_hat]} >= certified radius {radius}")
+    return s_hat
+
+
+def outcome(decode, u, row, q):
+    """The decoded s, or the DecodeFailure text."""
+    try:
+        return decode(u, row, q)
+    except DecodeFailure as exc:
+        return str(exc)
+
+
+def certified_radius(q):
+    """r = ceil(d/2) - 1: the largest integer residual below d/2."""
+    return (gadget_minimax_distance(q) + 1) // 2 - 1
+
+
 PRIMES_BELOW_200 = [q for q in range(2, 200) if Modulus(q).is_prime]
+PRIMES_TO_1031 = [q for q in range(2, 1032) if Modulus(q).is_prime]
 
 
 class TestGadget:
@@ -48,6 +79,70 @@ class TestGadget:
             assert len(row) == Modulus(q).bits == k, q
             assert row.tolist() == [2**j for j in range(k)], q
             assert gadget_minimax_distance(q) == distance, q
+
+    def test_cached_gadget_arrays_are_read_only(self):
+        for a in (gadget_row(521), _gadget_block(2, 521)):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+class TestSyndromeDecoder:
+    def test_matches_scan_for_every_prime_to_1031(self):
+        """For every prime q <= 1031, the decoder and the scan give the same
+        s or the same failure text on random u, on u = g*s + e with
+        max|e| = r (which must decode to s) and with max|e| = r + 1."""
+        rng = np.random.default_rng(13)
+        failures = 0
+        for q in PRIMES_TO_1031:
+            row = gadget_row(q)
+            k, r = len(row), certified_radius(q)
+            for _ in range(8):
+                s = int(rng.integers(q))
+                cases = [(None, rng.integers(0, q, size=k))]  # (the s it must give, u)
+                for width, must in ((r, s), (r + 1, None)):
+                    e = rng.integers(-width, width + 1, size=k)
+                    e[rng.integers(k)] = width * rng.choice([-1, 1])
+                    cases.append((must, (row * s + e) % q))
+                for must, u in cases:
+                    got = outcome(_decode_syndrome_coord, u, row, q)
+                    assert got == outcome(scan_decode, u, row, q), (q, u.tolist())
+                    assert must is None or got == must, (q, u.tolist())
+                    failures += isinstance(got, str)
+        assert failures  # the failure text was compared too
+
+
+LARGE_PRIMES = (2, 3, 17, 521, 1031, 2039, 4099, 8191, 65521, 131071, 1048573)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(LARGE_PRIMES),
+    n=st.integers(1, 2),
+    extra=st.integers(1, 10),
+    scale=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_invert_recovers_planted_pair(q, n, extra, scale, seed):
+    """invert(A s + e) gives back (s, e) whenever the syndrome noise
+    R e_top + e_bottom is within the radius r on every gadget row;
+    past it, a decode is either refused or reconstructs v."""
+    rng = np.random.default_rng(seed)
+    mod = Modulus(q)
+    A, t = gen_trap(n, n * mod.bits + extra, q, rng)
+    r = certified_radius(q)
+    width = int(scale * r / (extra + 1))
+    e_lift = rng.integers(-width, width + 1, size=A.rows)
+    s, e = ZqVector.uniform(n, mod, rng), ZqVector(e_lift, mod)
+    v = mat_vec_mul(A, s) + e
+    noise = t.R @ e_lift[: t.n_bar] + e_lift[t.n_bar :]
+    if np.abs(noise).max() <= r:
+        assert invert(t, v) == (s, e)
+        return
+    try:
+        s_hat, e_hat = invert(t, v)
+    except DecodeFailure:
+        return
+    assert mat_vec_mul(A, s_hat) + e_hat == v
 
 
 class TestGenTrap:
