@@ -295,8 +295,17 @@ def _params_fields(w: LineWriter, p: NtcfParams) -> None:
     w.field("mode", p.mode)
 
 
-def _params_read(r: LineReader) -> NtcfParams:
-    return NtcfParams(
+PARAMS_LINES = 10  # the lines `_params_fields` writes
+
+
+@functools.lru_cache(maxsize=64)
+def _params_from_text(text: str) -> tuple[NtcfParams, Modulus]:
+    """The params in a key's params lines, with q in [2, 2^31) and a
+    report `validate_params` passes; anything else is a FormatError.
+    Equal text parses to equal params, so the cache is exact; a failing
+    text is never stored, and raises on every call."""
+    r = LineReader(text + "\n")
+    p = NtcfParams(
         q=r.int_field("q"),
         n=r.int_field("n"),
         m=r.int_field("m"),
@@ -308,6 +317,14 @@ def _params_read(r: LineReader) -> NtcfParams:
         c_t=r.float_field("c_t"),
         mode=r.field("mode"),
     )
+    try:
+        modulus = p.modulus
+    except ValueError as exc:
+        raise FormatError(f"field q: {exc}") from exc
+    report = validate_params(p)
+    if not report.ok:
+        raise FormatError("invalid parameters: " + "; ".join(report.violations))
+    return p, modulus
 
 
 def key_to_text(k: NtcfKey) -> str:
@@ -319,21 +336,10 @@ def key_to_text(k: NtcfKey) -> str:
 
 
 def _key_read(r: LineReader) -> NtcfKey:
-    """The params, A and t of a key, with q in [2, 2^31), params that
-    `validate_params` passes, A of shape m x n and t of length m;
-    anything else is a FormatError."""
-    p = _params_read(r)
-    try:
-        modulus = p.modulus
-    except ValueError as exc:
-        raise FormatError(f"field q: {exc}") from exc
-    report = validate_params(p)
-    if not report.ok:
-        raise FormatError("invalid parameters: " + "; ".join(report.violations))
-    A = r.matrix("A", modulus)
-    if A.shape != (p.m, p.n):
-        raise FormatError(f"matrix A: {A.shape[0]} x {A.shape[1]}, "
-                          f"not m x n = {p.m} x {p.n}")
+    """The params (see `_params_from_text`), an m x n matrix A and t of
+    length m of a key; anything else is a FormatError."""
+    p, modulus = _params_from_text(r.block(PARAMS_LINES))
+    A = r.matrix("A", p.m, p.n, modulus)
     t = r.vector("t", modulus)
     if len(t) != p.m:
         raise FormatError(f"field t: length {len(t)}, not m={p.m}")
@@ -389,10 +395,7 @@ def _trapdoor_read(r: LineReader, A: ZqMatrix) -> td.TrapdoorKey:
     _expect(r, "trap_mode", "gadget")
     _expect(r, "n_bar", m - w)
     _expect(r, "gadget_base", td.GADGET_BASE)
-    R = r.matrix("R")
-    if R.shape != (w, m - w):
-        raise FormatError(f"matrix R: {R.shape[0]} x {R.shape[1]}, "
-                          f"not n*k x n_bar = {w} x {m - w}")
+    R = r.matrix("R", w, m - w)
     if R.min() < -1 or R.max() > 1:
         raise FormatError("matrix R: entries must be in {-1, 0, 1}")
     t_a = td.TrapdoorKey(A, R)

@@ -22,6 +22,7 @@ hint travels beside the channel, never through it.
 """
 from __future__ import annotations
 
+import re
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -303,6 +304,9 @@ class VerifierRound:
 
 # transcripts and stats -----------------------------------------------------
 
+_HEX = re.compile(r"(?:[0-9a-f]{2})*")  # the text bytes.hex() writes
+
+
 @dataclass
 class Transcript:
     frames: list[bytes] = field(default_factory=list)
@@ -323,11 +327,13 @@ class Transcript:
     def from_text(cls, text: str) -> "Transcript":
         r = LineReader(text, HEADER_TRANSCRIPT)
         count = r.int_field("frames")
-        frames = [bytes.fromhex(r.field("frame")) for _ in range(count)]
+        frames = [r.field("frame") for _ in range(count)]
+        if not all(map(_HEX.fullmatch, frames)):
+            raise FormatError("field frame: not lower-case hex of whole bytes")
         verdict = r.field("verdict")
         reason = r.field("reason")
         r.done()
-        return cls(frames, verdict, reason)
+        return cls([bytes.fromhex(f) for f in frames], verdict, reason)
 
 
 @dataclass

@@ -1,17 +1,19 @@
 """Canonical text encoding shared by every serializer.
 
-One field per line as `name=value`. An integer field is its str() and a
-float field its repr(), so floats round-trip bit-exactly; the reader
-accepts a scalar only in exactly that text. Vectors are residues in
-[0, q) as ASCII decimals split by single spaces, with no sign and no
-leading zero; the reader accepts nothing else.
-A matrix field is `name=rows cols` followed by one row per line; a
-matrix over Z_q (the key's A) takes the vector grammar in its header and
-rows, while the trapdoor's signed R takes any integers. Files open with
-a versioned header line.
+Each line ends in one "\n", the last one too; no other character breaks
+a line. One field per line as `name=value`. An integer field is its
+str() and a float field its repr(), so floats round-trip bit-exactly;
+the reader accepts a scalar only in exactly that text. Vectors are
+residues in [0, q) as ASCII decimals split by single spaces, with no
+sign and no leading zero; the reader accepts nothing else. A matrix
+field is `name=rows cols` and one line per row; its reader knows the
+shape and accepts that header only, and rows of cols entries each:
+residues below q (the key's A) or, for the trapdoor's signed R,
+`0|-?[1-9][0-9]*`. Files open with a versioned header line.
 """
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -29,12 +31,14 @@ class FormatError(ValueError):
 
 # A vector line: ASCII decimals split by single spaces, no sign and no
 # leading zero. At most 10 digits each (q < 2^31), so every value fits
-# int64 before the range check.
-_RESIDUES = re.compile(r"(?:(?:0|[1-9][0-9]{0,9})(?: (?:0|[1-9][0-9]{0,9}))*)?")
+# int64 before the range check. The trapdoor's R entries may add a minus.
+_RESIDUE = r"(?:0|[1-9][0-9]{0,9})"
+_SIGNED = r"(?:0|-?[1-9][0-9]{0,9})"
+_RESIDUES = re.compile(rf"(?:{_RESIDUE}(?: {_RESIDUE})*)?")
 
 
-def _residues(name: str, text: str, q: int | None = None) -> np.ndarray:
-    """The values of a `_RESIDUES` line, each below q when q is given."""
+def _residues(name: str, text: str, q: int) -> np.ndarray:
+    """The values of a `_RESIDUES` line, each below q."""
     if _RESIDUES.fullmatch(text) is None:
         raise FormatError(f"field {name}: bad residues {text!r}")
     # The grammar is checked, so numpy's text parser reads every value.
@@ -42,17 +46,23 @@ def _residues(name: str, text: str, q: int | None = None) -> np.ndarray:
     # raised the desk-inproc peak RSS by ~0.7 MiB.
     count = text.count(" ") + 1 if text else 0
     values = np.fromstring(text, dtype=np.int64, count=count, sep=" ")
-    if q is not None and values.size and values.max() >= q:
+    if values.size and values.max() >= q:
         raise FormatError(f"field {name}: residue not below q={q}")
     return values
 
 
-def _integers(name: str, text: str) -> np.ndarray:
-    """Whitespace-separated integers of any sign."""
-    try:
-        return np.fromiter(map(int, text.split()), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"field {name}: bad integer") from exc
+@functools.lru_cache(maxsize=32)
+def _matrix_template(rows: int, cols: int) -> str:
+    """All rows of a rows x cols matrix as one str.format template."""
+    return "\n".join([" ".join(["{}"] * cols)] * rows)
+
+
+@functools.lru_cache(maxsize=32)
+def _matrix_pattern(name: str, rows: int, cols: int, signed: bool) -> re.Pattern:
+    """The header `name=rows cols`, then rows lines of cols entries each."""
+    entry = _SIGNED if signed else _RESIDUE
+    row = "\n" + (f"{entry}(?: {entry}){{{cols - 1}}}" if cols else "")
+    return re.compile(re.escape(f"{name}={rows} {cols}") + f"(?:{row}){{{rows}}}")
 
 
 class LineWriter:
@@ -70,14 +80,15 @@ class LineWriter:
     def vector(self, name: str, vec) -> None:
         entries = vec.entries if isinstance(vec, ZqVector) else vec
         values = np.asarray(entries, dtype=np.int64).tolist()
-        self.lines.append(f"{name}=" + " ".join(map(str, values)))
+        self.lines.append(f"{name}=" + _matrix_template(1, len(values)).format(*values))
 
     def matrix(self, name: str, mat) -> None:
         entries = mat.entries if isinstance(mat, ZqMatrix) else mat
         entries = np.asarray(entries, dtype=np.int64)
         rows, cols = entries.shape
         self.lines.append(f"{name}={rows} {cols}")
-        self.lines.extend(" ".join(map(str, row)) for row in entries.tolist())
+        if rows:
+            self.lines.append(_matrix_template(rows, cols).format(*entries.ravel().tolist()))
 
     def bits(self, name: str, b: BitString) -> None:
         self.lines.append(f"{name}=" + "".join(str(v) for v in b.bits))
@@ -90,22 +101,26 @@ class LineReader:
     """Sequential reader; fields must appear in the order they are read."""
 
     def __init__(self, text: str, header: str | None = None):
-        self._lines = text.splitlines()
+        if not text.endswith("\n"):
+            raise FormatError("input does not end in a newline")
+        self._lines = text[:-1].split("\n")
         self._pos = 0
         if header is not None:
-            got = self._next_line()
+            got = self.block(1)
             if got != header:
                 raise FormatError(f"expected header {header!r}, got {got!r}")
 
-    def _next_line(self) -> str:
-        if self._pos >= len(self._lines):
+    def block(self, count: int) -> str:
+        """The next count lines, joined by newlines."""
+        end = self._pos + count
+        if end > len(self._lines):
             raise FormatError("unexpected end of input")
-        line = self._lines[self._pos]
-        self._pos += 1
-        return line
+        text = "\n".join(self._lines[self._pos : end])
+        self._pos = end
+        return text
 
     def _value(self, name: str) -> str:
-        line = self._next_line()
+        line = self.block(1)
         prefix = name + "="
         if not line.startswith(prefix):
             raise FormatError(f"expected field {name!r}, got line {line!r}")
@@ -140,27 +155,17 @@ class LineReader:
         """Canonical residues only: see `_RESIDUES`, and each below q."""
         return ZqVector(_residues(name, self._value(name), modulus.q), modulus)
 
-    def matrix(self, name: str, modulus: Modulus | None = None) -> np.ndarray:
-        """A `rows cols` header, then one line per row. With a modulus the
-        header and the rows take the vector grammar and every entry is a
-        residue below q; without one, entries are any integers (the signed
-        trapdoor R). The array is built from the rows actually read, never
-        sized from the header alone."""
-        signed = modulus is None
-        head = (_integers if signed else _residues)(name, self._value(name))
-        if len(head) != 2:
-            raise FormatError(f"field {name}: bad matrix header {head.tolist()!r}")
-        rows, cols = head.tolist()
-        if rows < 0 or cols < 0:
-            raise FormatError(f"field {name}: negative matrix size {rows} x {cols}")
-        lines = []
-        for i in range(rows):
-            lines.append(self._next_line())
-            got = len(lines[-1].split())
-            if got != cols:
-                raise FormatError(f"matrix {name}: row {i} has {got} entries")
-        text = " ".join(lines)
-        values = _integers(name, text) if signed else _residues(name, text, modulus.q)
+    def matrix(self, name: str, rows: int, cols: int,
+               modulus: Modulus | None = None) -> np.ndarray:
+        """The header `name=rows cols`, then rows lines of cols entries:
+        residues below q with a modulus, else signed (the trapdoor's R)."""
+        text = self.block(rows + 1)
+        too_wide = rows and cols > len(text)  # tested first, it bounds the pattern's size
+        if too_wide or not _matrix_pattern(name, rows, cols, modulus is None).fullmatch(text):
+            raise FormatError(f"matrix {name}: not {rows} x {cols} canonical entries")
+        values = np.fromstring(text.partition("\n")[2], dtype=np.int64, count=rows * cols, sep=" ")
+        if modulus is not None and values.size and values.max() >= modulus.q:
+            raise FormatError(f"matrix {name}: residue not below q={modulus.q}")
         return values.reshape(rows, cols)
 
     def bits(self, name: str) -> BitString:

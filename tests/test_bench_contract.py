@@ -5,6 +5,9 @@ reporting zeros, so this checks that every wrapped name still exists,
 that traced sessions on both transports record spans through them, and
 that a traced noisy cross-check and a traced reduction run record their
 spans and counts."""
+import functools
+import gc
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -99,3 +102,25 @@ def test_traced_reductions_record_spans():
     wanted = {"reductions.lwe_to_dcp", "reductions.lwe_to_edcp", "reductions.solve"}
     assert wanted <= recorded, wanted - recorded
     assert tracer.counts == [("reductions.states", 1, 8), ("reductions.states", 1, 8)]
+
+
+def test_every_cache_is_a_module_attribute():
+    """perfbench's set-up empties the caches it finds as module attributes
+    of ntcfk, so `setup_s` counts filling them. A cache on a method or a
+    nested function would stay warm across set-ups; after a session and
+    a reduction have run, every ntcfk lru_cache must be reachable that
+    way."""
+    for name in ("cli", "crosscheck", "oracle", "reductions"):
+        importlib.import_module(f"ntcfk.{name}")
+    pr = HonestProver(np.random.default_rng(0), mode="exact-enumeration")
+    protocol.run_protocol(TINY, pr, 2, np.random.default_rng(1))
+    key, trap = gen(get_preset("desk-k3"), np.random.default_rng(2))
+    inst = reductions.instance_from_key(key, planted_s=trap.s)
+    reductions.end_to_end_recover(inst, "dcp", np.random.default_rng(3), count=2)
+    caches = [obj for obj in gc.get_objects()
+              if isinstance(obj, functools._lru_cache_wrapper)
+              and getattr(obj, "__module__", "").startswith("ntcfk")]
+    assert caches
+    for cache in caches:
+        owner = vars(sys.modules[cache.__module__])
+        assert owner.get(cache.__name__) is cache, f"{cache.__module__}.{cache.__qualname__}"

@@ -26,7 +26,7 @@ from ntcfk.ntcf import (
     trapdoor_to_text,
     validate_params,
 )
-from ntcfk.presets import get_preset
+from ntcfk.presets import PRESETS, get_preset
 from ntcfk.serialize import FormatError
 from ntcfk.trapdoor import TrapdoorKey
 from ntcfk.zq import ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
@@ -330,6 +330,11 @@ class TestSerialization:
         "desk-k3": "b5f52d099c6a62e6e6ff1e8137baca08a72e0bf0220be731266cf539bcf976b6",
     }
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_sk_file_round_trip(self, preset):
+        text = trapdoor_to_text(*gen(get_preset(preset), np.random.default_rng(3)))
+        assert trapdoor_to_text(*trapdoor_from_text(text)) == text
+
     @pytest.mark.parametrize("preset", sorted(SK_PINS))
     def test_sk_file_pinned(self, preset):
         k, t = gen(get_preset(preset), np.random.default_rng(5))
@@ -362,6 +367,16 @@ def _set_r(make):
     return edit
 
 
+def _r_entry(value, text):
+    """The first R entry that reads `value`, written as `text`."""
+    def make(r, _other):
+        i = next(i for i, row in enumerate(r) if i and value in row.split(" "))
+        row = r[i].split(" ")
+        row[row.index(value)] = text
+        return r[:i] + [" ".join(row)] + r[i + 1:]
+    return _set_r(make)
+
+
 def _exhaustive_sk(preset, m, zero_a=False):
     """Instead of an edit: the secret key of `preset` cut to its first m
     rows (A = 0 if zero_a), written in the exhaustive layout."""
@@ -392,9 +407,18 @@ def _exhaustive_sk(preset, m, zero_a=False):
     _exhaustive_sk("desk-k3", 20),
     # x -> Ax is not injective, so every decode ties
     _exhaustive_sk("tiny-exact", 2, zero_a=True),
+    # R takes only the writer's text of each entry
+    _r_entry("1", "0_1"),
+    _r_entry("1", "\u0661"),
+    _r_entry("1", "+1"),
+    _r_entry("0", "-0"),
+    _r_entry("1", "01"),
+    _set_r(lambda r, _other: [r[0], r[1].replace(" ", "  ", 1)] + r[2:]),
 ], ids=["n_bar-0", "n_bar-99", "base-3", "base-1", "mode-exhaustive",
         "R-1x1", "R-entry-2", "R-entry-plus-q", "R-of-another-key",
-        "exhaustive-over-cap", "exhaustive-A-zero"])
+        "exhaustive-over-cap", "exhaustive-A-zero", "R-entry-underscore",
+        "R-entry-arabic-indic-digit", "R-entry-plus-sign", "R-entry-negative-zero",
+        "R-entry-leading-zero", "R-double-space"])
 def test_malformed_sk_file_rejected(edit):
     """A secret key whose trapdoor fields are not the ones its A gives,
     or whose exhaustive layout `gen_trap` would not make, fails when it

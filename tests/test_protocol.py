@@ -1,4 +1,5 @@
 import io
+import re
 import socket
 import struct
 import threading
@@ -7,9 +8,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ntcfk.ntcf as ntcf
 import ntcfk.protocol as protocol
 from ntcfk.ntcf import NtcfParams, compute_bp, gen, key_to_text, trapdoor_to_text
 from ntcfk.presets import PRESETS, get_preset
@@ -38,6 +40,7 @@ from ntcfk.protocol import (
     run_protocol,
     run_protocol_tcp,
 )
+from ntcfk.serialize import FormatError, LineWriter
 from ntcfk.zq import BitString, ZqVector
 
 
@@ -78,14 +81,67 @@ def tiny_key_with(name, *lines):
     return ("\n".join(out) + "\n").encode()
 
 
+def key_frame(payload):
+    return struct.pack(">I", len(payload)) + bytes([protocol.TAG_KEY]) + payload
+
+
 def tiny_key_for(**fields):
     """A tiny-exact key frame payload with the params replaced by `fields`."""
     key = gen(TINY, np.random.default_rng(0))[0]
     return key_to_text(replace(key, params=replace(TINY, **fields))).encode()
 
 
+# Every character but "\n" that str.splitlines() also breaks a line at.
+BREAK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+LINE_BREAKS = {"cr": "\r", "crlf": "\r\n", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c",
+               "gs": "\x1d", "rs": "\x1e", "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+CANONICAL_PAYLOADS = {
+    "key": (0x01, key_to_text(gen(DESK, np.random.default_rng(0))[0])),
+    "image": (0x02, "y=3 1\n"),
+    "result": (0x07, "verdict=accept\nreason=preimage check passed\n"),
+}
+DESK_PAYLOADS = {
+    frame_encode(msg)[4]: frame_encode(msg)[5:].decode() for msg in (
+        MsgImage(ZqVector(np.arange(DESK.m) * 13 % DESK.q, DESK.modulus)),
+        MsgChallenge("T"),
+        MsgPreimageResp(2, ZqVector(np.array([520, 0]), DESK.modulus)),
+        MsgEquationResp(1, 0, BitString((1, 0) * (DESK.d_len // 2))),
+        MsgRedFailure("unpaired outcome"),
+        MsgRoundResult(False, "retry:all-zero d"),
+    )
+}
+
+
+def line_break_payloads():
+    """Canonical payloads with other line breaks, each of which a reader
+    that splits on any line break would accept. (A final CRLF is not
+    among them: it leaves a valid reason field that ends in CR.)"""
+    for frame, (tag, text) in CANONICAL_PAYLOADS.items():
+        for name, brk in LINE_BREAKS.items():
+            yield pytest.param(tag, text.replace("\n", brk).encode(), id=f"{frame}-breaks-{name}")
+            if name != "crlf":
+                yield pytest.param(tag, (text[:-1] + brk).encode(), id=f"{frame}-final-{name}")
+        yield pytest.param(tag, text[:-1].encode(), id=f"{frame}-no-final-newline")
+    tag, text = CANONICAL_PAYLOADS["key"]
+    yield pytest.param(tag, text.replace("\n", "\x1e", 20).encode(), id="key-first-20-breaks-rs")
+
+
 # Widths that fit the B_P formula for kappa = 10^300, so only kappa <= q fails.
 HUGE_KAPPA_BP = compute_bp(TINY.q, TINY.n, TINY.m, 10**300, TINY.c_t)
+
+
+def tiny_key_huge(dim):
+    """A tiny-exact key frame payload, A and t unchanged, whose params
+    have n or m = 10^30 and widths that fit: they pass validation."""
+    p = replace(TINY, **{dim: 10**30})
+    b_p = compute_bp(p.q, p.n, p.m, p.kappa, p.c_t)
+    p = replace(p, b_p=b_p, b_v=b_p / 16, b_l=b_p / 256)
+    assert ntcf.validate_params(p).ok
+    w = LineWriter()
+    ntcf._params_fields(w, p)
+    lines = list(TINY_KEY_LINES)
+    lines[1:1 + ntcf.PARAMS_LINES] = w.lines
+    return ("\n".join(lines) + "\n").encode()
 
 
 def counters(stats):
@@ -216,6 +272,8 @@ class TestFrameErrors:
         pytest.param(0x01, tiny_key_with("kappa", "kappa=1" + "0" * 400), id="key-kappa-huge"),
         pytest.param(0x01, tiny_key_for(kappa=10**300, b_p=HUGE_KAPPA_BP, b_v=HUGE_KAPPA_BP / 16,
                                          b_l=HUGE_KAPPA_BP / 256), id="key-kappa-above-q"),
+        pytest.param(0x01, tiny_key_huge("n"), id="key-n-huge-valid-params"),
+        pytest.param(0x01, tiny_key_huge("m"), id="key-m-huge-valid-params"),
         pytest.param(0x01, tiny_key_with("kappa", "kappa=+3"), id="key-kappa-plus-sign"),
         pytest.param(0x01, tiny_key_with("q", "q=07"), id="key-q-leading-zero"),
         pytest.param(0x01, tiny_key_with("n", "n=\u0661"), id="key-n-arabic-indic-digit"),
@@ -226,6 +284,7 @@ class TestFrameErrors:
         pytest.param(0x04, b"b= 1\nx=3\n", id="preimage-b-leading-space"),
         pytest.param(0x04, b"b=1_0\nx=3\n", id="preimage-b-underscore"),
         pytest.param(0x05, b"bprime=1\nc=-0\nd=101\n", id="equation-c-negative-zero"),
+        *line_break_payloads(),
     ])
     def test_malformed_payload(self, tag, payload):
         frame = struct.pack(">I", len(payload)) + bytes([tag]) + payload
@@ -235,26 +294,33 @@ class TestFrameErrors:
     @given(st.lists(
         st.tuples(
             st.integers(0, len(TINY_KEY_LINES)),
-            st.sampled_from(["value", "line", "insert", "delete"]),
+            st.sampled_from(["value", "line", "insert", "delete", "append"]),
             st.one_of(
                 st.lists(st.integers(0, 9), max_size=3).map(
                     lambda v: " ".join(map(str, v))),
-                st.sampled_from(["-1", "0.0", "2147483648", "x"]),
+                st.sampled_from(["-1", "0.0", "2147483648", "x", *LINE_BREAKS.values()]),
                 st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                st.text(st.sampled_from("1 " + BREAK_CHARS), max_size=4),
+                st.tuples(st.sampled_from(["1 5", "4", "desk"]),
+                          st.sampled_from(BREAK_CHARS)).map("".join),
             ),
         ),
         min_size=1, max_size=3,
     ))
+    @example([(len(TINY_KEY_LINES) - 1, "append", "\r")])
     @settings(max_examples=300)
     def test_key_line_edits_raise_only_frame_error(self, edits):
-        """Edit a line's value (after its `name=`), replace, insert or
-        delete whole lines of the tiny-exact key frame."""
+        """Edit a line's value (after its `name=`), replace, insert,
+        append to or delete whole lines of the tiny-exact key frame. A
+        frame that decodes is canonical: it re-encodes to itself."""
         lines = list(TINY_KEY_LINES)
         for at, op, text in edits:
             if op == "insert":
                 lines.insert(at, text)
             elif at < len(lines) and op == "delete":
                 del lines[at]
+            elif at < len(lines) and op == "append":
+                lines[at] += text
             elif at < len(lines):
                 name, eq, _ = lines[at].partition("=")
                 lines[at] = name + eq + text if op == "value" and eq else text
@@ -267,6 +333,67 @@ class TestFrameErrors:
         p = key.params
         assert key.A.entries.shape == (p.m, p.n)
         assert len(key.t) == p.m
+        assert frame_encode(MsgKey(key)) == frame
+
+    @given(
+        st.sampled_from(sorted(DESK_PAYLOADS)),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["value", "line", "insert", "delete", "append"]),
+                st.one_of(
+                    st.sampled_from(["-1", "0", "1", "01", "G", "T", "accept", "x",
+                                     *LINE_BREAKS.values()]),
+                    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                    st.text(st.sampled_from("01 " + BREAK_CHARS), max_size=4),
+                    st.tuples(st.sampled_from(["T", "1", "reject", "x"]),
+                              st.sampled_from(BREAK_CHARS)).map("".join),
+                ),
+            ),
+            max_size=3,
+        ),
+    )
+    @example(protocol.TAG_ROUND_RESULT, [(1, "append", "\r")])
+    @settings(max_examples=300)
+    def test_non_key_line_edits_round_trip(self, tag, edits):
+        """The same edits on the six non-key frames of desk-k3: each
+        raises only FrameError, or decodes to a message that re-encodes
+        to the frame."""
+        lines = DESK_PAYLOADS[tag][:-1].split("\n")
+        for at, op, text in edits:
+            if op == "insert":
+                lines.insert(at, text)
+            elif at < len(lines) and op == "delete":
+                del lines[at]
+            elif at < len(lines) and op == "append":
+                lines[at] += text
+            elif at < len(lines):
+                name, eq, _ = lines[at].partition("=")
+                lines[at] = name + eq + text if op == "value" and eq else text
+        payload = ("\n".join(lines) + "\n").encode()
+        frame = struct.pack(">I", len(payload)) + bytes([tag]) + payload
+        try:
+            msg = frame_decode(frame, DESK)
+        except FrameError:
+            return
+        assert frame_encode(msg) == frame
+
+    def test_params_cache_never_stores_a_failure(self):
+        cache = ntcf._params_from_text
+        frame = key_frame(tiny_key_for(q=522))
+        size = cache.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(FrameError, match="q=522 is not prime"):
+                frame_decode(frame)
+        assert cache.cache_info().currsize == size
+
+    def test_params_cache_is_exact(self):
+        """B_L=0.0 and -0.0 compare equal but are different text, so
+        each frame reports its own."""
+        for b_l, other in (("0.0", "-0.0"), ("-0.0", "0.0")):
+            with pytest.raises(FrameError, match=f"B_L={re.escape(b_l)} ") as info:
+                frame_decode(key_frame(tiny_key_for(b_l=float(b_l))))
+            assert f"B_L={other} " not in str(info.value)
 
 
 class RecordingStream(io.BytesIO):
@@ -445,6 +572,13 @@ class TestDeterminismAndTranscripts:
             back = Transcript.from_text(t.to_text())
             assert back.frames == t.frames
             assert (back.verdict, back.reason) == (t.verdict, t.reason)
+
+    @pytest.mark.parametrize("hexdata", ["00 01 ab", "0001AB", "0001a", "0001ag"],
+                             ids=["spaces", "upper-case", "odd-length", "not-hex"])
+    def test_transcript_frames_only_lower_case_hex(self, hexdata):
+        text = Transcript([b"\x00\x01\xab"], "accept", "ok").to_text()
+        with pytest.raises(FormatError, match="field frame"):
+            Transcript.from_text(text.replace("frame=0001ab", "frame=" + hexdata))
 
     # Between them the cases take every verdict path: accept, reject,
     # retry (RED failure) and the image decode failure.
