@@ -45,7 +45,7 @@ def analytic_joint(k: NtcfKey, mis_shift: int = 0) -> Density:
     # before summing so the sums stay inside int64.
     center = b * k.t.entries
     for j in range(p.n):
-        center += x[:, j, None] * k.A.entries[:, j] % q
+        center += x[:, j, None] * k.A[:, j] % q
     # Distinct support points are distinct mod q, so every (y, b, x) below
     # is one row with probability D(e0) / (kappa q^n).
     y = (center[:, None, :] + e0[None, :, :] + mis_shift) % q

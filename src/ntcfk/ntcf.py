@@ -24,7 +24,7 @@ import numpy as np
 from . import trapdoor as td
 from .gaussian import Density, TruncatedGaussian, hellinger_sq_shifts, shifted_density
 from .serialize import HEADER_KEY, HEADER_SK, FormatError, LineReader, LineWriter
-from .zq import DimensionError, Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
+from .zq import DimensionError, Modulus, ZqVector, centered_lift, euclidean_norm, mat_vec_mul
 
 RATIO_FLOOR = 8.0  # desk stand-in for the asymptotic width-ratio conditions
 GROWTH_CONST = 1  # constant in the dimension growth conditions
@@ -94,16 +94,7 @@ def validate_params(p: NtcfParams) -> ValidationReport:
     2*sqrt(n) <= B_L, and the width-ratio conditions are warnings in desk
     mode and failures in asymptotic mode. Any field values that a valid
     modulus q admits give a report, never an exception.
-
-    Reports are cached by the params and their text: params that compare
-    equal but print differently (B_L=0.0 and -0.0) word their messages
-    differently.
     """
-    return _validate_params_cached(p, repr(p))
-
-
-@functools.lru_cache(maxsize=64)
-def _validate_params_cached(p: NtcfParams, _text: str) -> ValidationReport:
     hard: list[str] = []
     soft: list[str] = []
     if not p.modulus.is_prime:
@@ -144,15 +135,21 @@ def _validate_params_cached(p: NtcfParams, _text: str) -> ValidationReport:
     return ValidationReport(tuple(hard), tuple(soft))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NtcfKey:
+    """(A, t), A a read-only m x n array of residues; equal by value, unhashable."""
+
     params: NtcfParams
-    A: ZqMatrix
+    A: np.ndarray
     t: ZqVector
 
     def __post_init__(self):
         if len(self.t) != self.params.m:
             raise ValueError(f"t must have length m={self.params.m}")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, NtcfKey) and self.params == other.params
+                and np.array_equal(self.A, other.A) and self.t == other.t)
 
 
 @dataclass(frozen=True)
@@ -343,7 +340,7 @@ def _key_read(r: LineReader) -> NtcfKey:
     t = r.vector("t", modulus)
     if len(t) != p.m:
         raise FormatError(f"field t: length {len(t)}, not m={p.m}")
-    return NtcfKey(p, ZqMatrix(A, modulus), t)
+    return NtcfKey(p, A, t)
 
 
 def key_from_text(text: str) -> NtcfKey:
@@ -375,40 +372,51 @@ def _expect(r: LineReader, name: str, value) -> None:
         raise FormatError(f"field {name}: {got!r}, not {str(value)!r}")
 
 
-def _trapdoor_read(r: LineReader, A: ZqMatrix) -> td.TrapdoorKey:
-    """The trapdoor fields of a secret key for A. The mode, n_bar and base
-    must be the ones A's shape and q give; in the gadget layout R is an
+def _trapdoor_read(r: LineReader, A: np.ndarray, modulus: Modulus) -> td.TrapdoorKey:
+    """The trapdoor fields of a secret key for A mod q. The mode, n_bar and
+    base must be the ones A's shape and q give; in the gadget layout R is an
     n*k x n_bar matrix over {-1, 0, 1} with [R | I] A = G, and in the
     exhaustive one q^n is within the search cap and x -> Ax injective, as
     `gen_trap` makes them. Anything else is a FormatError."""
-    q, n, m = A.modulus.q, A.cols, A.rows
+    q, (m, n) = modulus.q, A.shape
     if not td.gadget_fits(n, m, q):
         _expect(r, "trap_mode", "exhaustive")
         _expect(r, "n_bar", 0)
         if q**n > td.EXHAUSTIVE_CAP:
             raise FormatError(f"matrix A: q^n={q**n} exceeds the exhaustive-search "
                               f"cap {td.EXHAUSTIVE_CAP}")
-        if not td._injective_on_domain(A):
+        if not td._injective_on_domain(A, q):
             raise FormatError("matrix A: x -> Ax is not injective on Z_q^n")
-        return td.TrapdoorKey(A)
-    w = n * A.modulus.bits
+        return td.TrapdoorKey(A, modulus)
+    w = n * modulus.bits
     _expect(r, "trap_mode", "gadget")
     _expect(r, "n_bar", m - w)
     _expect(r, "gadget_base", td.GADGET_BASE)
     R = r.matrix("R", w, m - w)
     if R.min() < -1 or R.max() > 1:
         raise FormatError("matrix R: entries must be in {-1, 0, 1}")
-    t_a = td.TrapdoorKey(A, R)
+    t_a = td.TrapdoorKey(A, modulus, R)
     if not t_a.relation_holds():
         raise FormatError("matrix R: [R | I] A != G mod q")
     return t_a
 
 
 def trapdoor_from_text(text: str) -> tuple[NtcfKey, NtcfTrapdoor]:
+    """A key, its trapdoor fields (see `_trapdoor_read`), then s and e of
+    lengths n and m, each centered entry of e within the radius `gen`
+    draws it from, and t = A s + e mod q; anything else is a FormatError."""
     r = LineReader(text, HEADER_SK)
     k = _key_read(r)
-    t_a = _trapdoor_read(r, k.A)
-    s = r.vector("s", k.params.modulus)
-    e = r.vector("e", k.params.modulus)
+    p = k.params
+    t_a = _trapdoor_read(r, k.A, p.modulus)
+    s = r.vector("s", p.modulus)
+    e = r.vector("e", p.modulus)
     r.done()
+    if (len(s), len(e)) != (p.n, p.m):
+        raise FormatError(f"fields s, e: lengths {len(s)}, {len(e)}, not n={p.n}, m={p.m}")
+    radius = TruncatedGaussian(p.modulus, p.b_v, p.m).radius
+    if np.abs(centered_lift(e)).max() > radius:
+        raise FormatError(f"field e: an entry lies outside the B_V radius {radius}")
+    if mat_vec_mul(k.A, s) + e != k.t:
+        raise FormatError("fields s, e: t != A s + e mod q")
     return k, NtcfTrapdoor(t_a, s, e)

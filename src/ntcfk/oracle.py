@@ -212,7 +212,6 @@ def apply_ufkb(state: SparseState, key: NtcfKey, invert: bool = False) -> Sparse
     if state.spec("x").size != p.n or state.spec("y").size != p.m:
         raise DimensionError("register sizes do not match the key")
     q = p.q
-    A = key.A.entries
     labels = state.labels
     xc, yc = state.reg_cols("x"), state.reg_cols("y")
     b = labels[:, state.reg_cols("b").start, None]
@@ -220,7 +219,7 @@ def apply_ufkb(state: SparseState, key: NtcfKey, invert: bool = False) -> Sparse
     # Reduce each product mod q before summing, as zq.mul_rows_mod does,
     # so the sums stay inside int64 for any q < 2^31.
     for j in range(p.n):
-        shift += labels[:, xc.start + j, None] * A[:, j] % q
+        shift += labels[:, xc.start + j, None] * key.A[:, j] % q
     out = labels.copy()
     out[:, yc] = (labels[:, yc] + (-shift if invert else shift)) % q
     return SparseState(state.specs, out, state.amps)

@@ -327,10 +327,14 @@ class Transcript:
     def from_text(cls, text: str) -> "Transcript":
         r = LineReader(text, HEADER_TRANSCRIPT)
         count = r.int_field("frames")
+        if count < 0:
+            raise FormatError(f"field frames: negative count {count}")
         frames = [r.field("frame") for _ in range(count)]
         if not all(map(_HEX.fullmatch, frames)):
             raise FormatError("field frame: not lower-case hex of whole bytes")
         verdict = r.field("verdict")
+        if verdict not in ("accept", "reject", "retry"):
+            raise FormatError(f"field verdict: {verdict!r}, not accept, reject or retry")
         reason = r.field("reason")
         r.done()
         return cls([bytes.fromhex(f) for f in frames], verdict, reason)

@@ -167,7 +167,7 @@ def sample_images(
         X[i] = rng.integers(0, p.q, size=p.n, dtype=np.int64)
         U[i] = rng.random(p.m)
     E = TruncatedGaussian(p.modulus, p.b_p, p.m).inverse_cdf(U)
-    Y = (mul_rows_mod(k.A.entries, X, p.q) + E + B[:, None] * k.t.entries) % p.q
+    Y = (mul_rows_mod(k.A, X, p.q) + E + B[:, None] * k.t.entries) % p.q
     return B, X, Y
 
 
@@ -190,7 +190,7 @@ def _enumerate_residual(k: NtcfKey, y: ZqVector) -> ResidualState:
         )
     prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
     grid = domain_grid(p.q, p.n)
-    images = mul_rows_mod(k.A.entries, grid, p.q)  # q^n x m
+    images = mul_rows_mod(k.A, grid, p.q)  # q^n x m
     shifts = np.arange(p.kappa)[:, None, None] * k.t.entries  # kappa x 1 x m
     weights = prob_by_residue[(y.entries - images - shifts) % p.q].prod(axis=2)
     branch, idx = np.nonzero(weights)  # kappa x q^n, read branch-major

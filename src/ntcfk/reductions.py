@@ -29,12 +29,12 @@ import numpy as np
 
 from .ntcf import NtcfKey, NtcfParams, claws, compute_bp
 from .prover import CosetState, samp_and_measure, sample_images
-from .zq import Modulus, ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
+from .zq import Modulus, ZqVector, euclidean_norm, mat_vec_mul
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LweInstance:
-    A: ZqMatrix
+    A: np.ndarray
     t: ZqVector
     params: NtcfParams
     planted_s: ZqVector | None = None  # simulation shortcut, see module doc

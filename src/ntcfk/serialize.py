@@ -9,7 +9,8 @@ sign and no leading zero; the reader accepts nothing else. A matrix
 field is `name=rows cols` and one line per row; its reader knows the
 shape and accepts that header only, and rows of cols entries each:
 residues below q (the key's A) or, for the trapdoor's signed R,
-`0|-?[1-9][0-9]*`. Files open with a versioned header line.
+`0|-?[1-9][0-9]*`, as a read-only int64 array. Files open with a
+versioned header line. No text over MAX_TEXT_CHARS is parsed.
 """
 from __future__ import annotations
 
@@ -18,11 +19,12 @@ import re
 
 import numpy as np
 
-from .zq import BitString, Modulus, ZqMatrix, ZqVector
+from .zq import BitString, Modulus, ZqVector
 
 HEADER_KEY = "ntcf-key v1"
 HEADER_SK = "ntcf-sk v1"
 HEADER_TRANSCRIPT = "transcript v1"
+MAX_TEXT_CHARS = 1 << 20  # over 500x the largest preset secret-key file
 
 
 class FormatError(ValueError):
@@ -82,13 +84,11 @@ class LineWriter:
         values = np.asarray(entries, dtype=np.int64).tolist()
         self.lines.append(f"{name}=" + _matrix_template(1, len(values)).format(*values))
 
-    def matrix(self, name: str, mat) -> None:
-        entries = mat.entries if isinstance(mat, ZqMatrix) else mat
-        entries = np.asarray(entries, dtype=np.int64)
-        rows, cols = entries.shape
+    def matrix(self, name: str, mat: np.ndarray) -> None:
+        rows, cols = mat.shape
         self.lines.append(f"{name}={rows} {cols}")
         if rows:
-            self.lines.append(_matrix_template(rows, cols).format(*entries.ravel().tolist()))
+            self.lines.append(_matrix_template(rows, cols).format(*mat.ravel().tolist()))
 
     def bits(self, name: str, b: BitString) -> None:
         self.lines.append(f"{name}=" + "".join(str(v) for v in b.bits))
@@ -101,6 +101,8 @@ class LineReader:
     """Sequential reader; fields must appear in the order they are read."""
 
     def __init__(self, text: str, header: str | None = None):
+        if len(text) > MAX_TEXT_CHARS:
+            raise FormatError(f"input over the cap of {MAX_TEXT_CHARS} characters")
         if not text.endswith("\n"):
             raise FormatError("input does not end in a newline")
         self._lines = text[:-1].split("\n")
@@ -158,7 +160,8 @@ class LineReader:
     def matrix(self, name: str, rows: int, cols: int,
                modulus: Modulus | None = None) -> np.ndarray:
         """The header `name=rows cols`, then rows lines of cols entries:
-        residues below q with a modulus, else signed (the trapdoor's R)."""
+        residues below q with a modulus, else signed (the trapdoor's R),
+        as a read-only array."""
         text = self.block(rows + 1)
         too_wide = rows and cols > len(text)  # tested first, it bounds the pattern's size
         if too_wide or not _matrix_pattern(name, rows, cols, modulus is None).fullmatch(text):
@@ -166,6 +169,7 @@ class LineReader:
         values = np.fromstring(text.partition("\n")[2], dtype=np.int64, count=rows * cols, sep=" ")
         if modulus is not None and values.size and values.max() >= modulus.q:
             raise FormatError(f"matrix {name}: residue not below q={modulus.q}")
+        values.setflags(write=False)
         return values.reshape(rows, cols)
 
     def bits(self, name: str) -> BitString:

@@ -3,10 +3,10 @@
 The public matrix is the tall stack A = [Abar ; G - R*Abar] mod q, where
 G is the n-column gadget block of powers of GADGET_BASE = 2 (k =
 ceil(log2 q) digits per coordinate, `Modulus.bits`) and R has uniform
-entries in {-1, 0, 1}. The trapdoor is R alone: the short relation
-[R | I] * A = G turns a noisy image v = A s + e into a noisy gadget
-syndrome G s + e', from which each coordinate of s is decoded
-independently.
+entries in {-1, 0, 1}. A `TrapdoorKey` is A, its modulus and R, both
+read-only int64 arrays. The short relation [R | I] * A = G turns a noisy
+image v = A s + e into a noisy gadget syndrome G s + e', from which each
+coordinate of s is decoded independently.
 
 Per-coordinate decoding returns the s whose max syndrome residual over
 the gadget rows is strictly below d/2, d the gadget code's minimax
@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import (DimensionError, Modulus, ZqMatrix, ZqVector, domain_grid,
-                 euclidean_norm, lift_residues, mat_vec_mul, mul_rows_mod,
-                 rows_distinct)
+from .zq import (DimensionError, Modulus, ZqVector, domain_grid, euclidean_norm,
+                 lift_residues, mat_vec_mul, mul_rows_mod, rows_distinct)
 
 EXHAUSTIVE_CAP = 2**16
 GADGET_BASE = 2
@@ -89,20 +88,21 @@ def _scan_min_residual(u: np.ndarray, row: np.ndarray, q: int, first: int = 0) -
 
 @dataclass(frozen=True)
 class TrapdoorKey:
-    """Trapdoor for a public matrix A: R (n*k x n_bar, entries in
-    {-1, 0, 1}) with [R | I] A = G mod q, or None for the exhaustive
-    layout."""
+    """Trapdoor for a public m x n matrix A of residues mod q: R (n*k x
+    n_bar, entries in {-1, 0, 1}) with [R | I] A = G mod q, or None for
+    the exhaustive layout."""
 
-    A: ZqMatrix
+    A: np.ndarray
+    modulus: Modulus
     R: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.A.cols
+        return self.A.shape[1]
 
     @property
     def m(self) -> int:
-        return self.A.rows
+        return self.A.shape[0]
 
     @property
     def mode(self) -> str:
@@ -111,14 +111,14 @@ class TrapdoorKey:
     @property
     def n_bar(self) -> int:
         """Rows of Abar: m - n*k in the gadget layout, 0 otherwise."""
-        return 0 if self.R is None else self.m - self.n * self.A.modulus.bits
+        return 0 if self.R is None else self.R.shape[1]
 
     def relation_holds(self) -> bool:
         """Check [R | I] A = G mod q (gadget mode only)."""
         if self.R is None:
             return True
-        q = self.A.modulus.q
-        Abar, bottom = np.split(self.A.entries, [self.n_bar])
+        q = self.modulus.q
+        Abar, bottom = np.split(self.A, [self.n_bar])
         return np.array_equal((self.R @ Abar + bottom) % q, _gadget_block(self.n, q))
 
 
@@ -137,8 +137,9 @@ def _gadget_block(n: int, q: int) -> np.ndarray:
 
 def gen_trap(
     n: int, m: int, q: int, rng: np.random.Generator
-) -> tuple[ZqMatrix, TrapdoorKey]:
-    """Generate (A, trapdoor) with A statistically close to uniform.
+) -> tuple[np.ndarray, TrapdoorKey]:
+    """Generate (A, trapdoor) with A statistically close to uniform. A
+    and R are read-only.
 
     Uses the gadget layout when it fits, and otherwise falls back to the
     exhaustive trapdoor when q^n is under the search cap.
@@ -152,8 +153,10 @@ def gen_trap(
         Abar = rng.integers(0, q, size=(m - w, n), dtype=np.int64)
         R = rng.integers(-1, 2, size=(w, m - w), dtype=np.int64)
         bottom = (_gadget_block(n, q) - R @ Abar) % q
-        A = ZqMatrix(np.vstack([Abar, bottom]), modulus)
-        return A, TrapdoorKey(A, R)
+        A = np.vstack([Abar, bottom])
+        A.setflags(write=False)
+        R.setflags(write=False)
+        return A, TrapdoorKey(A, modulus, R)
 
     if q**n > EXHAUSTIVE_CAP:
         raise LayoutError(
@@ -163,16 +166,16 @@ def gen_trap(
     # Resample until x -> Ax is injective over Z_q^n; without that the
     # exhaustive decode (and any claw structure) is ill-defined.
     for _ in range(200):
-        A = ZqMatrix(rng.integers(0, q, size=(m, n), dtype=np.int64), modulus)
-        if _injective_on_domain(A):
-            return A, TrapdoorKey(A)
+        A = rng.integers(0, q, size=(m, n), dtype=np.int64)
+        if _injective_on_domain(A, q):
+            A.setflags(write=False)
+            return A, TrapdoorKey(A, modulus)
     raise LayoutError("could not sample an injective A for the exhaustive trapdoor")
 
 
-def _injective_on_domain(A: ZqMatrix) -> bool:
-    q = A.modulus.q
-    images = mul_rows_mod(A.entries, domain_grid(q, A.cols), q)
-    return rows_distinct(images, np.full(A.rows, q, dtype=np.int64))
+def _injective_on_domain(A: np.ndarray, q: int) -> bool:
+    images = mul_rows_mod(A, domain_grid(q, A.shape[1]), q)
+    return rows_distinct(images, np.full(len(A), q, dtype=np.int64))
 
 
 def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
@@ -227,7 +230,7 @@ def invert(
     """
     if len(v) != t.m:
         raise DimensionError(f"expected length {t.m}, got {len(v)}")
-    modulus = t.A.modulus
+    modulus = t.modulus
     q = modulus.q
 
     if t.R is not None:
@@ -250,17 +253,17 @@ def invert(
 
 
 def _invert_exhaustive(t: TrapdoorKey, v: ZqVector) -> ZqVector:
-    q = t.A.modulus.q
+    q = t.modulus.q
     n = t.n
     if q**n > EXHAUSTIVE_CAP:
         raise DecodeFailure("exhaustive search cap exceeded")
     # Enumerate all secrets; pick the one with the smallest error norm and
     # demand a strict gap to the runner-up.
     grid = domain_grid(q, n)  # q^n x n
-    res = lift_residues((v.entries - mul_rows_mod(t.A.entries, grid, q)) % q, q)
+    res = lift_residues((v.entries - mul_rows_mod(t.A, grid, q)) % q, q)
     norms = (res.astype(np.float64) ** 2).sum(axis=1)
     order = np.argsort(norms)
     best, second = order[0], order[1]
     if norms[best] == norms[second]:
         raise DecodeFailure("ambiguous exhaustive decode (tied candidates)")
-    return ZqVector(grid[best], t.A.modulus)
+    return ZqVector(grid[best], t.modulus)

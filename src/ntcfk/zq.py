@@ -1,16 +1,17 @@
-"""Exact arithmetic over Z_q: vectors, matrices, centered lifts, and the
+"""Exact arithmetic over Z_q: vectors, A x mod q, centered lifts, and the
 bit-encoding map used by the equation check.
 
-All residues are stored in [0, q). Centered lifts (`lift_residues`)
-live in (-q/2, q/2]. q is restricted to < 2**31 so that int64 products
-never overflow, and `mul_rows_mod`, the one A x mod q, reduces each
-product before summing so that its sums never do either.
+A matrix is a plain read-only (rows, cols) int64 array; only vectors
+have a type here. All residues are stored in [0, q). Centered lifts
+(`lift_residues`) live in (-q/2, q/2]. q is restricted to < 2**31 so
+that int64 products never overflow, and `mul_rows_mod`, the one A x mod
+q, reduces each product before summing so that its sums never do either.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,10 +60,6 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _as_residues(entries, q: int) -> np.ndarray:
-    return np.asarray(entries, dtype=np.int64) % q
-
-
 @dataclass(frozen=True)
 class ZqVector:
     """Immutable vector over Z_q. Entries normalized into [0, q)."""
@@ -71,7 +68,8 @@ class ZqVector:
     modulus: Modulus
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_residues(self.entries, self.modulus.q))
+        entries = np.asarray(self.entries, dtype=np.int64) % self.modulus.q
+        object.__setattr__(self, "entries", entries)
         self.entries.setflags(write=False)
 
     def __len__(self) -> int:
@@ -115,39 +113,6 @@ class ZqVector:
     @classmethod
     def uniform(cls, n: int, modulus: Modulus, rng: np.random.Generator) -> "ZqVector":
         return cls(rng.integers(0, modulus.q, size=n, dtype=np.int64), modulus)
-
-
-@dataclass(frozen=True)
-class ZqMatrix:
-    """Immutable matrix over Z_q, row-major, entries in [0, q)."""
-
-    entries: np.ndarray
-    modulus: Modulus
-
-    def __post_init__(self):
-        a = _as_residues(self.entries, self.modulus.q)
-        if a.ndim != 2:
-            raise DimensionError("matrix entries must be 2-dimensional")
-        object.__setattr__(self, "entries", a)
-        self.entries.setflags(write=False)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZqMatrix)
-            and self.modulus == other.modulus
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.modulus.q, self.entries.shape, self.entries.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -218,13 +183,11 @@ def mul_rows_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
     return ((X[..., None, :] * A) % q).sum(axis=-1) % q
 
 
-def mat_vec_mul(A: ZqMatrix, x: ZqVector) -> ZqVector:
-    """Compute A x mod q."""
-    if A.modulus != x.modulus:
-        raise DimensionError("modulus mismatch")
-    if A.cols != len(x):
-        raise DimensionError(f"cannot multiply {A.rows}x{A.cols} by length-{len(x)}")
-    return ZqVector(mul_rows_mod(A.entries, x.entries, A.modulus.q), A.modulus)
+def mat_vec_mul(A: np.ndarray, x: ZqVector) -> ZqVector:
+    """Compute A x mod q for a matrix A of residues below x's modulus."""
+    if A.shape[1] != len(x):
+        raise DimensionError(f"cannot multiply {A.shape[0]}x{A.shape[1]} by length-{len(x)}")
+    return ZqVector(mul_rows_mod(A, x.entries, x.modulus.q), x.modulus)
 
 
 def lift_residues(a: np.ndarray, q: int) -> np.ndarray:

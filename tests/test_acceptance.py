@@ -43,7 +43,7 @@ from ntcfk.prover import (
 )
 from ntcfk.protocol import run_protocol, run_protocol_tcp
 from ntcfk.reductions import end_to_end_recover, instance_from_key, verify_candidate
-from ntcfk.zq import Modulus, ZqMatrix, ZqVector, mat_vec_mul
+from ntcfk.zq import Modulus, ZqVector, mat_vec_mul
 
 TINY = get_preset("tiny-exact")
 DESK = get_preset("desk-k3")
@@ -63,7 +63,7 @@ def claw_residual(kappa, q, s_val, x0_val):
     )
     mod = Modulus(q)
     k = NtcfKey(
-        p, ZqMatrix(np.array([[1], [3]]), mod), ZqVector(np.array([0, 0]), mod)
+        p, np.array([[1], [3]]), ZqVector(np.array([0, 0]), mod)
     )
     s = ZqVector(np.array([s_val]), mod)
     labels = (x0_val - s_val * np.arange(kappa)[:, None]) % q

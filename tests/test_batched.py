@@ -37,7 +37,7 @@ def reference_image(k, rng):
     cdf = np.cumsum(w / w.sum())
     idx = np.minimum(np.searchsorted(cdf, rng.random(p.m), side="right"), len(lifts) - 1)
     e0 = lifts[idx] % q
-    ax = ((k.A.entries * x[None, :]) % q).sum(axis=1) % q
+    ax = ((k.A * x[None, :]) % q).sum(axis=1) % q
     return b, x, (ax + e0 + b * k.t.entries) % q
 
 

@@ -27,9 +27,9 @@ from ntcfk.ntcf import (
     validate_params,
 )
 from ntcfk.presets import PRESETS, get_preset
-from ntcfk.serialize import FormatError
+from ntcfk.serialize import MAX_TEXT_CHARS, FormatError
 from ntcfk.trapdoor import TrapdoorKey
-from ntcfk.zq import ZqMatrix, ZqVector, euclidean_norm, mat_vec_mul
+from ntcfk.zq import ZqVector, euclidean_norm, mat_vec_mul
 
 
 def make_params(q, n, m, kappa, c_t, b_v, b_l, ell=1, **kw):
@@ -53,14 +53,13 @@ def manual_key(p, a_col, s_val, e_entries):
     controlled (random A at m=2 can put two branches too close)."""
     from ntcfk.ntcf import NtcfKey, NtcfTrapdoor
     from ntcfk.trapdoor import TrapdoorKey
-    from ntcfk.zq import ZqMatrix
 
     mod = p.modulus
-    A = ZqMatrix(np.array([[v] for v in a_col], dtype=np.int64), mod)
+    A = np.array([[v] for v in a_col], dtype=np.int64)
     s = ZqVector(np.array([s_val]), mod)
     e = ZqVector(np.array(e_entries), mod)
     t_vec = mat_vec_mul(A, s) + e
-    t_a = TrapdoorKey(A)
+    t_a = TrapdoorKey(A, mod)
     return NtcfKey(p, A, t_vec), NtcfTrapdoor(t_a, s, e)
 
 
@@ -342,6 +341,44 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == self.SK_PINS[preset]
         assert trapdoor_to_text(*trapdoor_from_text(text)) == text
 
+    @pytest.mark.parametrize("preset", ["tiny-exact", "desk-k3"])
+    def test_key_matrices_read_only(self, preset):
+        """A and R stay as built, from `gen` and from both readers, in the
+        exhaustive (tiny-exact) and the gadget (desk-k3) layout."""
+        k, t = gen(get_preset(preset), np.random.default_rng(5))
+        k_pub = key_from_text(key_to_text(k))
+        k_sk, t_sk = trapdoor_from_text(trapdoor_to_text(k, t))
+        assert (t.t_a.R is None) == (preset == "tiny-exact")
+        matrices = [k.A, t.t_a.A, k_pub.A, k_sk.A, t_sk.t_a.A]
+        matrices += [R for R in (t.t_a.R, t_sk.t_a.R) if R is not None]
+        for M in matrices:
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 0
+
+    def test_key_equality(self):
+        p = get_preset("desk-k3")
+        k, _t = gen(p, np.random.default_rng(5))
+        assert key_from_text(key_to_text(k)) == k
+        A = k.A.copy()
+        A[0, 0] = (A[0, 0] + 1) % p.q
+        t = k.t + ZqVector(np.eye(1, p.m, dtype=np.int64)[0], p.modulus)
+        assert NtcfKey(p, A, k.t) != k
+        assert NtcfKey(p, k.A, t) != k
+        assert NtcfKey(replace(p, ell=2), k.A, k.t) != k
+        with pytest.raises(TypeError):
+            hash(k)
+
+    def test_text_size_capped(self):
+        """Readers refuse text over the cap before splitting it, and the
+        cap leaves room for 500 desk-flood secret-key files."""
+        big = "x" * (MAX_TEXT_CHARS + 1)
+        for read in (key_from_text, trapdoor_from_text):
+            with pytest.raises(FormatError, match=f"cap of {MAX_TEXT_CHARS}"):
+                read(big)
+        sk = trapdoor_to_text(*gen(get_preset("desk-flood"), np.random.default_rng(5)))
+        assert MAX_TEXT_CHARS >= 500 * len(sk)
+
 
 def _set_field(name, value):
     def edit(lines, _other):
@@ -377,6 +414,29 @@ def _r_entry(value, text):
     return _set_r(make)
 
 
+def _edit_field(name, change):
+    """Field `name` with its value text passed through `change`."""
+    def edit(lines, _other):
+        prefix = name + "="
+        return [prefix + change(line[len(prefix):]) if line.startswith(prefix) else line
+                for line in lines]
+    return edit
+
+
+def _first_plus_one(values):
+    first, rest = values.split(" ", 1)
+    return f"{int(first) + 1} {rest}"
+
+
+def _s_plus_one(lines, _other):
+    """s + 1 with e = t - A(s + 1): t = A s + e mod q still holds, but e
+    leaves the radius `gen` draws it from."""
+    k, t = trapdoor_from_text("\n".join(lines) + "\n")
+    s = t.s + ZqVector(np.ones(k.params.n, dtype=np.int64), k.params.modulus)
+    e = k.t - mat_vec_mul(k.A, s)
+    return trapdoor_to_text(k, NtcfTrapdoor(t.t_a, s, e)).splitlines()
+
+
 def _exhaustive_sk(preset, m, zero_a=False):
     """Instead of an edit: the secret key of `preset` cut to its first m
     rows (A = 0 if zero_a), written in the exhaustive layout."""
@@ -384,11 +444,10 @@ def _exhaustive_sk(preset, m, zero_a=False):
         base = get_preset(preset)
         p = replace(base, m=m, b_p=compute_bp(base.q, base.n, m, base.kappa, base.c_t))
         k, t = gen(base, np.random.default_rng(5))
-        A = ZqMatrix(np.zeros((m, p.n), dtype=np.int64) if zero_a else k.A.entries[:m],
-                     p.modulus)
+        A = np.zeros((m, p.n), dtype=np.int64) if zero_a else k.A[:m]
         e = ZqVector(t.e.entries[:m], p.modulus)
         key = NtcfKey(p, A, mat_vec_mul(A, t.s) + e)
-        return trapdoor_to_text(key, NtcfTrapdoor(TrapdoorKey(A), t.s, e)).splitlines()
+        return trapdoor_to_text(key, NtcfTrapdoor(TrapdoorKey(A, p.modulus), t.s, e)).splitlines()
     return edit
 
 
@@ -414,15 +473,24 @@ def _exhaustive_sk(preset, m, zero_a=False):
     _r_entry("0", "-0"),
     _r_entry("1", "01"),
     _set_r(lambda r, _other: [r[0], r[1].replace(" ", "  ", 1)] + r[2:]),
+    # s and e must be a secret and error of the key's t
+    _edit_field("s", lambda v: v + " 3"),
+    _edit_field("s", lambda v: v.split(" ")[0]),
+    _edit_field("e", lambda v: v.split(" ")[0]),
+    _set_field("s", "0 0"),
+    _edit_field("e", _first_plus_one),
+    _s_plus_one,
 ], ids=["n_bar-0", "n_bar-99", "base-3", "base-1", "mode-exhaustive",
         "R-1x1", "R-entry-2", "R-entry-plus-q", "R-of-another-key",
         "exhaustive-over-cap", "exhaustive-A-zero", "R-entry-underscore",
         "R-entry-arabic-indic-digit", "R-entry-plus-sign", "R-entry-negative-zero",
-        "R-entry-leading-zero", "R-double-space"])
+        "R-entry-leading-zero", "R-double-space", "s-long", "s-short", "e-short",
+        "s-zero", "e-entry-plus-one", "s-plus-one-e-outside-radius"])
 def test_malformed_sk_file_rejected(edit):
     """A secret key whose trapdoor fields are not the ones its A gives,
-    or whose exhaustive layout `gen_trap` would not make, fails when it
-    is read, not at the first inversion."""
+    whose exhaustive layout `gen_trap` would not make, or whose s and e
+    are not the key's secret and error, fails when it is read, not at the
+    first inversion."""
     p = get_preset("desk-k3")
     lines = trapdoor_to_text(*gen(p, np.random.default_rng(5))).splitlines()
     other = trapdoor_to_text(*gen(p, np.random.default_rng(6))).splitlines()

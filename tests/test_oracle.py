@@ -22,7 +22,7 @@ from ntcfk.oracle import (
     measure_register,
     remove_register,
 )
-from ntcfk.zq import DimensionError, Modulus, ZqMatrix, ZqVector, j_encode
+from ntcfk.zq import DimensionError, Modulus, ZqVector, j_encode
 
 
 def rows(st):
@@ -50,7 +50,7 @@ def tiny_key(q=7, n=1, m=1, kappa=2, a=None, t=None):
         b_p=compute_bp(q, n, m, kappa, 1.4), c_t=1.4,
     )
     mod = Modulus(q)
-    A = ZqMatrix(np.array(a if a is not None else [[3]] * m), mod)
+    A = np.array(a if a is not None else [[3]] * m)
     tv = ZqVector(np.array(t if t is not None else [2] * m), mod)
     return NtcfKey(p, A, tv)
 

@@ -331,7 +331,7 @@ class TestFrameErrors:
         except FrameError:
             return
         p = key.params
-        assert key.A.entries.shape == (p.m, p.n)
+        assert key.A.shape == (p.m, p.n)
         assert len(key.t) == p.m
         assert frame_encode(MsgKey(key)) == frame
 
@@ -572,6 +572,51 @@ class TestDeterminismAndTranscripts:
             back = Transcript.from_text(t.to_text())
             assert back.frames == t.frames
             assert (back.verdict, back.reason) == (t.verdict, t.reason)
+
+    DESK_TRANSCRIPT = run_protocol(DESK, make_prover("idealized-claw", 3), 1,
+                                   np.random.default_rng(4)).transcripts[0]
+    DESK_LINES = DESK_TRANSCRIPT.to_text()[:-1].split("\n")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(DESK_LINES)),
+                st.sampled_from(["value", "line", "insert", "delete", "append"]),
+                st.one_of(
+                    st.sampled_from(["-1", "0", "1", "01", "00", "accept", "reject",
+                                     "retry", "bogus", "frame=00", *LINE_BREAKS.values()]),
+                    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                ),
+            ),
+            max_size=len(DESK_TRANSCRIPT.frames) + 1,
+        ),
+    )
+    # frames=-1 with no frame lines once read as zero frames
+    @example([(1, "value", "-1")] + [(2, "delete", "")] * len(DESK_TRANSCRIPT.frames))
+    @example([(len(DESK_LINES) - 2, "value", "bogus")])
+    @settings(max_examples=300)
+    def test_transcript_line_edits_round_trip(self, edits):
+        """Line edits of a desk-k3 session transcript: each raises
+        FormatError, or reads back to a transcript with a verdict the
+        engine writes, and that writes the same text."""
+        lines = list(self.DESK_LINES)
+        for at, op, text in edits:
+            if op == "insert":
+                lines.insert(at, text)
+            elif at < len(lines) and op == "delete":
+                del lines[at]
+            elif at < len(lines) and op == "append":
+                lines[at] += text
+            elif at < len(lines):
+                name, eq, _ = lines[at].partition("=")
+                lines[at] = name + eq + text if op == "value" and eq else text
+        text = "\n".join(lines) + "\n"
+        try:
+            back = Transcript.from_text(text)
+        except FormatError:
+            return
+        assert back.verdict in ("accept", "reject", "retry")
+        assert back.to_text() == text
 
     @pytest.mark.parametrize("hexdata", ["00 01 ab", "0001AB", "0001a", "0001ag"],
                              ids=["spaces", "upper-case", "odd-length", "not-hex"])

@@ -33,7 +33,6 @@ from ntcfk.prover import (
 from ntcfk.zq import (
     BitString,
     Modulus,
-    ZqMatrix,
     ZqVector,
     bit_dot_xor,
     domain_grid,
@@ -65,7 +64,7 @@ def claw_residual(kappa, q, s_val, x0_val):
     p = params(q, 1, 2, kappa, 1.4, 0.2, 0.1)
     mod = Modulus(q)
     k = NtcfKey(
-        p, ZqMatrix(np.array([[1], [3]]), mod), ZqVector(np.array([0, 0]), mod)
+        p, np.array([[1], [3]]), ZqVector(np.array([0, 0]), mod)
     )
     s = ZqVector(np.array([s_val]), mod)
     x0 = ZqVector(np.array([x0_val]), mod)
@@ -81,7 +80,7 @@ def entry_loop_residual(k, y):
     p = k.params
     prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
     grid = domain_grid(p.q, p.n)
-    images = mul_rows_mod(k.A.entries, grid, p.q)
+    images = mul_rows_mod(k.A, grid, p.q)
     entries = []
     for b in range(p.kappa):
         res = (y.entries[None, :] - images - b * k.t.entries[None, :]) % p.q

@@ -10,7 +10,6 @@ from ntcfk.zq import (
     BitString,
     DimensionError,
     Modulus,
-    ZqMatrix,
     ZqVector,
     bit_dot_xor,
     centered_lift,
@@ -27,7 +26,7 @@ def vec(entries, q):
 
 
 def mat(entries, q):
-    return ZqMatrix(np.array(entries, dtype=np.int64), Modulus(q))
+    return np.array(entries, dtype=np.int64) % q
 
 
 class TestModulus:
