@@ -34,7 +34,6 @@ from .reductions import (
     lwe_to_dcp,
     solve_dcp_desk,
 )
-from .zq import ZqVector
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -151,7 +150,7 @@ def cmd_stats(args) -> int:
     rng = np.random.default_rng(_resolve_seed(args))
     try:
         k, t = gen(p, rng)
-        x = ZqVector.zero(p.n, p.modulus)
+        x = np.zeros(p.n, dtype=np.int64)
         print(f"{'b':>3} {'exact H^2':>14} {'bound':>14} {'trace dist':>12} pass")
         all_ok = True
         for b in range(p.kappa):

@@ -43,7 +43,7 @@ def analytic_joint(k: NtcfKey, mis_shift: int = 0) -> Density:
     x = np.tile(xs, (p.kappa, 1))
     # center = Ax + b t mod q for every (b, x); each product is reduced
     # before summing so the sums stay inside int64.
-    center = b * k.t.entries
+    center = b * k.t
     for j in range(p.n):
         center += x[:, j, None] * k.A[:, j] % q
     # Distinct support points are distinct mod q, so every (y, b, x) below

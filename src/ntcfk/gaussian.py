@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import Q_MAX, Modulus, ZqVector, common_rows, domain_grid, lift_residues, rows_distinct
+from .zq import Q_MAX, Modulus, common_rows, domain_grid, lift_residues, read_only, rows_distinct
 
 DEFAULT_TABLE_CAP = 10**6
 
@@ -26,10 +26,7 @@ def _table_1d_cached(r: int, width: float):
     lifts = np.arange(-r, r + 1, dtype=np.int64)
     w = np.exp(-math.pi * lifts.astype(np.float64) ** 2 / width**2)
     probs = w / w.sum()
-    cdf = np.cumsum(probs)
-    for a in (lifts, probs, cdf):
-        a.setflags(write=False)
-    return lifts, probs, cdf
+    return read_only(lifts), read_only(probs), read_only(np.cumsum(probs))
 
 
 class TableTooLarge(RuntimeError):
@@ -108,12 +105,13 @@ class TruncatedGaussian:
         lifts, probs, _cdf = self._table_1d()
         return np.bincount(lifts % self.modulus.q, weights=probs, minlength=self.modulus.q)
 
-    def density_eval(self, x: ZqVector) -> float:
-        """Probability of x; 0 outside the truncated support."""
+    def density_eval(self, x: np.ndarray) -> float:
+        """Probability of a vector x of residues; 0 outside the truncated
+        support."""
         if len(x) != self.dim:
             raise ValueError(f"expected length {self.dim}")
         r = self.radius
-        idx = lift_residues(x.entries, self.modulus.q) + r
+        idx = lift_residues(x, self.modulus.q) + r
         if idx.min() < 0 or idx.max() > 2 * r:
             return 0.0
         return float(self._table_1d()[1][idx].prod())
@@ -143,9 +141,10 @@ class TruncatedGaussian:
         idx = np.searchsorted(cdf, u, side="right")
         return lifts[np.minimum(idx, len(lifts) - 1)]
 
-    def sample(self, rng: np.random.Generator) -> ZqVector:
-        """Draw one vector by per-coordinate inverse-CDF sampling."""
-        return ZqVector(self.inverse_cdf(rng.random(self.dim)), self.modulus)
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw one vector of residues by per-coordinate inverse-CDF
+        sampling, as a read-only array."""
+        return read_only(self.inverse_cdf(rng.random(self.dim)) % self.modulus.q)
 
 
 def _shared(f0: Density, f1: Density):
@@ -184,12 +183,13 @@ def trace_distance_from_h2(h2: float) -> float:
     return math.sqrt(max(0.0, 1.0 - (1.0 - h2) ** 2))
 
 
-def shifted_density(g: TruncatedGaussian, shift: ZqVector) -> Density:
-    """The distribution of (X + shift) mod q for X ~ g."""
+def shifted_density(g: TruncatedGaussian, shift: np.ndarray) -> Density:
+    """The distribution of (X + shift) mod q for X ~ g and a vector shift
+    of residues."""
     if len(shift) != g.dim:
         raise ValueError("shift dimension mismatch")
     base = g.table()
-    return Density((base.points + shift.entries) % g.modulus.q, base.probs)
+    return Density((base.points + shift) % g.modulus.q, base.probs)
 
 
 def hellinger_sq_shifts(g: TruncatedGaussian, shifts: np.ndarray) -> list[float]:

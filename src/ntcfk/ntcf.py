@@ -24,7 +24,8 @@ import numpy as np
 from . import trapdoor as td
 from .gaussian import Density, TruncatedGaussian, hellinger_sq_shifts, shifted_density
 from .serialize import HEADER_KEY, HEADER_SK, FormatError, LineReader, LineWriter
-from .zq import DimensionError, Modulus, ZqVector, centered_lift, euclidean_norm, mat_vec_mul
+from .zq import (DimensionError, Modulus, ZqVector, euclidean_norm, lift_residues, mat_vec_mul,
+                 read_only)
 
 RATIO_FLOOR = 8.0  # desk stand-in for the asymptotic width-ratio conditions
 GROWTH_CONST = 1  # constant in the dimension growth conditions
@@ -137,11 +138,12 @@ def validate_params(p: NtcfParams) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class NtcfKey:
-    """(A, t), A a read-only m x n array of residues; equal by value, unhashable."""
+    """(A, t), A a read-only m x n array of residues and t a read-only
+    length-m one; equal by value, unhashable."""
 
     params: NtcfParams
     A: np.ndarray
-    t: ZqVector
+    t: np.ndarray
 
     def __post_init__(self):
         if len(self.t) != self.params.m:
@@ -149,14 +151,20 @@ class NtcfKey:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, NtcfKey) and self.params == other.params
-                and np.array_equal(self.A, other.A) and self.t == other.t)
+                and np.array_equal(self.A, other.A) and np.array_equal(self.t, other.t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NtcfTrapdoor:
+    """(t_A, s, e), e a read-only length-m array; equal by value, unhashable."""
+
     t_a: td.TrapdoorKey
     s: ZqVector
-    e: ZqVector
+    e: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, NtcfTrapdoor) and self.t_a == other.t_a
+                and self.s == other.s and np.array_equal(self.e, other.e))
 
 
 def gen(p: NtcfParams, rng: np.random.Generator) -> tuple[NtcfKey, NtcfTrapdoor]:
@@ -167,7 +175,7 @@ def gen(p: NtcfParams, rng: np.random.Generator) -> tuple[NtcfKey, NtcfTrapdoor]
     A, t_a = td.gen_trap(p.n, p.m, p.q, rng)
     s = ZqVector.uniform(p.n, p.modulus, rng)
     e = TruncatedGaussian(p.modulus, p.b_v, p.m).sample(rng)
-    t = mat_vec_mul(A, s) + e
+    t = read_only((mat_vec_mul(A, s.entries, p.q) + e) % p.q)
     return NtcfKey(p, A, t), NtcfTrapdoor(t_a, s, e)
 
 
@@ -180,12 +188,13 @@ def _image_gaussian(p: NtcfParams) -> TruncatedGaussian:
     return TruncatedGaussian(p.modulus, p.b_p, p.m)
 
 
-def _center(k: NtcfKey, b: int, x: ZqVector) -> ZqVector:
-    """The center A x + b*t of the branch f'_{k,b}(x)."""
-    return mat_vec_mul(k.A, x) + k.t.scale(b)
+def _center(k: NtcfKey, b: int, x: np.ndarray) -> np.ndarray:
+    """The center A x + b*t mod q of the branch f'_{k,b}(x)."""
+    q = k.params.q
+    return (mat_vec_mul(k.A, x, q) + b * k.t) % q
 
 
-def f_prime_density(k: NtcfKey, b: int, x: ZqVector) -> Density:
+def f_prime_density(k: NtcfKey, b: int, x: np.ndarray) -> Density:
     """Exact table of f'_{k,b}(x): the image Gaussian shifted to Ax + b*t.
 
     Public: uses only the key. Desk scale only (materializes the table).
@@ -194,42 +203,44 @@ def f_prime_density(k: NtcfKey, b: int, x: ZqVector) -> Density:
     return shifted_density(_image_gaussian(k.params), _center(k, b, x))
 
 
-def f_density(k: NtcfKey, t: NtcfTrapdoor, b: int, x: ZqVector) -> Density:
+def f_density(k: NtcfKey, t: NtcfTrapdoor, b: int, x: np.ndarray) -> Density:
     """Exact table of the ideal branch f_{k,b}(x), centered at Ax + b*As.
 
     Needs the trapdoor because the shift references As rather than As+e.
     """
     _check_branch(k.params, b)
-    shift = mat_vec_mul(k.A, x) + mat_vec_mul(k.A, t.s).scale(b)
+    q = k.params.q
+    shift = (mat_vec_mul(k.A, x, q) + b * mat_vec_mul(k.A, t.s.entries, q)) % q
     return shifted_density(_image_gaussian(k.params), shift)
 
 
-def f_prime_eval(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> float:
+def f_prime_eval(k: NtcfKey, b: int, x: np.ndarray, y: np.ndarray) -> float:
     """Point evaluation of f'_{k,b}(x)(y); works at any scale."""
     _check_branch(k.params, b)
-    return _image_gaussian(k.params).density_eval(y - _center(k, b, x))
+    return _image_gaussian(k.params).density_eval((y - _center(k, b, x)) % k.params.q)
 
 
-def inv(k: NtcfKey, t: NtcfTrapdoor, b: int, y: ZqVector) -> ZqVector:
+def inv(k: NtcfKey, t: NtcfTrapdoor, b: int, y: np.ndarray) -> np.ndarray:
     """Recover x from y in the support of f'_{k,b}(x).
 
     Inverts y = A(x + b s) + (e0 + b e) with the trapdoor and subtracts
     b*s. The residual noise bound B_P*sqrt(m) + b*B_V*sqrt(m) is enforced
-    so a decode outside the honest support fails loudly.
+    so a decode outside the honest support fails loudly. The result is
+    read-only.
     """
     p = k.params
     _check_branch(p, b)
     bound = (p.b_p + b * p.b_v) * math.sqrt(p.m)
     s_shift, _e = td.invert(t.t_a, y, max_error_norm=bound)
-    return s_shift - t.s.scale(b)
+    return read_only((s_shift - b * t.s.entries) % p.q)
 
 
-def chk(k: NtcfKey, b: int, x: ZqVector, y: ZqVector) -> int:
+def chk(k: NtcfKey, b: int, x: np.ndarray, y: np.ndarray) -> int:
     """Public support check: 1 iff ||y - Ax - b*t|| <= B_P*sqrt(m)."""
     p = k.params
     if not 0 <= b < p.kappa:
         return 0
-    return int(euclidean_norm(y - _center(k, b, x)) <= p.b_p * math.sqrt(p.m))
+    return int(euclidean_norm((y - _center(k, b, x)) % p.q, p.q) <= p.b_p * math.sqrt(p.m))
 
 
 def claws(x0: np.ndarray, s: ZqVector, kappa: int) -> np.ndarray:
@@ -241,14 +252,13 @@ def claws(x0: np.ndarray, s: ZqVector, kappa: int) -> np.ndarray:
     return (x0[:, None, :] - b * s.entries) % s.modulus.q
 
 
-def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: ZqVector) -> tuple[ZqVector, ...]:
+def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """All kappa preimages of y, one per branch.
 
     Every branch inverts y to the same decode, and branch 0 has the
     tightest noise bound, so inverting at b = 0 settles the whole claw.
     """
-    rows = claws(inv(k, t, 0, y).entries[None, :], t.s, k.params.kappa)[0]
-    return tuple(ZqVector(x, t.s.modulus) for x in rows)
+    return tuple(claws(inv(k, t, 0, y)[None, :], t.s, k.params.kappa)[0])
 
 
 def hellinger_display_bound(p: NtcfParams, b: int) -> float:
@@ -258,7 +268,7 @@ def hellinger_display_bound(p: NtcfParams, b: int) -> float:
 
 
 def hellinger_branch(
-    k: NtcfKey, t: NtcfTrapdoor, b: int, x: ZqVector
+    k: NtcfKey, t: NtcfTrapdoor, b: int, x: np.ndarray
 ) -> tuple[float, float]:
     """Exact H^2 between f_{k,b}(x) and f'_{k,b}(x), with the family's
     display bound `hellinger_display_bound`.
@@ -272,7 +282,7 @@ def hellinger_branch(
     _check_branch(p, b)
     g1 = TruncatedGaussian(p.modulus, p.b_p, 1)
     affinity = 1.0
-    for h2 in hellinger_sq_shifts(g1, b * t.e.entries % p.q):
+    for h2 in hellinger_sq_shifts(g1, b * t.e % p.q):
         affinity *= 1.0 - h2
     return 1.0 - affinity, hellinger_display_bound(p, b)
 
@@ -360,7 +370,7 @@ def trapdoor_to_text(k: NtcfKey, t: NtcfTrapdoor) -> str:
     if t.t_a.R is not None:
         w.field("gadget_base", td.GADGET_BASE)
         w.matrix("R", t.t_a.R)
-    w.vector("s", t.s)
+    w.vector("s", t.s.entries)
     w.vector("e", t.e)
     return w.text()
 
@@ -415,8 +425,8 @@ def trapdoor_from_text(text: str) -> tuple[NtcfKey, NtcfTrapdoor]:
     if (len(s), len(e)) != (p.n, p.m):
         raise FormatError(f"fields s, e: lengths {len(s)}, {len(e)}, not n={p.n}, m={p.m}")
     radius = TruncatedGaussian(p.modulus, p.b_v, p.m).radius
-    if np.abs(centered_lift(e)).max() > radius:
+    if np.abs(lift_residues(e, p.q)).max() > radius:
         raise FormatError(f"field e: an entry lies outside the B_V radius {radius}")
-    if mat_vec_mul(k.A, s) + e != k.t:
+    if not np.array_equal((mat_vec_mul(k.A, s, p.q) + e) % p.q, k.t):
         raise FormatError("fields s, e: t != A s + e mod q")
-    return k, NtcfTrapdoor(t_a, s, e)
+    return k, NtcfTrapdoor(t_a, ZqVector(s, p.modulus), e)

@@ -215,8 +215,8 @@ def apply_ufkb(state: SparseState, key: NtcfKey, invert: bool = False) -> Sparse
     labels = state.labels
     xc, yc = state.reg_cols("x"), state.reg_cols("y")
     b = labels[:, state.reg_cols("b").start, None]
-    shift = b * key.t.entries
-    # Reduce each product mod q before summing, as zq.mul_rows_mod does,
+    shift = b * key.t
+    # Reduce each product mod q before summing, as zq.mat_vec_mul does,
     # so the sums stay inside int64 for any q < 2^31.
     for j in range(p.n):
         shift += labels[:, xc.start + j, None] * key.A[:, j] % q

@@ -19,6 +19,8 @@ is no server thread. On both transports each frame is encoded once by
 its sender and decoded once by its receiver, so transcripts are
 byte-comparable across transports. The idealized honest prover's secret
 hint travels beside the channel, never through it.
+y, x and d travel as int64 arrays (d of 0s and 1s), so the messages that
+carry them compare by identity, not value.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .ntcf import NtcfKey, NtcfParams, chk, claws, gen, inv, key_from_text, key_
 from .prover import RedFailed, red_branches
 from .serialize import HEADER_TRANSCRIPT, FormatError, LineReader, LineWriter
 from .trapdoor import DecodeFailure
-from .zq import BitString, ZqVector, equation_bit
+from .zq import ZqVector, equation_bit
 
 
 class ProtocolError(RuntimeError):
@@ -51,9 +53,9 @@ class MsgKey:
     key: NtcfKey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MsgImage:
-    y: ZqVector
+    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,17 @@ class MsgChallenge:
     kind: str  # "G" | "T"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MsgPreimageResp:
     b: int
-    x: ZqVector
+    x: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MsgEquationResp:
     b_prime: int
     c: int
-    d: BitString
+    d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ class VerifierRound:
         self.params = params
         self.key, self._trapdoor = gen(params, rng)
         self._state = "key-ready"
-        self._y: ZqVector | None = None
+        self._y: np.ndarray | None = None
         self._claw: np.ndarray | None = None  # (kappa, n): row b is x_b
         self._challenge: str | None = None
 
@@ -246,7 +248,7 @@ class VerifierRound:
         the driver process through a protocol message."""
         return self._trapdoor.s
 
-    def receive_image(self, y: ZqVector):
+    def receive_image(self, y: np.ndarray):
         """Invert the image into the cached claw. Returns None on
         success or a rejecting MsgRoundResult on decode failure."""
         self._expect("await-image")
@@ -258,7 +260,7 @@ class VerifierRound:
         except DecodeFailure as exc:
             self._state = "done"
             return MsgRoundResult(False, f"image decode failure: {exc}")
-        self._claw = claws(x0.entries[None, :], self._trapdoor.s, self.params.kappa)[0]
+        self._claw = claws(x0[None, :], self._trapdoor.s, self.params.kappa)[0]
         self._state = "image-held"
         return None
 
@@ -268,7 +270,7 @@ class VerifierRound:
         self._state = "challenged"
         return MsgChallenge(self._challenge)
 
-    def check_generation(self, b: int, x: ZqVector) -> MsgRoundResult:
+    def check_generation(self, b: int, x: np.ndarray) -> MsgRoundResult:
         self._expect("challenged")
         if self._challenge != "G":
             raise ProtocolError("preimage response to a test challenge")
@@ -279,7 +281,7 @@ class VerifierRound:
             return MsgRoundResult(True, "preimage check passed")
         return MsgRoundResult(False, "preimage check failed")
 
-    def check_equation(self, b_prime: int, c: int, d: BitString) -> MsgRoundResult:
+    def check_equation(self, b_prime: int, c: int, d: np.ndarray) -> MsgRoundResult:
         self._expect("challenged")
         if self._challenge != "T":
             raise ProtocolError("equation response to a generation challenge")
@@ -287,10 +289,10 @@ class VerifierRound:
         pair = red_branches(self.params.kappa, b_prime)
         if pair is None:
             return MsgRoundResult(False, f"b'={b_prime} out of range")
-        if d.is_zero():
+        if not d.any():
             return MsgRoundResult(False, "retry:all-zero d")
-        x_bar0, x_bar1 = (ZqVector(self._claw[b], self._trapdoor.s.modulus) for b in pair)
-        if c == equation_bit(d, x_bar0, x_bar1):
+        i, j = pair
+        if c == equation_bit(d, self._claw[i], self._claw[j], self.params.q):
             return MsgRoundResult(True, "equation check passed")
         return MsgRoundResult(False, "equation check failed")
 

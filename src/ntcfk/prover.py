@@ -24,6 +24,9 @@ matrix and an amplitude vector. A claw is one (kappa, n) label array, and
 so two rows are a DCP state and kappa rows an EDCP state. RED
 (`red_edcp_to_dcp`) shifts branch labels by floor((kappa-1)/2), measures
 the absolute value, and keeps the two surviving rows as a DCP state.
+Images and preimages are int64 arrays of residues (read-only where the
+sampler hands them out) and d is a 0/1 int64 array; only the secret
+hint is a `ZqVector`.
 """
 from __future__ import annotations
 
@@ -35,8 +38,7 @@ import numpy as np
 
 from .gaussian import TruncatedGaussian
 from .ntcf import NtcfKey, NtcfParams, claws
-from .zq import BitString, Modulus, ZqVector, domain_grid, equation_bit, mul_rows_mod
-from .zq import mat_vec_mul  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .zq import Modulus, ZqVector, domain_grid, equation_bit, mat_vec_mul, read_only
 
 ENUM_CAP = 2**16
 
@@ -61,7 +63,7 @@ class ResidualState:
     float64 (N,) amplitude vector, in branch order."""
 
     key: NtcfKey
-    image: ZqVector
+    image: np.ndarray
     branch: np.ndarray
     labels: np.ndarray
     amps: np.ndarray
@@ -105,27 +107,27 @@ class CosetState:
         return len(self.labels)
 
     @property
-    def x0(self) -> ZqVector:
-        return ZqVector(self.labels[0], self.modulus)
+    def x0(self) -> np.ndarray:
+        return self.labels[0]
 
     @property
-    def x1(self) -> ZqVector:
-        return ZqVector(self.labels[1], self.modulus)
+    def x1(self) -> np.ndarray:
+        return self.labels[1]
 
     @property
-    def sbar(self) -> ZqVector:
-        return self.x0 - self.x1
+    def sbar(self) -> np.ndarray:
+        return (self.x0 - self.x1) % self.modulus.q
 
     @property
-    def support(self) -> tuple[tuple[int, ZqVector], ...]:
+    def support(self) -> tuple[tuple[int, np.ndarray], ...]:
         """The (j, x_j) labels, for readers of the state one row at a time."""
-        return tuple((j, ZqVector(x, self.modulus)) for j, x in enumerate(self.labels))
+        return tuple(enumerate(self.labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquationResponse:
     c: int
-    d: BitString
+    d: np.ndarray
 
 
 def samp_and_measure(
@@ -133,7 +135,7 @@ def samp_and_measure(
     rng: np.random.Generator,
     mode: str = "exact-enumeration",
     secret_s: ZqVector | None = None,
-) -> tuple[ZqVector, ResidualState]:
+) -> tuple[np.ndarray, ResidualState]:
     """Run SAMP and the Y measurement; return the image and residual."""
     kappa = k.params.kappa
     b, x, y = sample_image(k, rng)
@@ -143,7 +145,7 @@ def samp_and_measure(
         raise ValueError(f"unknown mode {mode!r}")
     if secret_s is None:
         raise ValueError("idealized-claw mode needs the planted secret")
-    labels = claws(x.entries[None, :] + b * secret_s.entries, secret_s, kappa)[0]
+    labels = claws((x + b * secret_s.entries)[None, :], secret_s, kappa)[0]
     amps = np.full(kappa, 1.0 / math.sqrt(kappa))
     return y, ResidualState(k, y, np.arange(kappa), labels, amps)
 
@@ -152,8 +154,8 @@ def sample_images(
     k: NtcfKey, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SAMP's image marginal, sampled directly count times: b and x
-    uniform, e0 from the B_P Gaussian, y = Ax + e0 + b*t. Returns int64
-    arrays B (count,), X (count, n) and Y (count, m), row i from draw i.
+    uniform, e0 from the B_P Gaussian, y = Ax + e0 + b*t. Returns read-only
+    int64 arrays B (count,), X (count, n) and Y (count, m), row i draw i.
 
     Each draw takes b, then x, then e0's uniforms from rng, the order of
     one draw at a time; everything after the draws is whole-array.
@@ -167,17 +169,17 @@ def sample_images(
         X[i] = rng.integers(0, p.q, size=p.n, dtype=np.int64)
         U[i] = rng.random(p.m)
     E = TruncatedGaussian(p.modulus, p.b_p, p.m).inverse_cdf(U)
-    Y = (mul_rows_mod(k.A, X, p.q) + E + B[:, None] * k.t.entries) % p.q
-    return B, X, Y
+    Y = (mat_vec_mul(k.A, X, p.q) + E + B[:, None] * k.t) % p.q
+    return read_only(B), read_only(X), read_only(Y)
 
 
-def sample_image(k: NtcfKey, rng: np.random.Generator) -> tuple[int, ZqVector, ZqVector]:
-    """One draw of `sample_images`, as (b, x, y)."""
+def sample_image(k: NtcfKey, rng: np.random.Generator) -> tuple[int, np.ndarray, np.ndarray]:
+    """One draw of `sample_images`, as (b, x, y); x and y are read-only."""
     B, X, Y = sample_images(k, rng, 1)
-    return int(B[0]), ZqVector(X[0], k.params.modulus), ZqVector(Y[0], k.params.modulus)
+    return int(B[0]), X[0], Y[0]
 
 
-def _enumerate_residual(k: NtcfKey, y: ZqVector) -> ResidualState:
+def _enumerate_residual(k: NtcfKey, y: np.ndarray) -> ResidualState:
     """Scan all (b', x') for nonzero amplitude sqrt(f'(x')(y)).
 
     The weights are normalised by one sum over the nonzero entries in
@@ -190,20 +192,20 @@ def _enumerate_residual(k: NtcfKey, y: ZqVector) -> ResidualState:
         )
     prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
     grid = domain_grid(p.q, p.n)
-    images = mul_rows_mod(k.A, grid, p.q)  # q^n x m
-    shifts = np.arange(p.kappa)[:, None, None] * k.t.entries  # kappa x 1 x m
-    weights = prob_by_residue[(y.entries - images - shifts) % p.q].prod(axis=2)
+    images = mat_vec_mul(k.A, grid, p.q)  # q^n x m
+    shifts = np.arange(p.kappa)[:, None, None] * k.t  # kappa x 1 x m
+    weights = prob_by_residue[(y - images - shifts) % p.q].prod(axis=2)
     branch, idx = np.nonzero(weights)  # kappa x q^n, read branch-major
     w = weights[branch, idx]
     return ResidualState(k, y, branch, grid[idx], np.sqrt(w / sum(w.tolist())))
 
 
-def preimage_measure(r: ResidualState, rng: np.random.Generator) -> tuple[int, ZqVector]:
+def preimage_measure(r: ResidualState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Computational-basis measurement of the BX registers."""
     probs = r.amps * r.amps
     probs /= probs.sum()
     i = int(rng.choice(len(probs), p=probs))
-    return int(r.branch[i]), ZqVector(r.labels[i], r.image.modulus)
+    return int(r.branch[i]), r.labels[i]
 
 
 def red_branches(kappa: int, b_prime: int) -> tuple[int, int] | None:
@@ -229,7 +231,7 @@ def red(r: ResidualState, rng: np.random.Generator) -> tuple[int, CosetState]:
     `red_edcp_to_dcp` on its claw."""
     if not r.is_clean_claw():
         raise ValueError("RED needs a clean kappa-point claw residual")
-    return red_edcp_to_dcp(CosetState(r.branches(), r.image.modulus), rng)
+    return red_edcp_to_dcp(CosetState(r.branches(), r.key.params.modulus), rng)
 
 
 def red_edcp_to_dcp(
@@ -261,8 +263,8 @@ def red_edcp_to_dcp(
 def equation_measure(d_state: CosetState, rng: np.random.Generator) -> EquationResponse:
     """Hadamard measurement over the J-encoded DCP state: d uniform,
     c = d . (J(x_bar0) xor J(x_bar1))."""
-    d = BitString.uniform(d_state.labels.shape[1] * d_state.modulus.bits, rng)
-    return EquationResponse(equation_bit(d, d_state.x0, d_state.x1), d)
+    d = rng.integers(0, 2, size=d_state.labels.shape[1] * d_state.modulus.bits)
+    return EquationResponse(equation_bit(d, d_state.x0, d_state.x1, d_state.modulus.q), d)
 
 
 def _guess_test(p: NtcfParams, rng: np.random.Generator) -> tuple[int, EquationResponse]:
@@ -270,7 +272,7 @@ def _guess_test(p: NtcfParams, rng: np.random.Generator) -> tuple[int, EquationR
     direct claw, at kappa = 2), then d and c uniform."""
     valid = red_valid_range(p.kappa)
     v = int(rng.choice(valid)) if valid else 0
-    d = BitString.uniform(p.d_len, rng)
+    d = rng.integers(0, 2, size=p.d_len)
     return v, EquationResponse(int(rng.integers(0, 2)), d)
 
 
@@ -299,7 +301,7 @@ class HonestProver:
     def set_secret_hint(self, s: ZqVector) -> None:
         self._secret = s
 
-    def receive_key(self, key: NtcfKey) -> ZqVector:
+    def receive_key(self, key: NtcfKey) -> np.ndarray:
         y, residual = samp_and_measure(
             key, self.rng, mode=self.mode, secret_s=self._secret
         )
@@ -320,7 +322,7 @@ class HonestProver:
         r = self._residual
         try:
             if r.key.params.kappa == 2:
-                v, d_state = 0, CosetState(r.branches(), r.image.modulus)
+                v, d_state = 0, CosetState(r.branches(), r.key.params.modulus)
             else:
                 v, d_state = red(r, self.rng)
         except ValueError as exc:
@@ -340,7 +342,7 @@ class CheatCommitProver:
         self._committed = None
         self._key: NtcfKey | None = None
 
-    def receive_key(self, key: NtcfKey) -> ZqVector:
+    def receive_key(self, key: NtcfKey) -> np.ndarray:
         b, x, y = sample_image(key, self.rng)
         self._committed = (b, x)
         self._key = key
@@ -363,14 +365,14 @@ class CheatRandomProver:
         self.rng = rng
         self._key: NtcfKey | None = None
 
-    def receive_key(self, key: NtcfKey) -> ZqVector:
+    def receive_key(self, key: NtcfKey) -> np.ndarray:
         self._key = key
-        return ZqVector.uniform(key.params.m, key.params.modulus, self.rng)
+        return self.rng.integers(0, key.params.q, size=key.params.m, dtype=np.int64)
 
     def respond_generation(self):
         p = self._key.params
         b = int(self.rng.integers(0, p.kappa))
-        return b, ZqVector.uniform(p.n, p.modulus, self.rng)
+        return b, self.rng.integers(0, p.q, size=p.n, dtype=np.int64)
 
     def respond_test(self):
         return _guess_test(self._key.params, self.rng)

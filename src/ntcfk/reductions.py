@@ -34,8 +34,10 @@ from .zq import Modulus, ZqVector, euclidean_norm, mat_vec_mul
 
 @dataclass(frozen=True, eq=False)
 class LweInstance:
+    """(A, t), both read-only arrays of residues, and the planted s."""
+
     A: np.ndarray
-    t: ZqVector
+    t: np.ndarray
     params: NtcfParams
     planted_s: ZqVector | None = None  # simulation shortcut, see module doc
 
@@ -145,8 +147,9 @@ def solve_edcp_desk(states: list[CosetState]) -> SolverReport:
 
 def verify_candidate(inst: LweInstance, s: ZqVector) -> bool:
     """Accept s iff the residual t - As is a valid B_V-bounded error."""
-    resid = inst.t - mat_vec_mul(inst.A, s)
-    return euclidean_norm(resid) <= inst.params.b_v * math.sqrt(inst.params.m)
+    q = inst.params.q
+    resid = (inst.t - mat_vec_mul(inst.A, s.entries, q)) % q
+    return euclidean_norm(resid, q) <= inst.params.b_v * math.sqrt(inst.params.m)
 
 
 def end_to_end_recover(
@@ -165,7 +168,7 @@ def end_to_end_recover(
         report = solve_dcp_desk(lwe_to_dcp(inst, count, rng))
         if not report.success:
             return report
-        cand = -report.candidate
+        cand = ZqVector(-report.candidate.entries, report.candidate.modulus)
     elif path == "edcp":
         kap = kappa if kappa is not None else max(inst.params.kappa, 3)
         report = solve_edcp_desk(lwe_to_edcp(inst, count, kap, rng))

@@ -5,7 +5,9 @@ a line. One field per line as `name=value`. An integer field is its
 str() and a float field its repr(), so floats round-trip bit-exactly;
 the reader accepts a scalar only in exactly that text. Vectors are
 residues in [0, q) as ASCII decimals split by single spaces, with no
-sign and no leading zero; the reader accepts nothing else. A matrix
+sign and no leading zero; the reader accepts nothing else, and returns
+them as a read-only int64 array. A bit string is ASCII 0s and 1s, read
+as a read-only 0/1 int64 array. A matrix
 field is `name=rows cols` and one line per row; its reader knows the
 shape and accepts that header only, and rows of cols entries each:
 residues below q (the key's A) or, for the trapdoor's signed R,
@@ -19,7 +21,7 @@ import re
 
 import numpy as np
 
-from .zq import BitString, Modulus, ZqVector
+from .zq import Modulus, read_only
 
 HEADER_KEY = "ntcf-key v1"
 HEADER_SK = "ntcf-sk v1"
@@ -37,6 +39,7 @@ class FormatError(ValueError):
 _RESIDUE = r"(?:0|[1-9][0-9]{0,9})"
 _SIGNED = r"(?:0|-?[1-9][0-9]{0,9})"
 _RESIDUES = re.compile(rf"(?:{_RESIDUE}(?: {_RESIDUE})*)?")
+_BITS = re.compile("[01]*")
 
 
 def _residues(name: str, text: str, q: int) -> np.ndarray:
@@ -79,9 +82,8 @@ class LineWriter:
     def float_field(self, name: str, value: float) -> None:
         self.lines.append(f"{name}={float(value)!r}")
 
-    def vector(self, name: str, vec) -> None:
-        entries = vec.entries if isinstance(vec, ZqVector) else vec
-        values = np.asarray(entries, dtype=np.int64).tolist()
+    def vector(self, name: str, vec: np.ndarray) -> None:
+        values = vec.tolist()
         self.lines.append(f"{name}=" + _matrix_template(1, len(values)).format(*values))
 
     def matrix(self, name: str, mat: np.ndarray) -> None:
@@ -90,8 +92,8 @@ class LineWriter:
         if rows:
             self.lines.append(_matrix_template(rows, cols).format(*mat.ravel().tolist()))
 
-    def bits(self, name: str, b: BitString) -> None:
-        self.lines.append(f"{name}=" + "".join(str(v) for v in b.bits))
+    def bits(self, name: str, b: np.ndarray) -> None:
+        self.lines.append(f"{name}=" + "".join(map(str, b.tolist())))
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -153,9 +155,10 @@ class LineReader:
             pass
         raise FormatError(f"field {name}: bad float {v!r}")
 
-    def vector(self, name: str, modulus: Modulus) -> ZqVector:
-        """Canonical residues only: see `_RESIDUES`, and each below q."""
-        return ZqVector(_residues(name, self._value(name), modulus.q), modulus)
+    def vector(self, name: str, modulus: Modulus) -> np.ndarray:
+        """Canonical residues only: see `_RESIDUES`, and each below q, as a
+        read-only array."""
+        return read_only(_residues(name, self._value(name), modulus.q))
 
     def matrix(self, name: str, rows: int, cols: int,
                modulus: Modulus | None = None) -> np.ndarray:
@@ -169,14 +172,14 @@ class LineReader:
         values = np.fromstring(text.partition("\n")[2], dtype=np.int64, count=rows * cols, sep=" ")
         if modulus is not None and values.size and values.max() >= modulus.q:
             raise FormatError(f"matrix {name}: residue not below q={modulus.q}")
-        values.setflags(write=False)
-        return values.reshape(rows, cols)
+        return read_only(values.reshape(rows, cols))
 
-    def bits(self, name: str) -> BitString:
+    def bits(self, name: str) -> np.ndarray:
+        """ASCII 0s and 1s only, as a read-only 0/1 array."""
         v = self._value(name)
-        if any(c not in "01" for c in v):
+        if _BITS.fullmatch(v) is None:
             raise FormatError(f"field {name}: bad bit string {v!r}")
-        return BitString(tuple(int(c) for c in v))
+        return read_only(np.frombuffer(v.encode(), dtype=np.uint8).astype(np.int64) - 48)
 
     def done(self) -> None:
         if self._pos != len(self._lines):

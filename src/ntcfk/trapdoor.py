@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import (DimensionError, Modulus, ZqVector, domain_grid, euclidean_norm,
-                 lift_residues, mat_vec_mul, mul_rows_mod, rows_distinct)
+from .zq import (DimensionError, Modulus, domain_grid, euclidean_norm, lift_residues,
+                 mat_vec_mul, read_only, rows_distinct)
 
 EXHAUSTIVE_CAP = 2**16
 GADGET_BASE = 2
@@ -55,9 +55,7 @@ class LayoutError(ValueError):
 def gadget_row(q: int) -> np.ndarray:
     """The powers GADGET_BASE^j for j < ceil(log2 q): one coordinate's
     rows of G. Read-only."""
-    row = GADGET_BASE ** np.arange(Modulus(q).bits, dtype=np.int64)
-    row.setflags(write=False)
-    return row
+    return read_only(GADGET_BASE ** np.arange(Modulus(q).bits, dtype=np.int64))
 
 
 def gadget_fits(n: int, m: int, q: int) -> bool:
@@ -86,15 +84,19 @@ def _scan_min_residual(u: np.ndarray, row: np.ndarray, q: int, first: int = 0) -
     return int(worst.min())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrapdoorKey:
     """Trapdoor for a public m x n matrix A of residues mod q: R (n*k x
     n_bar, entries in {-1, 0, 1}) with [R | I] A = G mod q, or None for
-    the exhaustive layout."""
+    the exhaustive layout. Equal by value, unhashable."""
 
     A: np.ndarray
     modulus: Modulus
     R: np.ndarray | None = None
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TrapdoorKey) and self.modulus == other.modulus
+                and np.array_equal(self.A, other.A) and np.array_equal(self.R, other.R))
 
     @property
     def n(self) -> int:
@@ -131,8 +133,7 @@ def _gadget_block(n: int, q: int) -> np.ndarray:
     G = np.zeros((n * k, n), dtype=np.int64)
     for i in range(n):
         G[i * k : (i + 1) * k, i] = row
-    G.setflags(write=False)
-    return G
+    return read_only(G)
 
 
 def gen_trap(
@@ -153,10 +154,8 @@ def gen_trap(
         Abar = rng.integers(0, q, size=(m - w, n), dtype=np.int64)
         R = rng.integers(-1, 2, size=(w, m - w), dtype=np.int64)
         bottom = (_gadget_block(n, q) - R @ Abar) % q
-        A = np.vstack([Abar, bottom])
-        A.setflags(write=False)
-        R.setflags(write=False)
-        return A, TrapdoorKey(A, modulus, R)
+        A = read_only(np.vstack([Abar, bottom]))
+        return A, TrapdoorKey(A, modulus, read_only(R))
 
     if q**n > EXHAUSTIVE_CAP:
         raise LayoutError(
@@ -168,13 +167,12 @@ def gen_trap(
     for _ in range(200):
         A = rng.integers(0, q, size=(m, n), dtype=np.int64)
         if _injective_on_domain(A, q):
-            A.setflags(write=False)
-            return A, TrapdoorKey(A, modulus)
+            return read_only(A), TrapdoorKey(A, modulus)
     raise LayoutError("could not sample an injective A for the exhaustive trapdoor")
 
 
 def _injective_on_domain(A: np.ndarray, q: int) -> bool:
-    images = mul_rows_mod(A, domain_grid(q, A.shape[1]), q)
+    images = mat_vec_mul(A, domain_grid(q, A.shape[1]), q)
     return rows_distinct(images, np.full(len(A), q, dtype=np.int64))
 
 
@@ -219,40 +217,40 @@ def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
 
 def invert(
     t: TrapdoorKey,
-    v: ZqVector,
+    v: np.ndarray,
     max_error_norm: float | None = None,
-) -> tuple[ZqVector, ZqVector]:
-    """Recover (s, e) from v = A s + e.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recover (s, e) from v = A s + e, a length-m array of residues.
 
     Raises DecodeFailure instead of returning an uncertain answer; when
     max_error_norm is given, also rejects any decode whose residual error
-    exceeds it. The returned pair always satisfies A s + e = v mod q.
+    exceeds it. The returned pair of read-only arrays always satisfies
+    A s + e = v mod q.
     """
     if len(v) != t.m:
         raise DimensionError(f"expected length {t.m}, got {len(v)}")
-    modulus = t.modulus
-    q = modulus.q
+    q = t.modulus.q
 
     if t.R is not None:
         n_bar = t.n_bar
-        u = (t.R @ v.entries[:n_bar] + v.entries[n_bar:]) % q  # = G s + (R e_top + e_bottom)
+        u = (t.R @ v[:n_bar] + v[n_bar:]) % q  # = G s + (R e_top + e_bottom)
         row = gadget_row(q)
-        s_vals = [_decode_syndrome_coord(ui, row, q) for ui in u.reshape(t.n, len(row))]
-        s = ZqVector(np.array(s_vals, dtype=np.int64), modulus)
+        s = np.array([_decode_syndrome_coord(ui, row, q) for ui in u.reshape(t.n, len(row))],
+                     dtype=np.int64)
     else:
         s = _invert_exhaustive(t, v)
 
-    e = v - mat_vec_mul(t.A, s)
+    e = (v - mat_vec_mul(t.A, s, q)) % q
     if max_error_norm is not None:
-        norm = euclidean_norm(e)
+        norm = euclidean_norm(e, q)
         if norm > max_error_norm:
             raise DecodeFailure(
                 f"residual error norm {norm:.3f} exceeds bound {max_error_norm:.3f}"
             )
-    return s, e
+    return read_only(s), read_only(e)
 
 
-def _invert_exhaustive(t: TrapdoorKey, v: ZqVector) -> ZqVector:
+def _invert_exhaustive(t: TrapdoorKey, v: np.ndarray) -> np.ndarray:
     q = t.modulus.q
     n = t.n
     if q**n > EXHAUSTIVE_CAP:
@@ -260,10 +258,10 @@ def _invert_exhaustive(t: TrapdoorKey, v: ZqVector) -> ZqVector:
     # Enumerate all secrets; pick the one with the smallest error norm and
     # demand a strict gap to the runner-up.
     grid = domain_grid(q, n)  # q^n x n
-    res = lift_residues((v.entries - mul_rows_mod(t.A, grid, q)) % q, q)
+    res = lift_residues((v - mat_vec_mul(t.A, grid, q)) % q, q)
     norms = (res.astype(np.float64) ** 2).sum(axis=1)
     order = np.argsort(norms)
     best, second = order[0], order[1]
     if norms[best] == norms[second]:
         raise DecodeFailure("ambiguous exhaustive decode (tied candidates)")
-    return ZqVector(grid[best], t.modulus)
+    return grid[best]

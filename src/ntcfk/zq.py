@@ -1,11 +1,14 @@
-"""Exact arithmetic over Z_q: vectors, A x mod q, centered lifts, and the
+"""Exact arithmetic over Z_q: A x mod q, centered lifts, norms, and the
 bit-encoding map used by the equation check.
 
-A matrix is a plain read-only (rows, cols) int64 array; only vectors
-have a type here. All residues are stored in [0, q). Centered lifts
-(`lift_residues`) live in (-q/2, q/2]. q is restricted to < 2**31 so
-that int64 products never overflow, and `mul_rows_mod`, the one A x mod
-q, reduces each product before summing so that its sums never do either.
+Vectors and matrices are plain int64 arrays of residues in [0, q), and
+their producers hand them out read-only; q travels beside them, in the
+params or the trapdoor. The one typed value is `ZqVector`, the secret s,
+which stays hashable and equal by value. Centered lifts
+(`lift_residues`) live in (-q/2, q/2]. d and J(x) are 0/1 int64 arrays.
+q is restricted to < 2**31 so that int64 products never overflow, and
+`mat_vec_mul`, the one A x mod q, sums them unreduced only where no sum
+can overflow either.
 """
 from __future__ import annotations
 
@@ -20,6 +23,12 @@ Q_MAX = 2**31
 
 class DimensionError(ValueError):
     """Raised when operand shapes or moduli do not line up."""
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -62,15 +71,15 @@ def _is_prime(q: int) -> bool:
 
 @dataclass(frozen=True)
 class ZqVector:
-    """Immutable vector over Z_q. Entries normalized into [0, q)."""
+    """The secret s: an immutable vector over Z_q, entries normalized into
+    [0, q), equal by value and hashable."""
 
     entries: np.ndarray
     modulus: Modulus
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.int64) % self.modulus.q
-        object.__setattr__(self, "entries", entries)
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", read_only(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -85,55 +94,9 @@ class ZqVector:
     def __hash__(self):
         return hash((self.modulus.q, self.entries.tobytes()))
 
-    def __add__(self, other: "ZqVector") -> "ZqVector":
-        self._check(other)
-        return ZqVector(self.entries + other.entries, self.modulus)
-
-    def __sub__(self, other: "ZqVector") -> "ZqVector":
-        self._check(other)
-        return ZqVector(self.entries - other.entries, self.modulus)
-
-    def __neg__(self) -> "ZqVector":
-        return ZqVector(-self.entries, self.modulus)
-
-    def scale(self, c: int) -> "ZqVector":
-        return ZqVector((c % self.modulus.q) * self.entries, self.modulus)
-
-    def _check(self, other: "ZqVector"):
-        if self.modulus != other.modulus or len(self) != len(other):
-            raise DimensionError("vector mismatch")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.entries)
-
-    @classmethod
-    def zero(cls, n: int, modulus: Modulus) -> "ZqVector":
-        return cls(np.zeros(n, dtype=np.int64), modulus)
-
     @classmethod
     def uniform(cls, n: int, modulus: Modulus, rng: np.random.Generator) -> "ZqVector":
         return cls(rng.integers(0, modulus.q, size=n, dtype=np.int64), modulus)
-
-
-@dataclass(frozen=True)
-class BitString:
-    """A sequence over {0,1}."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def is_zero(self) -> bool:
-        return all(b == 0 for b in self.bits)
-
-    @classmethod
-    def uniform(cls, w: int, rng: np.random.Generator) -> "BitString":
-        return cls(tuple(int(b) for b in rng.integers(0, 2, size=w)))
 
 
 def domain_grid(q: int, n: int) -> np.ndarray:
@@ -175,19 +138,18 @@ def common_rows(a: np.ndarray, b: np.ndarray, radices: np.ndarray):
     return i[hit], j[pos[hit]]
 
 
-def mul_rows_mod(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
-    """A x mod q for every x along the last axis of X (a vector or a stack
-    of row vectors); the result has A's row count as its last axis."""
+def mat_vec_mul(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
+    """A x mod q for a matrix A of residues and every x along the last
+    axis of X (a vector or a stack of row vectors); the result has A's
+    row count as its last axis."""
+    cols = A.shape[1]
+    if cols != X.shape[-1]:
+        raise DimensionError(f"cannot multiply {A.shape[0]}x{cols} by length-{X.shape[-1]}")
+    if cols * (q - 1) ** 2 < 2**63:  # no sum of products can overflow int64
+        return X @ A.T % q
     # Reduce each product mod q before summing; partial sums then stay
     # below cols * 2^31, safely inside int64.
     return ((X[..., None, :] * A) % q).sum(axis=-1) % q
-
-
-def mat_vec_mul(A: np.ndarray, x: ZqVector) -> ZqVector:
-    """Compute A x mod q for a matrix A of residues below x's modulus."""
-    if A.shape[1] != len(x):
-        raise DimensionError(f"cannot multiply {A.shape[0]}x{A.shape[1]} by length-{len(x)}")
-    return ZqVector(mul_rows_mod(A, x.entries, x.modulus.q), x.modulus)
 
 
 def lift_residues(a: np.ndarray, q: int) -> np.ndarray:
@@ -197,58 +159,46 @@ def lift_residues(a: np.ndarray, q: int) -> np.ndarray:
     return np.where(a > q // 2, a - q, a)
 
 
-def centered_lift(x: ZqVector) -> np.ndarray:
-    """Map each residue to its representative in (-q/2, q/2]."""
-    return lift_residues(x.entries, x.modulus.q)
-
-
-def euclidean_norm(x: ZqVector) -> float:
-    """l2 norm of the centered lift."""
-    lifted = centered_lift(x).astype(np.float64)
+def euclidean_norm(x: np.ndarray, q: int) -> float:
+    """l2 norm of the centered lift of a vector of residues mod q."""
+    lifted = lift_residues(x, q).astype(np.float64)
     return float(math.sqrt(float((lifted * lifted).sum())))
 
 
-def j_encode(x: ZqVector) -> BitString:
-    """Binary representation of a Z_q^n vector.
+@functools.lru_cache(maxsize=64)
+def _block_shifts(q: int) -> np.ndarray:
+    """The bit positions w-1, ..., 0 of one J block, w = ceil(log2 q)."""
+    return read_only(np.arange(Modulus(q).bits - 1, -1, -1, dtype=np.int64))
+
+
+def j_encode(x: np.ndarray, q: int) -> np.ndarray:
+    """Binary representation of a vector of residues mod q, as a 0/1 array.
 
     Each coordinate becomes a ceil(log2 q)-bit block, most significant
     bit first; blocks are concatenated in coordinate order.
     """
-    w = x.modulus.bits
-    bits: list[int] = []
-    for v in x.entries:
-        v = int(v)
-        bits.extend((v >> (w - 1 - i)) & 1 for i in range(w))
-    return BitString(tuple(bits))
+    return ((x[:, None] >> _block_shifts(q)) & 1).reshape(-1)
 
 
-def j_decode(d: BitString, modulus: Modulus, n: int) -> ZqVector:
+def j_decode(d: np.ndarray, q: int, n: int) -> np.ndarray:
     """Inverse of j_encode. Rejects blocks encoding a value >= q."""
-    w = modulus.bits
-    if len(d) != n * w:
-        raise DimensionError(f"expected {n * w} bits, got {len(d)}")
-    vals = []
-    for i in range(n):
-        block = d.bits[i * w : (i + 1) * w]
-        v = 0
-        for b in block:
-            v = (v << 1) | b
-        if v >= modulus.q:
-            raise ValueError(f"block {i} decodes to {v} >= q={modulus.q}")
-        vals.append(v)
-    return ZqVector(np.array(vals, dtype=np.int64), modulus)
+    shifts = _block_shifts(q)
+    if len(d) != n * len(shifts):
+        raise DimensionError(f"expected {n * len(shifts)} bits, got {len(d)}")
+    vals = d.reshape(n, len(shifts)) @ (1 << shifts)
+    if n and vals.max() >= q:
+        i = int(np.argmax(vals >= q))
+        raise ValueError(f"block {i} decodes to {vals[i]} >= q={q}")
+    return vals
 
 
-def bit_dot_xor(d: BitString, u: BitString, v: BitString) -> int:
-    """Return sum_i d_i * (u_i XOR v_i) mod 2."""
-    if not (len(d) == len(u) == len(v)):
-        raise DimensionError("bit string length mismatch")
-    acc = 0
-    for di, ui, vi in zip(d.bits, u.bits, v.bits):
-        acc ^= di & (ui ^ vi)
-    return acc
+def equation_bit(d: np.ndarray, x_bar0: np.ndarray, x_bar1: np.ndarray, q: int) -> int:
+    """The test-round equation bit d . (J(x_bar0) xor J(x_bar1)) mod 2.
 
-
-def equation_bit(d: BitString, x_bar0: ZqVector, x_bar1: ZqVector) -> int:
-    """The test-round equation bit d . (J(x_bar0) xor J(x_bar1)) mod 2."""
-    return bit_dot_xor(d, j_encode(x_bar0), j_encode(x_bar1))
+    J is positional, so J(x_bar0) xor J(x_bar1) = J(x_bar0 xor x_bar1)
+    and one encoding serves both."""
+    if x_bar0.shape != x_bar1.shape or len(d) != len(x_bar0) * len(_block_shifts(q)):
+        raise DimensionError(
+            f"d of length {len(d)} against vectors of shapes {x_bar0.shape}, {x_bar1.shape}"
+        )
+    return int(d @ j_encode(x_bar0 ^ x_bar1, q)) & 1

@@ -18,7 +18,7 @@ from ntcfk.gaussian import (
     trace_distance_from_h2,
     tv_distance,
 )
-from ntcfk.zq import Modulus, ZqVector, lift_residues
+from ntcfk.zq import Modulus, lift_residues
 
 
 def gauss(q, B, m):
@@ -26,7 +26,7 @@ def gauss(q, B, m):
 
 
 def vec(entries, q):
-    return ZqVector(np.array(entries, dtype=np.int64), Modulus(q))
+    return np.array(entries, dtype=np.int64) % q
 
 
 def tv_reference(t0, t1):
@@ -119,12 +119,12 @@ class TestSampling:
     def test_tiny_width_pins_zero(self, rng):
         g = gauss(7, 0.5, 3)
         for _ in range(20):
-            assert g.sample(rng) == vec([0, 0, 0], 7)
+            assert np.array_equal(g.sample(rng), vec([0, 0, 0], 7))
 
     def test_deterministic_under_seed(self):
         g = gauss(17, 3.0, 4)
-        a = [g.sample(np.random.default_rng(5)).as_tuple() for _ in range(10)]
-        b = [g.sample(np.random.default_rng(5)).as_tuple() for _ in range(10)]
+        a = [tuple(g.sample(np.random.default_rng(5)).tolist()) for _ in range(10)]
+        b = [tuple(g.sample(np.random.default_rng(5)).tolist()) for _ in range(10)]
         assert a == b
 
     def test_cached_table_is_read_only(self):
@@ -138,7 +138,7 @@ class TestSampling:
         g = gauss(7, 1.0, 1)
         r = np.random.default_rng(99)
         n = 100_000
-        draws = [g.sample(r).as_tuple()[0] for _ in range(n)]
+        draws = [tuple(g.sample(r).tolist())[0] for _ in range(n)]
         freq0 = draws.count(0) / n
         assert freq0 == pytest.approx(g.density_eval(vec([0], 7)), abs=0.01)
 

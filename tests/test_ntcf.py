@@ -57,17 +57,17 @@ def manual_key(p, a_col, s_val, e_entries):
     mod = p.modulus
     A = np.array([[v] for v in a_col], dtype=np.int64)
     s = ZqVector(np.array([s_val]), mod)
-    e = ZqVector(np.array(e_entries), mod)
-    t_vec = mat_vec_mul(A, s) + e
+    e = np.array(e_entries) % p.q
+    t_vec = (mat_vec_mul(A, s.entries, p.q) + e) % p.q
     t_a = TrapdoorKey(A, mod)
     return NtcfKey(p, A, t_vec), NtcfTrapdoor(t_a, s, e)
 
 
 def sample_image(k, t, b, rng):
     p = k.params
-    x = ZqVector(rng.integers(0, p.q, size=p.n, dtype=np.int64), p.modulus)
+    x = rng.integers(0, p.q, size=p.n, dtype=np.int64)
     e0 = TruncatedGaussian(p.modulus, p.b_p, p.m).sample(rng)
-    return x, mat_vec_mul(k.A, x) + e0 + k.t.scale(b)
+    return x, (mat_vec_mul(k.A, x, p.q) + e0 + b * k.t) % p.q
 
 
 HUGE_KAPPA_BP = compute_bp(7, 1, 2, 10**300, get_preset("tiny-exact").c_t)
@@ -127,13 +127,13 @@ class TestGen:
     def test_construction_identity(self, rng):
         for p in (get_preset("tiny-exact"), get_preset("desk-k3"), Q17_NOISY):
             k, t = gen(p, rng)
-            assert k.t == mat_vec_mul(k.A, t.s) + t.e
+            assert np.array_equal(k.t, (mat_vec_mul(k.A, t.s.entries, p.q) + t.e) % p.q)
 
     def test_error_norm_bounded(self, rng):
         p = get_preset("desk-k3")
         for _ in range(50):
             _k, t = gen(p, rng)
-            assert euclidean_norm(t.e) <= p.b_v * math.sqrt(p.m)
+            assert euclidean_norm(t.e, p.q) <= p.b_v * math.sqrt(p.m)
 
     def test_seed_gives_identical_serialized_key(self):
         p = get_preset("desk-k3")
@@ -151,7 +151,7 @@ class TestGen:
 class TestDensities:
     def test_b0_f_equals_f_prime(self, rng):
         k, t = gen(Q17_NOISY, rng)
-        x = ZqVector(np.array([5]), k.params.modulus)
+        x = np.array([5])
         assert f_density(k, t, 0, x).table == pytest.approx(
             f_prime_density(k, 0, x).table
         )
@@ -159,43 +159,43 @@ class TestDensities:
     def test_f_prime_is_f_shifted_by_be(self, rng):
         for _ in range(10):
             k, t = gen(Q17_NOISY, rng)
-            x = ZqVector(rng.integers(0, 17, size=1, dtype=np.int64), k.params.modulus)
+            x = rng.integers(0, 17, size=1, dtype=np.int64)
             fp = f_prime_density(k, 1, x)
             f = f_density(k, t, 1, x)
             shifted = {
-                tuple((pt[i] + int(t.e.entries[i])) % 17 for i in range(2)): v
+                tuple((pt[i] + int(t.e[i])) % 17 for i in range(2)): v
                 for pt, v in f.table.items()
             }
             assert fp.table == pytest.approx(shifted)
 
     def test_mode_location(self, rng):
         k, _t = gen(Q17_NOISY, rng)
-        x = ZqVector(np.array([7]), k.params.modulus)
+        x = np.array([7])
         d = f_prime_density(k, 1, x)
-        expect = (mat_vec_mul(k.A, x) + k.t).as_tuple()
+        expect = tuple(((mat_vec_mul(k.A, x, 17) + k.t) % 17).tolist())
         assert max(d.table, key=d.table.get) == expect
 
     def test_branch_range_checked(self, rng):
         k, _t = gen(Q17_NOISY, rng)
-        x = ZqVector(np.array([0]), k.params.modulus)
+        x = np.array([0])
         with pytest.raises(ValueError):
             f_prime_density(k, 2, x)
 
     def test_point_eval_matches_table(self, rng):
         k, _t = gen(Q17_NOISY, rng)
-        x = ZqVector(np.array([3]), k.params.modulus)
+        x = np.array([3])
         d = f_prime_density(k, 1, x)
         for pt, v in d.table.items():
-            y = ZqVector(np.array(pt), k.params.modulus)
+            y = np.array(pt)
             assert f_prime_eval(k, 1, x, y) == pytest.approx(v, abs=1e-15)
 
 
 class TestInv:
     def test_noiseless(self, rng):
         k, t = gen(Q17_NOISY, rng)
-        x = ZqVector(np.array([9]), k.params.modulus)
-        y = mat_vec_mul(k.A, x) + k.t  # b=1, e0=0
-        assert inv(k, t, 1, y) == x
+        x = np.array([9])
+        y = (mat_vec_mul(k.A, x, 17) + k.t) % 17  # b=1, e0=0
+        assert np.array_equal(inv(k, t, 1, y), x)
 
     def test_sampled_recovery(self, rng):
         p = get_preset("desk-k3")
@@ -203,7 +203,7 @@ class TestInv:
         for _ in range(200):
             b = int(rng.integers(0, p.kappa))
             x, y = sample_image(k, t, b, rng)
-            assert inv(k, t, b, y) == x
+            assert np.array_equal(inv(k, t, b, y), x)
 
     def test_branch_identity(self, rng):
         p = get_preset("desk-k3")
@@ -212,31 +212,30 @@ class TestInv:
             _x, y = sample_image(k, t, 0, rng)
             x0 = inv(k, t, 0, y)
             for b in range(1, p.kappa):
-                assert inv(k, t, b, y) == x0 - t.s.scale(b)
+                assert np.array_equal(inv(k, t, b, y), (x0 - b * t.s.entries) % p.q)
 
 
 class TestChk:
     def test_exact_image_accepted(self, rng):
         k, _t = gen(Q17_NOISY, rng)
-        x = ZqVector(np.array([4]), k.params.modulus)
-        y = mat_vec_mul(k.A, x) + k.t
+        x = np.array([4])
+        y = (mat_vec_mul(k.A, x, 17) + k.t) % 17
         assert chk(k, 1, x, y) == 1
 
     def test_far_point_rejected(self, rng):
         k, _t = gen(Q17_NOISY, rng)
-        x = ZqVector(np.array([4]), k.params.modulus)
-        y = mat_vec_mul(k.A, x) + k.t + ZqVector(np.array([8, 8]), k.params.modulus)
+        x = np.array([4])
+        y = (mat_vec_mul(k.A, x, 17) + k.t + np.array([8, 8])) % 17
         assert chk(k, 1, x, y) == 0
 
     def test_chk_iff_support_exhaustive(self, rng):
         k, _t = gen(Q17_BOX, rng)
-        mod = k.params.modulus
         for b in range(2):
             for xv in range(17):
-                x = ZqVector(np.array([xv]), mod)
+                x = np.array([xv])
                 supp = set(f_prime_density(k, b, x).table.keys())
                 for y_pt in itertools.product(range(17), repeat=2):
-                    y = ZqVector(np.array(y_pt), mod)
+                    y = np.array(y_pt)
                     assert chk(k, b, x, y) == (y_pt in supp)
 
 
@@ -247,7 +246,7 @@ class TestClaw:
         _x, y = sample_image(k, t, 0, rng)
         claw = claw_enumerate(k, t, y)
         for b in range(p.kappa - 1):
-            assert claw[b] - claw[b + 1] == t.s
+            assert np.array_equal((claw[b] - claw[b + 1]) % p.q, t.s.entries)
 
     def test_kappa2_specialization(self, rng):
         p = get_preset("desk-k2")
@@ -255,28 +254,27 @@ class TestClaw:
         _x, y = sample_image(k, t, 0, rng)
         claw = claw_enumerate(k, t, y)
         assert len(claw) == 2
-        assert claw[1] == claw[0] - t.s
+        assert np.array_equal(claw[1], (claw[0] - t.s.entries) % p.q)
 
     def test_matches_brute_force_scan(self, rng):
         # min ||A*delta|| = 4.12 for this column, above twice the chk
         # radius B_P*sqrt(2) = 1.73, so each branch has a unique hit
         k, t = manual_key(Q17_BOX, [1, 4], 5, [0, 0])
-        mod = k.params.modulus
         for _ in range(10):
             _x, y = sample_image(k, t, 0, rng)
             claw = claw_enumerate(k, t, y)
             for b in range(2):
                 hits = [
                     xv for xv in range(17)
-                    if chk(k, b, ZqVector(np.array([xv]), mod), y)
+                    if chk(k, b, np.array([xv]), y)
                 ]
-                assert hits == [int(claw[b].entries[0])]
+                assert hits == [int(claw[b][0])]
 
 
 class TestHellingerBranch:
     def test_b0_is_zero(self, rng):
         k, t = gen(Q97_K3, rng)
-        x = ZqVector(np.array([0]), k.params.modulus)
+        x = np.array([0])
         exact, bound = hellinger_branch(k, t, 0, x)
         assert exact == pytest.approx(0.0, abs=1e-12)
         assert bound == 0.0
@@ -285,13 +283,13 @@ class TestHellingerBranch:
         p = Q97_K3
         for _ in range(5):
             k, t = gen(p, rng)
-            x = ZqVector(rng.integers(0, 97, size=1, dtype=np.int64), p.modulus)
+            x = rng.integers(0, 97, size=1, dtype=np.int64)
             for b in range(p.kappa):
                 exact, bound = hellinger_branch(k, t, b, x)
                 assert exact <= bound + 1e-10
                 # the per-shift Lemma bound is strictly tighter
                 tight = hellinger_shift_bound(
-                    p.b_p, p.m, b * euclidean_norm(t.e)
+                    p.b_p, p.m, b * euclidean_norm(t.e, p.q)
                 )
                 assert exact <= tight + 1e-10
                 assert tight <= bound + 1e-10
@@ -300,9 +298,9 @@ class TestHellingerBranch:
         p = Q97_K3
         for _ in range(10):
             k, t = gen(p, rng)
-            if euclidean_norm(t.e) == 0.0:
+            if euclidean_norm(t.e, p.q) == 0.0:
                 continue
-            x = ZqVector(np.array([0]), p.modulus)
+            x = np.array([0])
             vals = [hellinger_branch(k, t, b, x)[0] for b in range(p.kappa)]
             assert vals == sorted(vals)
 
@@ -314,7 +312,7 @@ class TestSerialization:
             assert key_from_text(key_to_text(k)) == k
             k2, t2 = trapdoor_from_text(trapdoor_to_text(k, t))
             assert k2 == k
-            assert t2.s == t.s and t2.e == t.e
+            assert t2.s == t.s and np.array_equal(t2.e, t.e)
             assert key_to_text(k2) == key_to_text(k)
 
     def test_sk_file_distinct_from_pub(self, rng):
@@ -362,12 +360,33 @@ class TestSerialization:
         assert key_from_text(key_to_text(k)) == k
         A = k.A.copy()
         A[0, 0] = (A[0, 0] + 1) % p.q
-        t = k.t + ZqVector(np.eye(1, p.m, dtype=np.int64)[0], p.modulus)
+        t = (k.t + np.eye(1, p.m, dtype=np.int64)[0]) % p.q
         assert NtcfKey(p, A, k.t) != k
         assert NtcfKey(p, k.A, t) != k
         assert NtcfKey(replace(p, ell=2), k.A, k.t) != k
         with pytest.raises(TypeError):
             hash(k)
+
+    def test_trapdoor_equality(self):
+        """Trapdoors and their trapdoor keys compare by value: equal for the
+        same draws, unequal once one entry of e, R or s differs."""
+        p = get_preset("desk-k3")
+        _k, t = gen(p, np.random.default_rng(5))
+        _k2, t2 = gen(p, np.random.default_rng(5))
+        assert t == t2 and t.t_a == t2.t_a
+        tiny = get_preset("tiny-exact")  # the exhaustive layout: R is None
+        assert gen(tiny, np.random.default_rng(5))[1] == gen(tiny, np.random.default_rng(5))[1]
+        e = t.e.copy()
+        e[0] = (e[0] + 1) % p.q
+        R = t.t_a.R.copy()
+        R[0, 0] = (R[0, 0] + 2) % 3 - 1  # another value in {-1, 0, 1}
+        t_a = TrapdoorKey(t.t_a.A, p.modulus, R)
+        assert t_a != t.t_a
+        assert NtcfTrapdoor(t_a, t.s, t.e) != t
+        assert NtcfTrapdoor(t.t_a, t.s, e) != t
+        assert NtcfTrapdoor(t.t_a, ZqVector(t.s.entries + 1, p.modulus), t.e) != t
+        with pytest.raises(TypeError):
+            hash(t)
 
     def test_text_size_capped(self):
         """Readers refuse text over the cap before splitting it, and the
@@ -432,8 +451,9 @@ def _s_plus_one(lines, _other):
     """s + 1 with e = t - A(s + 1): t = A s + e mod q still holds, but e
     leaves the radius `gen` draws it from."""
     k, t = trapdoor_from_text("\n".join(lines) + "\n")
-    s = t.s + ZqVector(np.ones(k.params.n, dtype=np.int64), k.params.modulus)
-    e = k.t - mat_vec_mul(k.A, s)
+    q = k.params.q
+    s = ZqVector(t.s.entries + np.ones(k.params.n, dtype=np.int64), k.params.modulus)
+    e = (k.t - mat_vec_mul(k.A, s.entries, q)) % q
     return trapdoor_to_text(k, NtcfTrapdoor(t.t_a, s, e)).splitlines()
 
 
@@ -445,8 +465,8 @@ def _exhaustive_sk(preset, m, zero_a=False):
         p = replace(base, m=m, b_p=compute_bp(base.q, base.n, m, base.kappa, base.c_t))
         k, t = gen(base, np.random.default_rng(5))
         A = np.zeros((m, p.n), dtype=np.int64) if zero_a else k.A[:m]
-        e = ZqVector(t.e.entries[:m], p.modulus)
-        key = NtcfKey(p, A, mat_vec_mul(A, t.s) + e)
+        e = t.e[:m]
+        key = NtcfKey(p, A, (mat_vec_mul(A, t.s.entries, p.q) + e) % p.q)
         return trapdoor_to_text(key, NtcfTrapdoor(TrapdoorKey(A, p.modulus), t.s, e)).splitlines()
     return edit
 

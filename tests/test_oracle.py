@@ -22,7 +22,7 @@ from ntcfk.oracle import (
     measure_register,
     remove_register,
 )
-from ntcfk.zq import DimensionError, Modulus, ZqVector, j_encode
+from ntcfk.zq import DimensionError, Modulus, j_encode
 
 
 def rows(st):
@@ -49,9 +49,8 @@ def tiny_key(q=7, n=1, m=1, kappa=2, a=None, t=None):
         q=q, n=n, m=m, ell=1, kappa=kappa, b_l=0.1, b_v=0.2,
         b_p=compute_bp(q, n, m, kappa, 1.4), c_t=1.4,
     )
-    mod = Modulus(q)
     A = np.array(a if a is not None else [[3]] * m)
-    tv = ZqVector(np.array(t if t is not None else [2] * m), mod)
+    tv = np.array(t if t is not None else [2] * m) % q
     return NtcfKey(p, A, tv)
 
 
@@ -107,7 +106,7 @@ class TestGaussianLoad:
         st = load_gaussian_register(st, RegisterSpec("e", "modq", 1, 17), g)
         marg = full_distribution(st, ("e",))
         for pt, pr in marg.table.items():
-            assert pr == pytest.approx(g.density_eval(ZqVector(np.array(pt), Modulus(17))))
+            assert pr == pytest.approx(g.density_eval(np.array(pt)))
 
     def test_norm_preserved(self):
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 3),))
@@ -234,10 +233,9 @@ class TestHadamard:
     def test_claw_outcome_support(self):
         # (|0>|J(x0)> + |1>|J(x1)>)/sqrt(2), Hadamard both registers:
         # support must be exactly {(c, d) : c = d . (J(x0) xor J(x1))}
-        mod = Modulus(7)
-        x0 = ZqVector(np.array([4]), mod)
-        x1 = ZqVector(np.array([0]), mod)
-        j0, j1 = j_encode(x0).bits, j_encode(x1).bits
+        x0 = np.array([4])
+        x1 = np.array([0])
+        j0, j1 = tuple(j_encode(x0, 7).tolist()), tuple(j_encode(x1, 7).tolist())
         specs = (RegisterSpec("c", "bits", 1), RegisterSpec("d", "bits", 3))
         st = make_state(specs, [(0,) + j0, (1,) + j1], [1 / math.sqrt(2)] * 2)
         out = apply_hadamard_bits(apply_hadamard_bits(st, "c"), "d")

@@ -63,11 +63,11 @@ def reduction_digest():
     inst = instance_from_key(k, planted_s=t.s)
     h = hashlib.sha256()
     for st in lwe_to_dcp(inst, 8, rng):
-        h.update(st.x0.entries.tobytes() + st.x1.entries.tobytes())
+        h.update(st.x0.tobytes() + st.x1.tobytes())
     for kappa in (3, 4):
         for st in lwe_to_edcp(inst, 8, kappa, rng):
             for j, x in st.support:
-                h.update(bytes([j]) + x.entries.tobytes())
+                h.update(bytes([j]) + x.tobytes())
     return h.hexdigest()
 
 

@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 
 import ntcfk.ntcf as ntcf
 import ntcfk.protocol as protocol
-from ntcfk.ntcf import NtcfParams, compute_bp, gen, key_to_text, trapdoor_to_text
+from ntcfk.gaussian import TruncatedGaussian
+from ntcfk.ntcf import NtcfParams, compute_bp, gen, inv, key_to_text, trapdoor_to_text
 from ntcfk.presets import PRESETS, get_preset
 from ntcfk.prover import (
     CheatCommitProver,
     CheatRandomProver,
     HonestProver,
     RedFailed,
+    sample_image,
 )
 from ntcfk.protocol import (
     FrameError,
@@ -41,7 +43,6 @@ from ntcfk.protocol import (
     run_protocol_tcp,
 )
 from ntcfk.serialize import FormatError, LineWriter
-from ntcfk.zq import BitString, ZqVector
 
 
 TINY = get_preset("tiny-exact")
@@ -49,7 +50,7 @@ DESK = get_preset("desk-k3")
 
 
 def vec(entries, params):
-    return ZqVector(np.array(entries, dtype=np.int64), params.modulus)
+    return np.array(entries, dtype=np.int64) % params.q
 
 
 def make_prover(kind, seed):
@@ -102,14 +103,41 @@ CANONICAL_PAYLOADS = {
 }
 DESK_PAYLOADS = {
     frame_encode(msg)[4]: frame_encode(msg)[5:].decode() for msg in (
-        MsgImage(ZqVector(np.arange(DESK.m) * 13 % DESK.q, DESK.modulus)),
+        MsgImage(np.arange(DESK.m) * 13 % DESK.q),
         MsgChallenge("T"),
-        MsgPreimageResp(2, ZqVector(np.array([520, 0]), DESK.modulus)),
-        MsgEquationResp(1, 0, BitString((1, 0) * (DESK.d_len // 2))),
+        MsgPreimageResp(2, np.array([520, 0])),
+        MsgEquationResp(1, 0, np.array((1, 0) * (DESK.d_len // 2))),
         MsgRedFailure("unpaired outcome"),
         MsgRoundResult(False, "retry:all-zero d"),
     )
 }
+
+
+def framed(tag, payload):
+    """A frame header that declares the payload's true length."""
+    return struct.pack(">I", len(payload)) + bytes([tag]) + payload
+
+
+# The field names of each non-key tag's payload, in order.
+FIELD_ORDER = {
+    protocol.TAG_IMAGE: ["y"], protocol.TAG_CHALLENGE: ["challenge"],
+    protocol.TAG_PREIMAGE_RESP: ["b", "x"], protocol.TAG_EQUATION_RESP: ["bprime", "c", "d"],
+    protocol.TAG_RED_FAILURE: ["reason"], protocol.TAG_ROUND_RESULT: ["verdict", "reason"],
+}
+
+
+@st.composite
+def field_frames(draw):
+    """A frame of `name=value` lines: a tag's own field names half the
+    time, else any of them in any order, with short values."""
+    tag = draw(st.integers(0, 8))
+    names = FIELD_ORDER.get(tag) if draw(st.booleans()) else None
+    if names is None:
+        names = draw(st.lists(st.sampled_from(sorted({n for v in FIELD_ORDER.values()
+                                                      for n in v})), max_size=4))
+    values = st.one_of(st.text(st.sampled_from("0123 GT-"), max_size=5),
+                       st.sampled_from(["accept", "reject", "0", "1", "101", "3 5"]))
+    return framed(tag, "".join(f"{n}={draw(values)}\n" for n in names).encode())
 
 
 def line_break_payloads():
@@ -163,7 +191,7 @@ class TestFrames:
     def test_image_round_trip(self):
         msg = MsgImage(vec([3, 5], TINY))
         out = frame_decode(frame_encode(msg), TINY)
-        assert out.y == msg.y
+        assert np.array_equal(out.y, msg.y)
 
     @pytest.mark.parametrize("kind", ["G", "T"])
     def test_challenge_round_trip(self, kind):
@@ -173,12 +201,12 @@ class TestFrames:
     def test_preimage_round_trip(self):
         msg = MsgPreimageResp(2, vec([4], TINY))
         out = frame_decode(frame_encode(msg), TINY)
-        assert (out.b, out.x) == (2, msg.x)
+        assert out.b == 2 and np.array_equal(out.x, msg.x)
 
     def test_equation_round_trip(self):
-        msg = MsgEquationResp(1, 1, BitString((1, 0, 1)))
+        msg = MsgEquationResp(1, 1, np.array((1, 0, 1)))
         out = frame_decode(frame_encode(msg), TINY)
-        assert (out.b_prime, out.c, out.d) == (1, 1, BitString((1, 0, 1)))
+        assert (out.b_prime, out.c) == (1, 1) and np.array_equal(out.d, np.array((1, 0, 1)))
 
     def test_red_failure_round_trip(self):
         out = frame_decode(frame_encode(MsgRedFailure("measured b' = 0")), TINY)
@@ -225,7 +253,7 @@ class TestFrameErrors:
             frame_decode(frame, TINY)  # m=2 for tiny-exact
 
     def test_d_length_checked(self):
-        frame = frame_encode(MsgEquationResp(1, 0, BitString((1, 0))))
+        frame = frame_encode(MsgEquationResp(1, 0, np.array((1, 0))))
         with pytest.raises(FrameError):
             frame_decode(frame, TINY)  # d_len=3 for tiny-exact
 
@@ -378,6 +406,36 @@ class TestFrameErrors:
             return
         assert frame_encode(msg) == frame
 
+    @given(st.one_of(
+        st.binary(max_size=48),
+        st.builds(framed, st.integers(0, 8), st.binary(max_size=48)),
+        field_frames(),
+    ))
+    @example(framed(protocol.TAG_EQUATION_RESP, b"bprime=1\nc=0\nd=101\n"))
+    @example(framed(protocol.TAG_EQUATION_RESP, b"bprime=1\nc=0\nd=0 1\n"))
+    @example(framed(protocol.TAG_EQUATION_RESP, "bprime=1\nc=0\nd=２\n".encode()))
+    @example(framed(protocol.TAG_IMAGE, b"y=\n"))
+    @example(framed(protocol.TAG_CHALLENGE, b"challenge=\xff\n"))
+    @settings(max_examples=300)
+    def test_arbitrary_bytes_raise_only_frame_error(self, data):
+        """Any bytes, with or without session params: a decode raises only
+        FrameError or gives a message that re-encodes to the bytes, and
+        the stream reader raises only FrameError or reads a whole frame."""
+        for params in (None, DESK, TINY):
+            try:
+                msg = frame_decode(data, params)
+            except FrameError:
+                continue
+            assert frame_encode(msg) == data
+        try:
+            frame = protocol._read_frame(io.BytesIO(data))
+        except FrameError:
+            return
+        if frame is None:
+            assert data == b""
+        else:
+            assert data.startswith(frame) and len(frame) == 5 + struct.unpack(">I", data[:4])[0]
+
     def test_params_cache_never_stores_a_failure(self):
         cache = ntcf._params_from_text
         frame = key_frame(tiny_key_for(q=522))
@@ -475,7 +533,7 @@ class TestVerifierOrdering:
             kind = vr.challenge(rng).kind
             if kind == "G":
                 with pytest.raises(ProtocolError):
-                    vr.check_equation(1, 0, BitString((1, 0, 1)))
+                    vr.check_equation(1, 0, np.array((1, 0, 1)))
             else:
                 with pytest.raises(ProtocolError):
                     vr.check_generation(0, vec([0], TINY))
@@ -795,3 +853,23 @@ class TestTcpTransport:
             run_protocol_tcp(TINY, pr, 3, np.random.default_rng(32))
         assert len(calls) == 3
         assert len(open_ends) == 2 and all(end.fileno() == -1 for end in open_ends)
+
+
+def test_round_vectors_read_only():
+    """Every vector a round hands out is read-only: the sampled x and y,
+    the decoded image, preimage and d, each inversion, the key's t, the
+    trapdoor's e and a Gaussian sample."""
+    rng = np.random.default_rng(7)
+    k, t = gen(DESK, rng)
+    vectors = [k.t, t.e, TruncatedGaussian(DESK.modulus, DESK.b_p, DESK.m).sample(rng)]
+    for _ in range(10):
+        b, x, y = sample_image(k, rng)
+        vectors += [x, y, inv(k, t, b, y),
+                    frame_decode(frame_encode(MsgImage(y)), DESK).y,
+                    frame_decode(frame_encode(MsgPreimageResp(b, x)), DESK).x]
+    d = np.ones(DESK.d_len, dtype=np.int64)
+    vectors.append(frame_decode(frame_encode(MsgEquationResp(1, 0, d)), DESK).d)
+    for v in vectors:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0

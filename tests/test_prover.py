@@ -31,13 +31,11 @@ from ntcfk.prover import (
     samp_and_measure,
 )
 from ntcfk.zq import (
-    BitString,
     Modulus,
     ZqVector,
-    bit_dot_xor,
     domain_grid,
     j_encode,
-    mul_rows_mod,
+    mat_vec_mul,
 )
 
 
@@ -64,13 +62,13 @@ def claw_residual(kappa, q, s_val, x0_val):
     p = params(q, 1, 2, kappa, 1.4, 0.2, 0.1)
     mod = Modulus(q)
     k = NtcfKey(
-        p, np.array([[1], [3]]), ZqVector(np.array([0, 0]), mod)
+        p, np.array([[1], [3]]), np.array([0, 0])
     )
     s = ZqVector(np.array([s_val]), mod)
-    x0 = ZqVector(np.array([x0_val]), mod)
+    x0 = np.array([x0_val]) % q
     labels = (x0_val - s_val * np.arange(kappa)[:, None]) % q
     amps = np.full(kappa, 1.0 / math.sqrt(kappa))
-    return ResidualState(k, ZqVector(np.array([0, 0]), mod), np.arange(kappa), labels, amps), s, x0
+    return ResidualState(k, np.array([0, 0]), np.arange(kappa), labels, amps), s, x0
 
 
 def entry_loop_residual(k, y):
@@ -80,10 +78,10 @@ def entry_loop_residual(k, y):
     p = k.params
     prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
     grid = domain_grid(p.q, p.n)
-    images = mul_rows_mod(k.A, grid, p.q)
+    images = mat_vec_mul(k.A, grid, p.q)
     entries = []
     for b in range(p.kappa):
-        res = (y.entries[None, :] - images - b * k.t.entries[None, :]) % p.q
+        res = (y[None, :] - images - b * k.t[None, :]) % p.q
         w = prob_by_residue[res].prod(axis=1)
         for i in np.nonzero(w)[0]:
             entries.append((b, grid[i].tolist(), float(w[i])))
@@ -132,7 +130,7 @@ class TestSampAndMeasure:
                 state = apply_ufkb(state, k)
                 y_out, collapsed = measure_register(state, "y", rng)
                 oracle_bx = full_distribution(collapsed, ("b", "x"))
-                res = _enumerate_residual(k, ZqVector(np.array(y_out), p.modulus))
+                res = _enumerate_residual(k, np.array(y_out))
                 analytic = Density(np.column_stack([res.branch, res.labels]), res.amps**2)
                 assert tv_distance(oracle_bx, analytic) < 1e-12
                 multi_point += len(res.amps) > p.kappa
@@ -143,9 +141,9 @@ class TestSampAndMeasure:
         k, t = gen(p, rng)
         _y, res = samp_and_measure(k, rng, mode="idealized-claw", secret_s=t.s)
         assert res.is_clean_claw()
-        xs = [ZqVector(x, p.modulus) for x in res.branches()]
+        xs = res.branches()
         for b in range(1, p.kappa):
-            assert xs[b] == xs[0] - t.s.scale(b)
+            assert np.array_equal(xs[b], (xs[0] - b * t.s.entries) % p.q)
 
     def test_idealized_needs_secret(self, rng):
         p = get_preset("desk-k3")
@@ -169,7 +167,7 @@ class TestSampAndMeasure:
         y, res = samp_and_measure(k, rng, mode="exact-enumeration")
         assert res.branch.tolist() == [0] * len(res.labels)
         for x in res.labels:
-            assert chk(k, 0, ZqVector(x, p.modulus), y) == 1
+            assert chk(k, 0, x, y) == 1
 
 
 class TestPreimageMeasure:
@@ -208,9 +206,9 @@ class TestRed:
                 continue
             successes += 1
             assert v == 1
-            assert d_state.x0.as_tuple() == (4,)
-            assert d_state.x1.as_tuple() == (0,)
-            assert d_state.sbar.as_tuple() == (4,)  # 2*v*s = 4 mod 7
+            assert tuple(d_state.x0.tolist()) == (4,)
+            assert tuple(d_state.x1.tolist()) == (0,)
+            assert tuple(d_state.sbar.tolist()) == (4,)  # 2*v*s = 4 mod 7
         assert abs(successes / trials - 2 / 3) < 0.03
 
     @pytest.mark.parametrize("kappa,expect", [(3, 2 / 3), (4, 1 / 2), (5, 4 / 5)])
@@ -225,7 +223,7 @@ class TestRed:
             except RedFailed:
                 continue
             succ += 1
-            assert d_state.sbar == s.scale(2 * v)
+            assert np.array_equal(d_state.sbar, 2 * v * s.entries % 11)
         assert abs(succ / n - expect) < 0.02
 
     def test_kappa2_always_fails_with_both_reasons(self):
@@ -282,7 +280,7 @@ class TestEquationMeasure:
         st = CosetState(np.array([[4], [0]]), Modulus(7))
         for _ in range(200):
             resp = equation_measure(st, rng)
-            assert resp.c == bit_dot_xor(resp.d, j_encode(st.x0), j_encode(st.x1))
+            assert resp.c == int(resp.d @ (j_encode(st.x0, 7) ^ j_encode(st.x1, 7))) % 2
 
     def test_d_marginal_uniform(self):
         st = CosetState(np.array([[4], [0]]), Modulus(7))
@@ -291,7 +289,7 @@ class TestEquationMeasure:
         counts = np.zeros(8, dtype=np.int64)
         for _ in range(n):
             resp = equation_measure(st, rng)
-            idx = sum(b << i for i, b in enumerate(resp.d.bits))
+            idx = sum(b << i for i, b in enumerate(resp.d.tolist()))
             counts[idx] += 1
         _chi, p = scipy.stats.chisquare(counts)
         assert p > 0.01
@@ -300,18 +298,17 @@ class TestEquationMeasure:
         # the analytic (c, d) pairs are exactly the nonzero-amplitude
         # outcomes of the oracle's Hadamard measurement (see oracle test)
         st = CosetState(np.array([[4], [0]]), Modulus(7))
-        j0, j1 = j_encode(st.x0), j_encode(st.x1)
+        j0, j1 = j_encode(st.x0, 7), j_encode(st.x1, 7)
         rng = np.random.default_rng(21)
         seen = set()
         for _ in range(500):
             resp = equation_measure(st, rng)
-            seen.add((resp.c, resp.d.bits))
+            seen.add((resp.c, tuple(resp.d.tolist())))
         expect = set()
         import itertools
 
         for d in itertools.product((0, 1), repeat=3):
-            db = BitString(d)
-            expect.add((bit_dot_xor(db, j0, j1), d))
+            expect.add((int(np.array(d) @ (j0 ^ j1)) % 2, d))
         assert seen == expect
 
 
@@ -333,11 +330,11 @@ class TestCheaters:
         pr.receive_key(k)
         hits = 0
         n = 4000
-        x0 = ZqVector(np.array([1, 2]), p.modulus)
-        x1 = x0 - t.s.scale(2)
+        x0 = np.array([1, 2])
+        x1 = (x0 - 2 * t.s.entries) % p.q
         for _ in range(n):
             _v, resp = pr.respond_test()
-            if resp.c == bit_dot_xor(resp.d, j_encode(x0), j_encode(x1)):
+            if resp.c == int(resp.d @ (j_encode(x0, p.q) ^ j_encode(x1, p.q))) % 2:
                 hits += 1
         assert abs(hits / n - 0.5) < 0.03
 

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntcfk.zq import (
-    BitString,
     DimensionError,
     Modulus,
-    ZqVector,
-    bit_dot_xor,
-    centered_lift,
+    equation_bit,
     euclidean_norm,
     j_decode,
     j_encode,
@@ -22,7 +19,16 @@ from ntcfk.zq import (
 
 
 def vec(entries, q):
-    return ZqVector(np.array(entries, dtype=np.int64), Modulus(q))
+    return np.array(entries, dtype=np.int64) % q
+
+
+def bits(values):
+    return np.array(values, dtype=np.int64)
+
+
+def from_bits(b):
+    """The residue whose J block is the bit string b, most significant first."""
+    return int("".join(map(str, b)), 2)
 
 
 def mat(entries, q):
@@ -53,37 +59,49 @@ class TestMatVecMul:
     def test_identity(self):
         A = mat(np.eye(3, dtype=np.int64), 7)
         x = vec([1, 5, 6], 7)
-        assert mat_vec_mul(A, x) == x
+        assert np.array_equal(mat_vec_mul(A, x, 7), x)
 
     def test_zero_matrix(self):
         A = mat([[0, 0], [0, 0]], 7)
-        assert mat_vec_mul(A, vec([3, 4], 7)) == vec([0, 0], 7)
+        assert np.array_equal(mat_vec_mul(A, vec([3, 4], 7), 7), vec([0, 0], 7))
 
     def test_hand_value(self):
         # 2*3 + 3*4 = 18 = 4 mod 7
         A = mat([[2, 3]], 7)
-        assert mat_vec_mul(A, vec([3, 4], 7)) == vec([4], 7)
+        assert np.array_equal(mat_vec_mul(A, vec([3, 4], 7), 7), vec([4], 7))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            mat_vec_mul(mat([[1, 2]], 7), vec([1], 7))
+            mat_vec_mul(mat([[1, 2]], 7), vec([1], 7), 7)
 
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
     def test_linearity(self, a, b, c, d):
         A = mat([[2, 3], [5, 1]], 7)
         x, y = vec([a, b], 7), vec([c, d], 7)
-        assert mat_vec_mul(A, x + y) == mat_vec_mul(A, x) + mat_vec_mul(A, y)
+        assert np.array_equal(mat_vec_mul(A, (x + y) % 7, 7),
+                              (mat_vec_mul(A, x, 7) + mat_vec_mul(A, y, 7)) % 7)
+
+    @pytest.mark.parametrize("q,cols", [(7, 3), (2**31 - 1, 1), (2**31 - 1, 4)])
+    def test_matches_python_integers(self, q, cols):
+        # (2^31 - 1, 4): sums of unreduced products would overflow int64
+        rng = np.random.default_rng(q + cols)
+        A = rng.integers(q - 3, q, size=(5, cols), dtype=np.int64)
+        X = rng.integers(q - 3, q, size=(2, cols), dtype=np.int64)
+        want = [[sum(int(a) * int(x) for a, x in zip(row, xs)) % q for row in A.tolist()]
+                for xs in X.tolist()]
+        assert mat_vec_mul(A, X, q).tolist() == want
+        assert mat_vec_mul(A, X[0], q).tolist() == want[0]
 
 
 class TestCenteredLift:
     def test_negative_side(self):
-        assert list(centered_lift(vec([6], 7))) == [-1]
+        assert list(lift_residues(vec([6], 7), 7)) == [-1]
 
     def test_even_boundary_included(self):
-        assert list(centered_lift(vec([4], 8))) == [4]
+        assert list(lift_residues(vec([4], 8), 8)) == [4]
 
     def test_zero(self):
-        assert list(centered_lift(vec([0, 0, 0], 7))) == [0, 0, 0]
+        assert list(lift_residues(vec([0, 0, 0], 7), 7)) == [0, 0, 0]
 
     def test_array_lift_2d(self):
         a = np.array([[0, 3, 4], [5, 7, 1]], dtype=np.int64)
@@ -91,79 +109,114 @@ class TestCenteredLift:
 
     def test_bijection(self):
         for q in (7, 8, 13):
-            lifts = {int(centered_lift(vec([r], q))[0]) for r in range(q)}
+            lifts = {int(lift_residues(vec([r], q), q)[0]) for r in range(q)}
             assert len(lifts) == q
             assert all(-q / 2 < v <= q / 2 for v in lifts)
 
 
 class TestNorm:
     def test_zero(self):
-        assert euclidean_norm(vec([0, 0], 7)) == 0.0
+        assert euclidean_norm(vec([0, 0], 7), 7) == 0.0
 
     def test_wraparound(self):
-        assert euclidean_norm(vec([6, 1], 7)) == pytest.approx(math.sqrt(2))
+        assert euclidean_norm(vec([6, 1], 7), 7) == pytest.approx(math.sqrt(2))
 
     def test_mixed(self):
-        assert euclidean_norm(vec([5, 12], 13)) == pytest.approx(math.sqrt(26))
+        assert euclidean_norm(vec([5, 12], 13), 13) == pytest.approx(math.sqrt(26))
 
     def test_negation_symmetric(self):
         for q in (7, 13):
             for r in range(q):
                 x = vec([r], q)
-                assert euclidean_norm(x) == pytest.approx(euclidean_norm(-x))
+                assert euclidean_norm(x, q) == pytest.approx(euclidean_norm(-x % q, q))
 
 
 class TestJ:
     def test_msb_first(self):
-        assert j_encode(vec([5], 8)).bits == (1, 0, 1)
+        assert tuple(j_encode(vec([5], 8), 8).tolist()) == (1, 0, 1)
 
     def test_zero(self):
-        assert j_encode(vec([0, 0], 8)).bits == (0,) * 6
+        assert tuple(j_encode(vec([0, 0], 8), 8).tolist()) == (0,) * 6
 
     def test_round_trip_exhaustive(self):
         for q in (3, 7, 8, 13, 16):
-            mod = Modulus(q)
             for n in (1, 2):
                 for entries in itertools.product(range(q), repeat=n):
                     x = vec(list(entries), q)
-                    assert j_decode(j_encode(x), mod, n) == x
+                    assert np.array_equal(j_decode(j_encode(x, q), q, n), x)
 
     def test_decode_rejects_overflow(self):
         # block (1,1,1) = 7 >= q = 7
         with pytest.raises(ValueError):
-            j_decode(BitString((1, 1, 1)), Modulus(7), 1)
+            j_decode(bits((1, 1, 1)), 7, 1)
 
     def test_decode_length_check(self):
         with pytest.raises(DimensionError):
-            j_decode(BitString((1, 0)), Modulus(7), 1)
+            j_decode(bits((1, 0)), 7, 1)
 
 
 class TestBitDotXor:
+    """d . (u xor v) mod 2 for bit strings u, v of one block each, through
+    `equation_bit` on the residues mod 2^w whose J blocks they are."""
+
     def test_equal_strings(self):
-        u = BitString((1, 0, 1))
-        for bits in itertools.product((0, 1), repeat=3):
-            assert bit_dot_xor(BitString(bits), u, u) == 0
+        u = from_bits((1, 0, 1))
+        for d in itertools.product((0, 1), repeat=3):
+            assert equation_bit(bits(d), vec([u], 8), vec([u], 8), 8) == 0
 
     def test_zero_d(self):
-        d = BitString((0, 0, 0))
-        assert bit_dot_xor(d, BitString((1, 0, 1)), BitString((0, 1, 1))) == 0
+        d = bits((0, 0, 0))
+        u, v = vec([from_bits((1, 0, 1))], 8), vec([from_bits((0, 1, 1))], 8)
+        assert equation_bit(d, u, v, 8) == 0
 
     def test_hand_value(self):
-        d = BitString((1, 1, 0))
-        u = BitString((1, 0, 1))
-        v = BitString((0, 0, 1))
-        assert bit_dot_xor(d, u, v) == 1
+        d = bits((1, 1, 0))
+        u = vec([from_bits((1, 0, 1))], 8)
+        v = vec([from_bits((0, 0, 1))], 8)
+        assert equation_bit(d, u, v, 8) == 1
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            bit_dot_xor(BitString((1,)), BitString((1, 0)), BitString((0, 1)))
+            equation_bit(bits((1,)), vec([2], 4), vec([1], 4), 4)
+        with pytest.raises(DimensionError):
+            equation_bit(bits((1, 0)), vec([2], 4), vec([1, 0], 4), 4)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
     @settings(max_examples=50)
-    def test_linear_in_d(self, bits):
+    def test_linear_in_d(self, b):
         # d . (u ^ v) equals parity of selected differing positions
-        u = BitString(tuple(1 - b for b in bits))
-        v = BitString(tuple(bits))
-        d = BitString(tuple(bits))
-        expect = sum(b * ((1 - b) ^ b) for b in bits) % 2
-        assert bit_dot_xor(d, u, v) == expect
+        q = 2 ** len(b)
+        u = vec([from_bits([1 - x for x in b])], q)
+        v = vec([from_bits(b)], q)
+        expect = sum(x * ((1 - x) ^ x) for x in b) % 2
+        assert equation_bit(bits(b), u, v, q) == expect
+
+
+def _j_reference(x, q):
+    """J one bit at a time: each coordinate's ceil(log2 q) bits, most
+    significant first."""
+    w = Modulus(q).bits
+    return [(int(v) >> (w - 1 - i)) & 1 for v in x for i in range(w)]
+
+
+def _equation_bit_reference(d, x_bar0, x_bar1, q):
+    """sum_i d_i * (u_i xor v_i) mod 2 with u = J(x_bar0), v = J(x_bar1)."""
+    acc = 0
+    for di, ui, vi in zip(d, _j_reference(x_bar0, q), _j_reference(x_bar1, q)):
+        acc ^= di & (ui ^ vi)
+    return acc
+
+
+@pytest.mark.parametrize("q,n", [(7, 1), (8, 1), (3, 2)])
+def test_equation_bit_matches_definition(q, n):
+    """Every x_bar0, x_bar1 in Z_q^n and every d of the matching length,
+    odd and even q, against the scalar definition."""
+    w = Modulus(q).bits
+    xs = [vec(x, q) for x in itertools.product(range(q), repeat=n)]
+    ds = [bits(d) for d in itertools.product((0, 1), repeat=n * w)]
+    for x0 in xs:
+        for x1 in xs:
+            for d in ds:
+                assert equation_bit(d, x0, x1, q) == _equation_bit_reference(d, x0, x1, q)
+    with pytest.raises(DimensionError):
+        equation_bit(ds[1][:-1], xs[0], xs[1], q)
