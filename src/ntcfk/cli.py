@@ -150,11 +150,10 @@ def cmd_stats(args) -> int:
     rng = np.random.default_rng(_resolve_seed(args))
     try:
         k, t = gen(p, rng)
-        x = np.zeros(p.n, dtype=np.int64)
         print(f"{'b':>3} {'exact H^2':>14} {'bound':>14} {'trace dist':>12} pass")
         all_ok = True
         for b in range(p.kappa):
-            exact, bound = hellinger_branch(k, t, b, x)
+            exact, bound = hellinger_branch(k, t, b)
             ok = exact <= bound + 1e-10
             all_ok = all_ok and ok
             print(
@@ -175,7 +174,7 @@ def cmd_reduce(args) -> int:
     if args.inject_fault:
         states = lwe_to_dcp(inst, args.ell, rng)
         labels = (states[0].labels + [[0], [1]]) % p.q  # row 1 plus one
-        states[0] = CosetState(labels, p.modulus)
+        states[0] = CosetState(labels, p.q)
         report = solve_dcp_desk(states)
         print(f"fault injection: success={report.success} detail={report.detail}")
         return EXIT_FAIL if not report.success else EXIT_OK

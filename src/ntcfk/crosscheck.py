@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import Density, TruncatedGaussian, tv_distance
-from .ntcf import NtcfKey
+from .gaussian import Density, tv_distance
+from .ntcf import NtcfKey, image_gaussian
 from .oracle import (
     RegisterSpec,
     apply_ufkb,
@@ -32,7 +32,7 @@ def analytic_joint(k: NtcfKey, mis_shift: int = 0) -> Density:
     fault-injection hook so the comparison's sensitivity is testable.
     """
     p = k.params
-    g = TruncatedGaussian(p.modulus, p.b_p, p.m)
+    g = image_gaussian(p)
     total = p.kappa * p.q**p.n * g.support_size()
     if total > ANALYTIC_CAP:
         raise ValueError(f"joint support {total} exceeds cap {ANALYTIC_CAP}")
@@ -65,7 +65,7 @@ def oracle_joint(k: NtcfKey) -> Density:
         RegisterSpec("x", "modq", p.n, p.q),
     )
     state = init_uniform_full(specs)
-    g = TruncatedGaussian(p.modulus, p.b_p, p.m)
+    g = image_gaussian(p)
     state = load_gaussian_register(state, RegisterSpec("y", "modq", p.m, p.q), g)
     state = apply_ufkb(state, k)
     return full_distribution(state, ("y", "b", "x"))

@@ -5,6 +5,8 @@ proportional to exp(-pi x^2 / B^2) on the centered lifts with |x| <= B.
 Because |x_i| <= B per coordinate already forces ||x|| <= B*sqrt(m), the
 per-coordinate truncation is the binding one; the ball condition is
 implied and no extra renormalization is needed.
+`TruncatedGaussian(q, width, dim)` holds q as a plain int, in the
+[2, 2^31) range the params were checked for.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import Q_MAX, Modulus, common_rows, domain_grid, lift_residues, read_only, rows_distinct
+from .zq import Q_MAX, common_rows, domain_grid, lift_residues, read_only, rows_distinct
 
 DEFAULT_TABLE_CAP = 10**6
 
@@ -80,7 +82,7 @@ def _radices(*point_sets: np.ndarray) -> np.ndarray:
 class TruncatedGaussian:
     """D_{Z_q^m, B}: product of 1-D truncated Gaussians on centered lifts."""
 
-    modulus: Modulus
+    q: int
     width: float
     dim: int
 
@@ -93,7 +95,7 @@ class TruncatedGaussian:
     @property
     def radius(self) -> int:
         """Largest integer lift magnitude inside the 1-D truncation."""
-        return min(int(math.floor(self.width)), (self.modulus.q - 1) // 2)
+        return min(int(math.floor(self.width)), (self.q - 1) // 2)
 
     def _table_1d(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _table_1d_cached(self.radius, self.width)
@@ -103,7 +105,7 @@ class TruncatedGaussian:
         residue; 0 outside the truncation. It has q entries, so it is for
         small q only (the enumerating prover, whose q^n is capped)."""
         lifts, probs, _cdf = self._table_1d()
-        return np.bincount(lifts % self.modulus.q, weights=probs, minlength=self.modulus.q)
+        return np.bincount(lifts % self.q, weights=probs, minlength=self.q)
 
     def density_eval(self, x: np.ndarray) -> float:
         """Probability of a vector x of residues; 0 outside the truncated
@@ -111,7 +113,7 @@ class TruncatedGaussian:
         if len(x) != self.dim:
             raise ValueError(f"expected length {self.dim}")
         r = self.radius
-        idx = lift_residues(x, self.modulus.q) + r
+        idx = lift_residues(x, self.q) + r
         if idx.min() < 0 or idx.max() > 2 * r:
             return 0.0
         return float(self._table_1d()[1][idx].prod())
@@ -128,7 +130,7 @@ class TruncatedGaussian:
             )
         lifts, probs, _cdf = self._table_1d()
         idx = domain_grid(len(lifts), self.dim)
-        return lifts[idx] % self.modulus.q, probs[idx].prod(axis=1)
+        return lifts[idx] % self.q, probs[idx].prod(axis=1)
 
     def table(self, cap: int = DEFAULT_TABLE_CAP) -> Density:
         """The exact density over the truncated support."""
@@ -144,7 +146,7 @@ class TruncatedGaussian:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one vector of residues by per-coordinate inverse-CDF
         sampling, as a read-only array."""
-        return read_only(self.inverse_cdf(rng.random(self.dim)) % self.modulus.q)
+        return read_only(self.inverse_cdf(rng.random(self.dim)) % self.q)
 
 
 def _shared(f0: Density, f1: Density):
@@ -189,7 +191,7 @@ def shifted_density(g: TruncatedGaussian, shift: np.ndarray) -> Density:
     if len(shift) != g.dim:
         raise ValueError("shift dimension mismatch")
     base = g.table()
-    return Density((base.points + shift) % g.modulus.q, base.probs)
+    return Density((base.points + shift) % g.q, base.probs)
 
 
 def hellinger_sq_shifts(g: TruncatedGaussian, shifts: np.ndarray) -> list[float]:
@@ -199,7 +201,7 @@ def hellinger_sq_shifts(g: TruncatedGaussian, shifts: np.ndarray) -> list[float]
     if g.dim != 1:
         raise ValueError("shifts of a 1-D Gaussian only")
     points, probs = g.support_arrays()
-    r, q = g.radius, g.modulus.q
+    r, q = g.radius, g.q
     # Shifted point k lands on the base point of lift `moved` when |moved| <= r.
     moved = lift_residues((points[:, 0] + np.asarray(shifts)[:, None]) % q, q)
     hit = np.abs(moved) <= r

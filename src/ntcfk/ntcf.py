@@ -24,8 +24,8 @@ import numpy as np
 from . import trapdoor as td
 from .gaussian import Density, TruncatedGaussian, hellinger_sq_shifts, shifted_density
 from .serialize import HEADER_KEY, HEADER_SK, FormatError, LineReader, LineWriter
-from .zq import (DimensionError, Modulus, ZqVector, euclidean_norm, lift_residues, mat_vec_mul,
-                 read_only)
+from .zq import (DimensionError, ZqVector, bit_width, euclidean_norm, is_prime, lift_residues,
+                 mat_vec_mul, read_only)
 
 RATIO_FLOOR = 8.0  # desk stand-in for the asymptotic width-ratio conditions
 GROWTH_CONST = 1  # constant in the dimension growth conditions
@@ -41,7 +41,7 @@ def compute_bp(q: int, n: int, m: int, kappa: int, c_t: float) -> float:
             f"B_P needs positive kappa, C_T, m and n; got kappa={kappa}, "
             f"C_T={c_t}, m={m}, n={n}"
         )
-    logq = Modulus(q).bits
+    logq = bit_width(q)
     try:
         return q / (kappa * c_t * math.sqrt(m * n * logq))
     except OverflowError as exc:
@@ -62,12 +62,8 @@ class NtcfParams:
     mode: str = "desk"  # "desk" | "asymptotic"
 
     @property
-    def modulus(self) -> Modulus:
-        return Modulus(self.q)
-
-    @property
     def logq(self) -> int:
-        return self.modulus.bits
+        return bit_width(self.q)
 
     @property
     def d_len(self) -> int:
@@ -88,17 +84,22 @@ class ValidationReport:
 def validate_params(p: NtcfParams) -> ValidationReport:
     """Check the family's parameter conditions.
 
-    Hard failures: q not prime, kappa outside [2, q] (past q the claw
+    Hard failures: q outside [2, 2^31) (reported alone, since nothing
+    else is defined then), q not prime, kappa outside [2, q] (past q the claw
     x_b = x_0 - b s repeats mod q), stored B_P off the defining
     formula, or a broken ordering 0 < B_L < B_V < B_P < q. The dimension
     growth conditions (n vs ell*log q, m vs n*log q), the lower bound
     2*sqrt(n) <= B_L, and the width-ratio conditions are warnings in desk
-    mode and failures in asymptotic mode. Any field values that a valid
-    modulus q admits give a report, never an exception.
+    mode and failures in asymptotic mode. Any field values give a report,
+    never an exception.
     """
+    try:
+        logq = p.logq
+    except ValueError as exc:
+        return ValidationReport((str(exc),), ())
     hard: list[str] = []
     soft: list[str] = []
-    if not p.modulus.is_prime:
+    if not is_prime(p.q):
         hard.append(f"q={p.q} is not prime")
     if not 2 <= p.kappa <= p.q:
         hard.append(f"kappa={p.kappa} must be >= 2 and <= q={p.q}")
@@ -120,7 +121,6 @@ def validate_params(p: NtcfParams) -> ValidationReport:
         )
 
     sink = soft if p.mode == "desk" else hard  # messages are built only on failure
-    logq = p.logq
     if p.n < GROWTH_CONST * p.ell * logq:
         sink.append(f"n={p.n} < ell*log2(q)={p.ell * logq}")
     if p.m < GROWTH_CONST * p.n * logq:
@@ -173,8 +173,8 @@ def gen(p: NtcfParams, rng: np.random.Generator) -> tuple[NtcfKey, NtcfTrapdoor]
     if not report.ok:
         raise ValueError("invalid parameters: " + "; ".join(report.violations))
     A, t_a = td.gen_trap(p.n, p.m, p.q, rng)
-    s = ZqVector.uniform(p.n, p.modulus, rng)
-    e = TruncatedGaussian(p.modulus, p.b_v, p.m).sample(rng)
+    s = ZqVector.uniform(p.n, p.q, rng)
+    e = TruncatedGaussian(p.q, p.b_v, p.m).sample(rng)
     t = read_only((mat_vec_mul(A, s.entries, p.q) + e) % p.q)
     return NtcfKey(p, A, t), NtcfTrapdoor(t_a, s, e)
 
@@ -184,8 +184,9 @@ def _check_branch(p: NtcfParams, b: int):
         raise ValueError(f"branch b={b} out of range [0, {p.kappa})")
 
 
-def _image_gaussian(p: NtcfParams) -> TruncatedGaussian:
-    return TruncatedGaussian(p.modulus, p.b_p, p.m)
+def image_gaussian(p: NtcfParams) -> TruncatedGaussian:
+    """D_{Z_q^m, B_P}, the image Gaussian of every branch."""
+    return TruncatedGaussian(p.q, p.b_p, p.m)
 
 
 def _center(k: NtcfKey, b: int, x: np.ndarray) -> np.ndarray:
@@ -200,7 +201,7 @@ def f_prime_density(k: NtcfKey, b: int, x: np.ndarray) -> Density:
     Public: uses only the key. Desk scale only (materializes the table).
     """
     _check_branch(k.params, b)
-    return shifted_density(_image_gaussian(k.params), _center(k, b, x))
+    return shifted_density(image_gaussian(k.params), _center(k, b, x))
 
 
 def f_density(k: NtcfKey, t: NtcfTrapdoor, b: int, x: np.ndarray) -> Density:
@@ -211,13 +212,13 @@ def f_density(k: NtcfKey, t: NtcfTrapdoor, b: int, x: np.ndarray) -> Density:
     _check_branch(k.params, b)
     q = k.params.q
     shift = (mat_vec_mul(k.A, x, q) + b * mat_vec_mul(k.A, t.s.entries, q)) % q
-    return shifted_density(_image_gaussian(k.params), shift)
+    return shifted_density(image_gaussian(k.params), shift)
 
 
 def f_prime_eval(k: NtcfKey, b: int, x: np.ndarray, y: np.ndarray) -> float:
     """Point evaluation of f'_{k,b}(x)(y); works at any scale."""
     _check_branch(k.params, b)
-    return _image_gaussian(k.params).density_eval((y - _center(k, b, x)) % k.params.q)
+    return image_gaussian(k.params).density_eval((y - _center(k, b, x)) % k.params.q)
 
 
 def inv(k: NtcfKey, t: NtcfTrapdoor, b: int, y: np.ndarray) -> np.ndarray:
@@ -249,7 +250,7 @@ def claws(x0: np.ndarray, s: ZqVector, kappa: int) -> np.ndarray:
     if x0.shape[-1] != len(s):
         raise DimensionError(f"x_0 rows have length {x0.shape[-1]}, s has {len(s)}")
     b = np.arange(kappa)[:, None]
-    return (x0[:, None, :] - b * s.entries) % s.modulus.q
+    return (x0[:, None, :] - b * s.entries) % s.q
 
 
 def claw_enumerate(k: NtcfKey, t: NtcfTrapdoor, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -267,11 +268,9 @@ def hellinger_display_bound(p: NtcfParams, b: int) -> float:
     return 1.0 - math.exp(-2.0 * math.pi * p.m * b * p.b_v / p.b_p)
 
 
-def hellinger_branch(
-    k: NtcfKey, t: NtcfTrapdoor, b: int, x: np.ndarray
-) -> tuple[float, float]:
-    """Exact H^2 between f_{k,b}(x) and f'_{k,b}(x), with the family's
-    display bound `hellinger_display_bound`.
+def hellinger_branch(k: NtcfKey, t: NtcfTrapdoor, b: int) -> tuple[float, float]:
+    """Exact H^2 between f_{k,b}(x) and f'_{k,b}(x), the same for every x,
+    with the family's display bound `hellinger_display_bound`.
 
     The two branch densities are shifts of each other by b*e, so the
     exact value only depends on b and e. Both are products of 1-D
@@ -280,7 +279,7 @@ def hellinger_branch(
     """
     p = k.params
     _check_branch(p, b)
-    g1 = TruncatedGaussian(p.modulus, p.b_p, 1)
+    g1 = TruncatedGaussian(p.q, p.b_p, 1)
     affinity = 1.0
     for h2 in hellinger_sq_shifts(g1, b * t.e % p.q):
         affinity *= 1.0 - h2
@@ -306,7 +305,7 @@ PARAMS_LINES = 10  # the lines `_params_fields` writes
 
 
 @functools.lru_cache(maxsize=64)
-def _params_from_text(text: str) -> tuple[NtcfParams, Modulus]:
+def _params_from_text(text: str) -> NtcfParams:
     """The params in a key's params lines, with q in [2, 2^31) and a
     report `validate_params` passes; anything else is a FormatError.
     Equal text parses to equal params, so the cache is exact; a failing
@@ -324,14 +323,10 @@ def _params_from_text(text: str) -> tuple[NtcfParams, Modulus]:
         c_t=r.float_field("c_t"),
         mode=r.field("mode"),
     )
-    try:
-        modulus = p.modulus
-    except ValueError as exc:
-        raise FormatError(f"field q: {exc}") from exc
     report = validate_params(p)
     if not report.ok:
         raise FormatError("invalid parameters: " + "; ".join(report.violations))
-    return p, modulus
+    return p
 
 
 def key_to_text(k: NtcfKey) -> str:
@@ -345,9 +340,9 @@ def key_to_text(k: NtcfKey) -> str:
 def _key_read(r: LineReader) -> NtcfKey:
     """The params (see `_params_from_text`), an m x n matrix A and t of
     length m of a key; anything else is a FormatError."""
-    p, modulus = _params_from_text(r.block(PARAMS_LINES))
-    A = r.matrix("A", p.m, p.n, modulus)
-    t = r.vector("t", modulus)
+    p = _params_from_text(r.block(PARAMS_LINES))
+    A = r.matrix("A", p.m, p.n, p.q)
+    t = r.vector("t", p.q)
     if len(t) != p.m:
         raise FormatError(f"field t: length {len(t)}, not m={p.m}")
     return NtcfKey(p, A, t)
@@ -382,13 +377,13 @@ def _expect(r: LineReader, name: str, value) -> None:
         raise FormatError(f"field {name}: {got!r}, not {str(value)!r}")
 
 
-def _trapdoor_read(r: LineReader, A: np.ndarray, modulus: Modulus) -> td.TrapdoorKey:
+def _trapdoor_read(r: LineReader, A: np.ndarray, q: int) -> td.TrapdoorKey:
     """The trapdoor fields of a secret key for A mod q. The mode, n_bar and
     base must be the ones A's shape and q give; in the gadget layout R is an
     n*k x n_bar matrix over {-1, 0, 1} with [R | I] A = G, and in the
     exhaustive one q^n is within the search cap and x -> Ax injective, as
     `gen_trap` makes them. Anything else is a FormatError."""
-    q, (m, n) = modulus.q, A.shape
+    m, n = A.shape
     if not td.gadget_fits(n, m, q):
         _expect(r, "trap_mode", "exhaustive")
         _expect(r, "n_bar", 0)
@@ -397,15 +392,15 @@ def _trapdoor_read(r: LineReader, A: np.ndarray, modulus: Modulus) -> td.Trapdoo
                               f"cap {td.EXHAUSTIVE_CAP}")
         if not td._injective_on_domain(A, q):
             raise FormatError("matrix A: x -> Ax is not injective on Z_q^n")
-        return td.TrapdoorKey(A, modulus)
-    w = n * modulus.bits
+        return td.TrapdoorKey(A, q)
+    w = n * bit_width(q)
     _expect(r, "trap_mode", "gadget")
     _expect(r, "n_bar", m - w)
     _expect(r, "gadget_base", td.GADGET_BASE)
     R = r.matrix("R", w, m - w)
     if R.min() < -1 or R.max() > 1:
         raise FormatError("matrix R: entries must be in {-1, 0, 1}")
-    t_a = td.TrapdoorKey(A, modulus, R)
+    t_a = td.TrapdoorKey(A, q, R)
     if not t_a.relation_holds():
         raise FormatError("matrix R: [R | I] A != G mod q")
     return t_a
@@ -418,15 +413,15 @@ def trapdoor_from_text(text: str) -> tuple[NtcfKey, NtcfTrapdoor]:
     r = LineReader(text, HEADER_SK)
     k = _key_read(r)
     p = k.params
-    t_a = _trapdoor_read(r, k.A, p.modulus)
-    s = r.vector("s", p.modulus)
-    e = r.vector("e", p.modulus)
+    t_a = _trapdoor_read(r, k.A, p.q)
+    s = r.vector("s", p.q)
+    e = r.vector("e", p.q)
     r.done()
     if (len(s), len(e)) != (p.n, p.m):
         raise FormatError(f"fields s, e: lengths {len(s)}, {len(e)}, not n={p.n}, m={p.m}")
-    radius = TruncatedGaussian(p.modulus, p.b_v, p.m).radius
+    radius = TruncatedGaussian(p.q, p.b_v, p.m).radius
     if np.abs(lift_residues(e, p.q)).max() > radius:
         raise FormatError(f"field e: an entry lies outside the B_V radius {radius}")
     if not np.array_equal((mat_vec_mul(k.A, s, p.q) + e) % p.q, k.t):
         raise FormatError("fields s, e: t != A s + e mod q")
-    return k, NtcfTrapdoor(t_a, ZqVector(s, p.modulus), e)
+    return k, NtcfTrapdoor(t_a, ZqVector(s, p.q), e)

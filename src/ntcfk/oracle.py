@@ -192,7 +192,7 @@ def load_gaussian_register(
     truncated support of g (Grover-Rudolph preparation replaced by direct
     amplitude assignment).
     """
-    if spec.kind != "modq" or spec.q != g.modulus.q or spec.size != g.dim:
+    if spec.kind != "modq" or spec.q != g.q or spec.size != g.dim:
         raise DimensionError("register spec does not match the Gaussian")
     points, probs = g.support_arrays()
     live = probs > 0.0

@@ -176,7 +176,7 @@ def _decode_payload(tag: int, text: str, params: NtcfParams | None):
         raise FrameError("params required to decode non-key messages")
     r = LineReader(text)
     if tag == TAG_IMAGE:
-        y = r.vector("y", params.modulus)
+        y = r.vector("y", params.q)
         r.done()
         if len(y) != params.m:
             raise FrameError(f"image length {len(y)} != m={params.m}")
@@ -189,7 +189,7 @@ def _decode_payload(tag: int, text: str, params: NtcfParams | None):
         return MsgChallenge(kind)
     if tag == TAG_PREIMAGE_RESP:
         b = r.int_field("b")
-        x = r.vector("x", params.modulus)
+        x = r.vector("x", params.q)
         r.done()
         if len(x) != params.n:
             raise FrameError(f"preimage length {len(x)} != n={params.n}")

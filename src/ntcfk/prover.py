@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import TruncatedGaussian
-from .ntcf import NtcfKey, NtcfParams, claws
-from .zq import Modulus, ZqVector, domain_grid, equation_bit, mat_vec_mul, read_only
+from .ntcf import NtcfKey, NtcfParams, claws, image_gaussian
+from .zq import ZqVector, bit_width, domain_grid, equation_bit, mat_vec_mul, read_only
 
 ENUM_CAP = 2**16
 
@@ -100,7 +99,7 @@ class CosetState:
     kappa rows an EDCP state."""
 
     labels: np.ndarray
-    modulus: Modulus
+    q: int
 
     @property
     def kappa(self) -> int:
@@ -116,7 +115,7 @@ class CosetState:
 
     @property
     def sbar(self) -> np.ndarray:
-        return (self.x0 - self.x1) % self.modulus.q
+        return (self.x0 - self.x1) % self.q
 
     @property
     def support(self) -> tuple[tuple[int, np.ndarray], ...]:
@@ -168,7 +167,7 @@ def sample_images(
         B[i] = rng.integers(0, p.kappa)
         X[i] = rng.integers(0, p.q, size=p.n, dtype=np.int64)
         U[i] = rng.random(p.m)
-    E = TruncatedGaussian(p.modulus, p.b_p, p.m).inverse_cdf(U)
+    E = image_gaussian(p).inverse_cdf(U)
     Y = (mat_vec_mul(k.A, X, p.q) + E + B[:, None] * k.t) % p.q
     return read_only(B), read_only(X), read_only(Y)
 
@@ -190,7 +189,7 @@ def _enumerate_residual(k: NtcfKey, y: np.ndarray) -> ResidualState:
         raise ValueError(
             f"enumeration size {p.kappa * p.q ** p.n} exceeds cap {ENUM_CAP}"
         )
-    prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
+    prob_by_residue = image_gaussian(p).residue_probs()
     grid = domain_grid(p.q, p.n)
     images = mat_vec_mul(k.A, grid, p.q)  # q^n x m
     shifts = np.arange(p.kappa)[:, None, None] * k.t  # kappa x 1 x m
@@ -231,7 +230,7 @@ def red(r: ResidualState, rng: np.random.Generator) -> tuple[int, CosetState]:
     `red_edcp_to_dcp` on its claw."""
     if not r.is_clean_claw():
         raise ValueError("RED needs a clean kappa-point claw residual")
-    return red_edcp_to_dcp(CosetState(r.branches(), r.key.params.modulus), rng)
+    return red_edcp_to_dcp(CosetState(r.branches(), r.key.params.q), rng)
 
 
 def red_edcp_to_dcp(
@@ -257,14 +256,14 @@ def red_edcp_to_dcp(
     pair = red_branches(kappa, v)
     if pair is None:
         raise RedFailed(f"singleton outcome |b'| = {v}")
-    return v, CosetState(state.labels[list(pair)], state.modulus)
+    return v, CosetState(state.labels[list(pair)], state.q)
 
 
 def equation_measure(d_state: CosetState, rng: np.random.Generator) -> EquationResponse:
     """Hadamard measurement over the J-encoded DCP state: d uniform,
     c = d . (J(x_bar0) xor J(x_bar1))."""
-    d = rng.integers(0, 2, size=d_state.labels.shape[1] * d_state.modulus.bits)
-    return EquationResponse(equation_bit(d, d_state.x0, d_state.x1, d_state.modulus.q), d)
+    d = rng.integers(0, 2, size=d_state.labels.shape[1] * bit_width(d_state.q))
+    return EquationResponse(equation_bit(d, d_state.x0, d_state.x1, d_state.q), d)
 
 
 def _guess_test(p: NtcfParams, rng: np.random.Generator) -> tuple[int, EquationResponse]:
@@ -322,7 +321,7 @@ class HonestProver:
         r = self._residual
         try:
             if r.key.params.kappa == 2:
-                v, d_state = 0, CosetState(r.branches(), r.key.params.modulus)
+                v, d_state = 0, CosetState(r.branches(), r.key.params.q)
             else:
                 v, d_state = red(r, self.rng)
         except ValueError as exc:

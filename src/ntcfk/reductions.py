@@ -29,7 +29,7 @@ import numpy as np
 
 from .ntcf import NtcfKey, NtcfParams, claws, compute_bp
 from .prover import CosetState, samp_and_measure, sample_images
-from .zq import Modulus, ZqVector, euclidean_norm, mat_vec_mul
+from .zq import ZqVector, euclidean_norm, mat_vec_mul
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +87,7 @@ def _coset_states(
     else:
         B, X, _Y = sample_images(k, rng, count)
         rows = claws(X + B[:, None] * s.entries, s, kappa)
-    modulus = inst.params.modulus
-    return [CosetState(labels, modulus) for labels in rows]
+    return [CosetState(labels, inst.params.q) for labels in rows]
 
 
 def lwe_to_dcp(
@@ -114,10 +113,10 @@ def lwe_to_edcp(
 _NO_STATES = SolverReport(False, None, 0, "no states supplied")
 
 
-def _unanimous(candidates: np.ndarray, modulus: Modulus) -> SolverReport:
+def _unanimous(candidates: np.ndarray, q: int) -> SolverReport:
     """Success iff every row of the (states, n) candidate array agrees."""
     if (candidates == candidates[0]).all():
-        candidate = ZqVector(candidates[0], modulus)
+        candidate = ZqVector(candidates[0], q)
         return SolverReport(True, candidate, len(candidates), "unanimous")
     return SolverReport(False, None, len(candidates), "inconsistent states")
 
@@ -126,9 +125,9 @@ def solve_dcp_desk(states: list[CosetState]) -> SolverReport:
     """Read s_tilde = x1 - x0 off each state; success iff unanimous."""
     if not states:
         return _NO_STATES
-    modulus = states[0].modulus
+    q = states[0].q
     labels = np.stack([st.labels for st in states])  # (states, 2, n)
-    return _unanimous((labels[:, 1] - labels[:, 0]) % modulus.q, modulus)
+    return _unanimous((labels[:, 1] - labels[:, 0]) % q, q)
 
 
 def solve_edcp_desk(states: list[CosetState]) -> SolverReport:
@@ -137,12 +136,12 @@ def solve_edcp_desk(states: list[CosetState]) -> SolverReport:
     states share one kappa, as `lwe_to_edcp` makes them."""
     if not states:
         return _NO_STATES
-    modulus = states[0].modulus
+    q = states[0].q
     labels = np.stack([st.labels for st in states])  # (states, kappa, n)
-    diffs = (labels[:, :-1] - labels[:, 1:]) % modulus.q  # (states, kappa-1, n)
+    diffs = (labels[:, :-1] - labels[:, 1:]) % q  # (states, kappa-1, n)
     if not (diffs == diffs[:, :1]).all():
         return SolverReport(False, None, len(states), "inconsistent label differences")
-    return _unanimous(diffs[:, 0], modulus)
+    return _unanimous(diffs[:, 0], q)
 
 
 def verify_candidate(inst: LweInstance, s: ZqVector) -> bool:
@@ -168,7 +167,7 @@ def end_to_end_recover(
         report = solve_dcp_desk(lwe_to_dcp(inst, count, rng))
         if not report.success:
             return report
-        cand = ZqVector(-report.candidate.entries, report.candidate.modulus)
+        cand = ZqVector(-report.candidate.entries, report.candidate.q)
     elif path == "edcp":
         kap = kappa if kappa is not None else max(inst.params.kappa, 3)
         report = solve_edcp_desk(lwe_to_edcp(inst, count, kap, rng))

@@ -5,8 +5,8 @@ a line. One field per line as `name=value`. An integer field is its
 str() and a float field its repr(), so floats round-trip bit-exactly;
 the reader accepts a scalar only in exactly that text. Vectors are
 residues in [0, q) as ASCII decimals split by single spaces, with no
-sign and no leading zero; the reader accepts nothing else, and returns
-them as a read-only int64 array. A bit string is ASCII 0s and 1s, read
+sign and no leading zero; the reader, given q as a plain int, accepts
+nothing else, and returns them as a read-only int64 array. A bit string is ASCII 0s and 1s, read
 as a read-only 0/1 int64 array. A matrix
 field is `name=rows cols` and one line per row; its reader knows the
 shape and accepts that header only, and rows of cols entries each:
@@ -21,7 +21,7 @@ import re
 
 import numpy as np
 
-from .zq import Modulus, read_only
+from .zq import read_only
 
 HEADER_KEY = "ntcf-key v1"
 HEADER_SK = "ntcf-sk v1"
@@ -155,23 +155,22 @@ class LineReader:
             pass
         raise FormatError(f"field {name}: bad float {v!r}")
 
-    def vector(self, name: str, modulus: Modulus) -> np.ndarray:
+    def vector(self, name: str, q: int) -> np.ndarray:
         """Canonical residues only: see `_RESIDUES`, and each below q, as a
         read-only array."""
-        return read_only(_residues(name, self._value(name), modulus.q))
+        return read_only(_residues(name, self._value(name), q))
 
-    def matrix(self, name: str, rows: int, cols: int,
-               modulus: Modulus | None = None) -> np.ndarray:
+    def matrix(self, name: str, rows: int, cols: int, q: int | None = None) -> np.ndarray:
         """The header `name=rows cols`, then rows lines of cols entries:
-        residues below q with a modulus, else signed (the trapdoor's R),
-        as a read-only array."""
+        residues below q given q, else signed (the trapdoor's R), as a
+        read-only array."""
         text = self.block(rows + 1)
         too_wide = rows and cols > len(text)  # tested first, it bounds the pattern's size
-        if too_wide or not _matrix_pattern(name, rows, cols, modulus is None).fullmatch(text):
+        if too_wide or not _matrix_pattern(name, rows, cols, q is None).fullmatch(text):
             raise FormatError(f"matrix {name}: not {rows} x {cols} canonical entries")
         values = np.fromstring(text.partition("\n")[2], dtype=np.int64, count=rows * cols, sep=" ")
-        if modulus is not None and values.size and values.max() >= modulus.q:
-            raise FormatError(f"matrix {name}: residue not below q={modulus.q}")
+        if q is not None and values.size and values.max() >= q:
+            raise FormatError(f"matrix {name}: residue not below q={q}")
         return read_only(values.reshape(rows, cols))
 
     def bits(self, name: str) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The public matrix is the tall stack A = [Abar ; G - R*Abar] mod q, where
 G is the n-column gadget block of powers of GADGET_BASE = 2 (k =
-ceil(log2 q) digits per coordinate, `Modulus.bits`) and R has uniform
-entries in {-1, 0, 1}. A `TrapdoorKey` is A, its modulus and R, both
+ceil(log2 q) digits per coordinate, `zq.bit_width`) and R has uniform
+entries in {-1, 0, 1}. A `TrapdoorKey` is A, q and R, A and R
 read-only int64 arrays. The short relation [R | I] * A = G turns a noisy
 image v = A s + e into a noisy gadget syndrome G s + e', from which each
 coordinate of s is decoded independently.
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zq import (DimensionError, Modulus, domain_grid, euclidean_norm, lift_residues,
-                 mat_vec_mul, read_only, rows_distinct)
+from .zq import (DimensionError, bit_width, domain_grid, euclidean_norm, is_prime,
+                 lift_residues, mat_vec_mul, read_only, rows_distinct)
 
 EXHAUSTIVE_CAP = 2**16
 GADGET_BASE = 2
@@ -55,12 +55,12 @@ class LayoutError(ValueError):
 def gadget_row(q: int) -> np.ndarray:
     """The powers GADGET_BASE^j for j < ceil(log2 q): one coordinate's
     rows of G. Read-only."""
-    return read_only(GADGET_BASE ** np.arange(Modulus(q).bits, dtype=np.int64))
+    return read_only(GADGET_BASE ** np.arange(bit_width(q), dtype=np.int64))
 
 
 def gadget_fits(n: int, m: int, q: int) -> bool:
     """The layout rule: gadget when m >= n*k + 1, else exhaustive."""
-    return m > n * Modulus(q).bits
+    return m > n * bit_width(q)
 
 
 @functools.lru_cache(maxsize=32)
@@ -91,11 +91,11 @@ class TrapdoorKey:
     the exhaustive layout. Equal by value, unhashable."""
 
     A: np.ndarray
-    modulus: Modulus
+    q: int
     R: np.ndarray | None = None
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TrapdoorKey) and self.modulus == other.modulus
+        return (isinstance(other, TrapdoorKey) and self.q == other.q
                 and np.array_equal(self.A, other.A) and np.array_equal(self.R, other.R))
 
     @property
@@ -119,7 +119,7 @@ class TrapdoorKey:
         """Check [R | I] A = G mod q (gadget mode only)."""
         if self.R is None:
             return True
-        q = self.modulus.q
+        q = self.q
         Abar, bottom = np.split(self.A, [self.n_bar])
         return np.array_equal((self.R @ Abar + bottom) % q, _gadget_block(self.n, q))
 
@@ -145,17 +145,16 @@ def gen_trap(
     Uses the gadget layout when it fits, and otherwise falls back to the
     exhaustive trapdoor when q^n is under the search cap.
     """
-    modulus = Modulus(q)
-    if not modulus.is_prime:
+    w = n * bit_width(q)
+    if not is_prime(q):
         raise ValueError(f"q={q} must be prime")
-    w = n * modulus.bits
 
     if gadget_fits(n, m, q):
         Abar = rng.integers(0, q, size=(m - w, n), dtype=np.int64)
         R = rng.integers(-1, 2, size=(w, m - w), dtype=np.int64)
         bottom = (_gadget_block(n, q) - R @ Abar) % q
         A = read_only(np.vstack([Abar, bottom]))
-        return A, TrapdoorKey(A, modulus, read_only(R))
+        return A, TrapdoorKey(A, q, read_only(R))
 
     if q**n > EXHAUSTIVE_CAP:
         raise LayoutError(
@@ -167,7 +166,7 @@ def gen_trap(
     for _ in range(200):
         A = rng.integers(0, q, size=(m, n), dtype=np.int64)
         if _injective_on_domain(A, q):
-            return read_only(A), TrapdoorKey(A, modulus)
+            return read_only(A), TrapdoorKey(A, q)
     raise LayoutError("could not sample an injective A for the exhaustive trapdoor")
 
 
@@ -229,7 +228,7 @@ def invert(
     """
     if len(v) != t.m:
         raise DimensionError(f"expected length {t.m}, got {len(v)}")
-    q = t.modulus.q
+    q = t.q
 
     if t.R is not None:
         n_bar = t.n_bar
@@ -251,7 +250,7 @@ def invert(
 
 
 def _invert_exhaustive(t: TrapdoorKey, v: np.ndarray) -> np.ndarray:
-    q = t.modulus.q
+    q = t.q
     n = t.n
     if q**n > EXHAUSTIVE_CAP:
         raise DecodeFailure("exhaustive search cap exceeded")

@@ -1,14 +1,17 @@
 """Exact arithmetic over Z_q: A x mod q, centered lifts, norms, and the
 bit-encoding map used by the equation check.
 
-Vectors and matrices are plain int64 arrays of residues in [0, q), and
-their producers hand them out read-only; q travels beside them, in the
-params or the trapdoor. The one typed value is `ZqVector`, the secret s,
-which stays hashable and equal by value. Centered lifts
-(`lift_residues`) live in (-q/2, q/2]. d and J(x) are 0/1 int64 arrays.
-q is restricted to < 2**31 so that int64 products never overflow, and
-`mat_vec_mul`, the one A x mod q, sums them unreduced only where no sum
-can overflow either.
+q is a plain int in every layer. `bit_width(q)` is ceil(log2 q), the J
+block width and the gadget digit count, and checks that q is in
+[2, 2^31); `is_prime(q)` is cached trial division. Vectors and matrices
+are plain int64 arrays of residues in [0, q), and their producers hand
+them out read-only; q travels beside them, in the params or the
+trapdoor. The one typed value is `ZqVector`, the secret s, which stays
+hashable and equal by value. Centered lifts (`lift_residues`) live in
+(-q/2, q/2]. d and J(x) are 0/1 int64 arrays. q is restricted to
+< 2**31 so that int64 products never overflow, and `mat_vec_mul`, the
+one A x mod q, sums them unreduced only where no sum can overflow
+either.
 """
 from __future__ import annotations
 
@@ -31,31 +34,16 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A modulus q together with its bit width ceil(log2 q).
-
-    Primality is not enforced here; callers that need a prime q (trapdoor
-    key generation, the function family) check it themselves.
-    """
-
-    q: int
-
-    def __post_init__(self):
-        if not (2 <= self.q < Q_MAX):
-            raise ValueError(f"modulus must be in [2, 2^31), got {self.q}")
-
-    @property
-    def bits(self) -> int:
-        return max(1, (self.q - 1).bit_length())
-
-    @property
-    def is_prime(self) -> bool:
-        return _is_prime(self.q)
+def bit_width(q: int) -> int:
+    """ceil(log2 q), at least 1: the J block width and the gadget digit
+    count. ValueError unless q is in [2, 2^31)."""
+    if not 2 <= q < Q_MAX:
+        raise ValueError(f"modulus must be in [2, 2^31), got {q}")
+    return max(1, (q - 1).bit_length())
 
 
 @functools.lru_cache(maxsize=64)
-def _is_prime(q: int) -> bool:
+def is_prime(q: int) -> bool:
     """Trial division, once per q."""
     if q < 4:
         return q in (2, 3)
@@ -75,10 +63,10 @@ class ZqVector:
     [0, q), equal by value and hashable."""
 
     entries: np.ndarray
-    modulus: Modulus
+    q: int
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int64) % self.modulus.q
+        entries = np.asarray(self.entries, dtype=np.int64) % self.q
         object.__setattr__(self, "entries", read_only(entries))
 
     def __len__(self) -> int:
@@ -87,16 +75,16 @@ class ZqVector:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ZqVector)
-            and self.modulus == other.modulus
+            and self.q == other.q
             and np.array_equal(self.entries, other.entries)
         )
 
     def __hash__(self):
-        return hash((self.modulus.q, self.entries.tobytes()))
+        return hash((self.q, self.entries.tobytes()))
 
     @classmethod
-    def uniform(cls, n: int, modulus: Modulus, rng: np.random.Generator) -> "ZqVector":
-        return cls(rng.integers(0, modulus.q, size=n, dtype=np.int64), modulus)
+    def uniform(cls, n: int, q: int, rng: np.random.Generator) -> "ZqVector":
+        return cls(rng.integers(0, q, size=n, dtype=np.int64), q)
 
 
 def domain_grid(q: int, n: int) -> np.ndarray:
@@ -168,7 +156,7 @@ def euclidean_norm(x: np.ndarray, q: int) -> float:
 @functools.lru_cache(maxsize=64)
 def _block_shifts(q: int) -> np.ndarray:
     """The bit positions w-1, ..., 0 of one J block, w = ceil(log2 q)."""
-    return read_only(np.arange(Modulus(q).bits - 1, -1, -1, dtype=np.int64))
+    return read_only(np.arange(bit_width(q) - 1, -1, -1, dtype=np.int64))
 
 
 def j_encode(x: np.ndarray, q: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from ntcfk.prover import (
 )
 from ntcfk.protocol import run_protocol, run_protocol_tcp
 from ntcfk.reductions import end_to_end_recover, instance_from_key, verify_candidate
-from ntcfk.zq import Modulus, ZqVector, mat_vec_mul
+from ntcfk.zq import ZqVector, mat_vec_mul
 
 TINY = get_preset("tiny-exact")
 DESK = get_preset("desk-k3")
@@ -61,11 +61,10 @@ def claw_residual(kappa, q, s_val, x0_val):
         q=q, n=1, m=2, ell=1, kappa=kappa, b_l=0.1, b_v=0.2,
         b_p=compute_bp(q, 1, 2, kappa, 1.4), c_t=1.4,
     )
-    mod = Modulus(q)
     k = NtcfKey(
         p, np.array([[1], [3]]), np.array([0, 0])
     )
-    s = ZqVector(np.array([s_val]), mod)
+    s = ZqVector(np.array([s_val]), q)
     labels = (x0_val - s_val * np.arange(kappa)[:, None]) % q
     amps = np.full(kappa, 1.0 / math.sqrt(kappa))
     return ResidualState(k, np.array([0, 0]), np.arange(kappa), labels, amps), s
@@ -75,7 +74,7 @@ def test_c01_keygen_and_inversion():
     """1000 fresh desk-scale keys; every noisy image inverts exactly."""
     rng = np.random.default_rng(101)
     t0 = time.time()
-    g = TruncatedGaussian(DESK.modulus, DESK.b_p, DESK.m)
+    g = TruncatedGaussian(DESK.q, DESK.b_p, DESK.m)
     failures = 0
     for _ in range(1000):
         k, t = gen(DESK, rng)
@@ -96,7 +95,7 @@ def test_c02_hellinger_bounds():
     """Exact H^2 never exceeds the shift bound (exhaustive at q=97) nor
     the per-branch display bound; tolerance 1e-10."""
     q, B, m = 97, 5.0, 2
-    g = TruncatedGaussian(Modulus(q), B, m)
+    g = TruncatedGaussian(q, B, m)
     base = g.table()
     limit = B * math.sqrt(m)
     violations = 0
@@ -116,9 +115,8 @@ def test_c02_hellinger_bounds():
     branch_ok = True
     for _ in range(20):
         k, t = gen(TINY, rng)
-        x = np.zeros(TINY.n, dtype=np.int64)
         for b in range(TINY.kappa):
-            exact, bound = hellinger_branch(k, t, b, x)
+            exact, bound = hellinger_branch(k, t, b)
             branch_ok = branch_ok and exact <= bound + 1e-10
     report(
         "C02", violations == 0 and branch_ok,

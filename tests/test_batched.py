@@ -100,7 +100,7 @@ def test_lwe_to_dcp_equals_per_state_loop():
     states = lwe_to_dcp(inst, 9, np.random.default_rng(81))
     want = per_state_claws(inst, 2, 9, np.random.default_rng(81))
     assert [st.labels.tolist() for st in states] == [w.tolist() for w in want]
-    assert all(st.modulus == DESK.modulus for st in states)
+    assert all(st.q == DESK.q for st in states)
 
 
 @pytest.mark.parametrize("kappa", range(2, 7))
@@ -109,7 +109,7 @@ def test_lwe_to_edcp_equals_per_state_loop(kappa):
     states = lwe_to_edcp(inst, 9, kappa, np.random.default_rng(83))
     want = per_state_claws(inst, kappa, 9, np.random.default_rng(83))
     assert [st.labels.tolist() for st in states] == [w.tolist() for w in want]
-    assert all(st.kappa == kappa and st.modulus == DESK.modulus for st in states)
+    assert all(st.kappa == kappa and st.q == DESK.q for st in states)
 
 
 def test_zero_states():
@@ -127,19 +127,17 @@ def test_zero_states():
 @pytest.mark.parametrize("kappa", [1, 2, 3, 6])
 def test_claws_rows_are_x0_minus_bs(kappa):
     rng = np.random.default_rng(86)
-    mod = DESK.modulus
-    x0 = rng.integers(0, mod.q, size=(5, DESK.n))
-    s = ZqVector.uniform(DESK.n, mod, rng)
+    x0 = rng.integers(0, DESK.q, size=(5, DESK.n))
+    s = ZqVector.uniform(DESK.n, DESK.q, rng)
     rows = claws(x0, s, kappa)
     assert rows.shape == (5, kappa, DESK.n)
     for i in range(5):
         for b in range(kappa):
-            assert np.array_equal(rows[i, b], (x0[i] - b * s.entries) % mod.q)
+            assert np.array_equal(rows[i, b], (x0[i] - b * s.entries) % DESK.q)
 
 
 def test_claw_checks_operands():
-    mod = DESK.modulus
-    s = ZqVector(np.array([1, 2]), mod)
+    s = ZqVector(np.array([1, 2]), DESK.q)
     with pytest.raises(DimensionError):
         claws(np.zeros((3, 1), dtype=np.int64), s, 3)
 
@@ -153,7 +151,7 @@ class TestSolverReports:
         dcp = solve_dcp_desk(lwe_to_dcp(inst, 5, rng))
         edcp = solve_edcp_desk(lwe_to_edcp(inst, 5, 4, rng))
         assert (dcp.success, dcp.candidate, dcp.states_consumed, dcp.detail) == (
-            True, ZqVector(-t.s.entries, DESK.modulus), 5, "unanimous")
+            True, ZqVector(-t.s.entries, DESK.q), 5, "unanimous")
         assert (edcp.success, edcp.candidate, edcp.states_consumed, edcp.detail) == (
             True, t.s, 5, "unanimous")
 
@@ -161,10 +159,10 @@ class TestSolverReports:
         inst, _t = desk_instance(89)
         rng = np.random.default_rng(90)
         dcp = lwe_to_dcp(inst, 4, rng)
-        dcp[2] = CosetState((dcp[2].labels + [[0], [1]]) % DESK.q, DESK.modulus)
+        dcp[2] = CosetState((dcp[2].labels + [[0], [1]]) % DESK.q, DESK.q)
         edcp = lwe_to_edcp(inst, 4, 3, rng)
         # row j plus j in every coordinate: the differences stay equal
-        edcp[1] = CosetState((edcp[1].labels + [[0], [1], [2]]) % DESK.q, DESK.modulus)
+        edcp[1] = CosetState((edcp[1].labels + [[0], [1], [2]]) % DESK.q, DESK.q)
         for report in (solve_dcp_desk(dcp), solve_edcp_desk(edcp)):
             assert (report.success, report.candidate, report.states_consumed,
                     report.detail) == (False, None, 4, "inconsistent states")
@@ -172,7 +170,7 @@ class TestSolverReports:
     def test_inconsistent_edcp_differences(self):
         inst, _t = desk_instance(91)
         edcp = lwe_to_edcp(inst, 4, 3, np.random.default_rng(92))
-        edcp[3] = CosetState((edcp[3].labels + [[0], [0], [1]]) % DESK.q, DESK.modulus)
+        edcp[3] = CosetState((edcp[3].labels + [[0], [0], [1]]) % DESK.q, DESK.q)
         report = solve_edcp_desk(edcp)
         assert (report.success, report.candidate, report.states_consumed,
                 report.detail) == (False, None, 4, "inconsistent label differences")

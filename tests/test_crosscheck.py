@@ -63,13 +63,13 @@ def noisy_state(key):
     st = init_uniform_full(
         (RegisterSpec("b", "modq", 1, p.kappa), RegisterSpec("x", "modq", p.n, p.q))
     )
-    g = TruncatedGaussian(p.modulus, p.b_p, p.m)
+    g = TruncatedGaussian(p.q, p.b_p, p.m)
     return load_gaussian_register(st, RegisterSpec("y", "modq", p.m, p.q), g)
 
 
 def test_noise_is_nontrivial():
     assert NOISY.b_p == pytest.approx(1.8333, abs=1e-3)
-    assert TruncatedGaussian(NOISY.modulus, NOISY.b_p, NOISY.m).support_size() == 81
+    assert TruncatedGaussian(NOISY.q, NOISY.b_p, NOISY.m).support_size() == 81
 
 
 def test_wide_key_error_is_nonzero():

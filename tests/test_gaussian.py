@@ -18,11 +18,11 @@ from ntcfk.gaussian import (
     trace_distance_from_h2,
     tv_distance,
 )
-from ntcfk.zq import Modulus, lift_residues
+from ntcfk.zq import lift_residues
 
 
 def gauss(q, B, m):
-    return TruncatedGaussian(Modulus(q), B, m)
+    return TruncatedGaussian(q, B, m)
 
 
 def vec(entries, q):

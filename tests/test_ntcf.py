@@ -54,19 +54,18 @@ def manual_key(p, a_col, s_val, e_entries):
     from ntcfk.ntcf import NtcfKey, NtcfTrapdoor
     from ntcfk.trapdoor import TrapdoorKey
 
-    mod = p.modulus
     A = np.array([[v] for v in a_col], dtype=np.int64)
-    s = ZqVector(np.array([s_val]), mod)
+    s = ZqVector(np.array([s_val]), p.q)
     e = np.array(e_entries) % p.q
     t_vec = (mat_vec_mul(A, s.entries, p.q) + e) % p.q
-    t_a = TrapdoorKey(A, mod)
+    t_a = TrapdoorKey(A, p.q)
     return NtcfKey(p, A, t_vec), NtcfTrapdoor(t_a, s, e)
 
 
 def sample_image(k, t, b, rng):
     p = k.params
     x = rng.integers(0, p.q, size=p.n, dtype=np.int64)
-    e0 = TruncatedGaussian(p.modulus, p.b_p, p.m).sample(rng)
+    e0 = TruncatedGaussian(p.q, p.b_p, p.m).sample(rng)
     return x, (mat_vec_mul(k.A, x, p.q) + e0 + b * k.t) % p.q
 
 
@@ -117,6 +116,14 @@ class TestValidate:
         for p, text in ((pos, "B_L=0.0 "), (neg, "B_L=-0.0 "), (pos, "B_L=0.0 ")):
             (violation,) = validate_params(p).violations
             assert "ordering" in violation and text in violation
+
+    @pytest.mark.parametrize("q", [-5, 0, 1, 2**31, 10**30])
+    def test_out_of_range_q_reported(self, q):
+        """q outside [2, 2^31) is the one violation, reported before the
+        primality test would trial-divide it."""
+        report = validate_params(replace(get_preset("desk-k3"), q=q))
+        assert not report.ok
+        assert report.violations == (f"modulus must be in [2, 2^31), got {q}",)
 
     def test_composite_q(self):
         p = make_params(15, 1, 2, 2, c_t=1.1, b_v=0.5, b_l=0.2)
@@ -274,8 +281,7 @@ class TestClaw:
 class TestHellingerBranch:
     def test_b0_is_zero(self, rng):
         k, t = gen(Q97_K3, rng)
-        x = np.array([0])
-        exact, bound = hellinger_branch(k, t, 0, x)
+        exact, bound = hellinger_branch(k, t, 0)
         assert exact == pytest.approx(0.0, abs=1e-12)
         assert bound == 0.0
 
@@ -283,9 +289,8 @@ class TestHellingerBranch:
         p = Q97_K3
         for _ in range(5):
             k, t = gen(p, rng)
-            x = rng.integers(0, 97, size=1, dtype=np.int64)
             for b in range(p.kappa):
-                exact, bound = hellinger_branch(k, t, b, x)
+                exact, bound = hellinger_branch(k, t, b)
                 assert exact <= bound + 1e-10
                 # the per-shift Lemma bound is strictly tighter
                 tight = hellinger_shift_bound(
@@ -300,8 +305,7 @@ class TestHellingerBranch:
             k, t = gen(p, rng)
             if euclidean_norm(t.e, p.q) == 0.0:
                 continue
-            x = np.array([0])
-            vals = [hellinger_branch(k, t, b, x)[0] for b in range(p.kappa)]
+            vals = [hellinger_branch(k, t, b)[0] for b in range(p.kappa)]
             assert vals == sorted(vals)
 
 
@@ -380,11 +384,11 @@ class TestSerialization:
         e[0] = (e[0] + 1) % p.q
         R = t.t_a.R.copy()
         R[0, 0] = (R[0, 0] + 2) % 3 - 1  # another value in {-1, 0, 1}
-        t_a = TrapdoorKey(t.t_a.A, p.modulus, R)
+        t_a = TrapdoorKey(t.t_a.A, p.q, R)
         assert t_a != t.t_a
         assert NtcfTrapdoor(t_a, t.s, t.e) != t
         assert NtcfTrapdoor(t.t_a, t.s, e) != t
-        assert NtcfTrapdoor(t.t_a, ZqVector(t.s.entries + 1, p.modulus), t.e) != t
+        assert NtcfTrapdoor(t.t_a, ZqVector(t.s.entries + 1, p.q), t.e) != t
         with pytest.raises(TypeError):
             hash(t)
 
@@ -452,7 +456,7 @@ def _s_plus_one(lines, _other):
     leaves the radius `gen` draws it from."""
     k, t = trapdoor_from_text("\n".join(lines) + "\n")
     q = k.params.q
-    s = ZqVector(t.s.entries + np.ones(k.params.n, dtype=np.int64), k.params.modulus)
+    s = ZqVector(t.s.entries + np.ones(k.params.n, dtype=np.int64), k.params.q)
     e = (k.t - mat_vec_mul(k.A, s.entries, q)) % q
     return trapdoor_to_text(k, NtcfTrapdoor(t.t_a, s, e)).splitlines()
 
@@ -467,7 +471,7 @@ def _exhaustive_sk(preset, m, zero_a=False):
         A = np.zeros((m, p.n), dtype=np.int64) if zero_a else k.A[:m]
         e = t.e[:m]
         key = NtcfKey(p, A, (mat_vec_mul(A, t.s.entries, p.q) + e) % p.q)
-        return trapdoor_to_text(key, NtcfTrapdoor(TrapdoorKey(A, p.modulus), t.s, e)).splitlines()
+        return trapdoor_to_text(key, NtcfTrapdoor(TrapdoorKey(A, p.q), t.s, e)).splitlines()
     return edit
 
 

@@ -22,7 +22,7 @@ from ntcfk.oracle import (
     measure_register,
     remove_register,
 )
-from ntcfk.zq import DimensionError, Modulus, j_encode
+from ntcfk.zq import DimensionError, j_encode
 
 
 def rows(st):
@@ -96,13 +96,13 @@ class TestInit:
 class TestGaussianLoad:
     def test_tiny_width_pins_zero(self):
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 2),))
-        g = TruncatedGaussian(Modulus(7), 0.5, 2)
+        g = TruncatedGaussian(7, 0.5, 2)
         st = load_gaussian_register(st, RegisterSpec("e", "modq", 2, 7), g)
         assert (st.labels[:, st.reg_cols("e")] == 0).all()
 
     def test_marginal_squares_to_density(self):
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 2),))
-        g = TruncatedGaussian(Modulus(17), 2.0, 1)
+        g = TruncatedGaussian(17, 2.0, 1)
         st = load_gaussian_register(st, RegisterSpec("e", "modq", 1, 17), g)
         marg = full_distribution(st, ("e",))
         for pt, pr in marg.table.items():
@@ -110,13 +110,13 @@ class TestGaussianLoad:
 
     def test_norm_preserved(self):
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 3),))
-        g = TruncatedGaussian(Modulus(7), 1.0, 2)
+        g = TruncatedGaussian(7, 1.0, 2)
         st = load_gaussian_register(st, RegisterSpec("e", "modq", 2, 7), g)
         assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_spec_mismatch(self):
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 2),))
-        g = TruncatedGaussian(Modulus(7), 1.0, 2)
+        g = TruncatedGaussian(7, 1.0, 2)
         with pytest.raises(DimensionError):
             load_gaussian_register(st, RegisterSpec("e", "modq", 3, 7), g)
 
@@ -344,7 +344,7 @@ class TestMultiRegister:
         st = init_uniform_full(
             (RegisterSpec("b", "modq", 1, p.kappa), RegisterSpec("x", "modq", p.n, p.q))
         )
-        g = TruncatedGaussian(p.modulus, 1.83, p.m)
+        g = TruncatedGaussian(p.q, 1.83, p.m)
         st = load_gaussian_register(st, RegisterSpec("y", "modq", p.m, p.q), g)
         assert len(st.amps) == 3 * 11 * 9
         fwd = apply_ufkb(st, k)
@@ -453,7 +453,7 @@ class TestLabelCap:
     def test_load_gaussian(self, monkeypatch):
         st = init_uniform_full((RegisterSpec("b", "modq", 1, 3), RegisterSpec("x", "modq", 1, 7)))
         self.no_alloc(monkeypatch, 50)
-        g = TruncatedGaussian(Modulus(7), 1.0, 1)  # 3 support points
+        g = TruncatedGaussian(7, 1.0, 1)  # 3 support points
         with pytest.raises(StateTooLarge):
             load_gaussian_register(st, RegisterSpec("y", "modq", 1, 7), g)
 

@@ -861,7 +861,7 @@ def test_round_vectors_read_only():
     trapdoor's e and a Gaussian sample."""
     rng = np.random.default_rng(7)
     k, t = gen(DESK, rng)
-    vectors = [k.t, t.e, TruncatedGaussian(DESK.modulus, DESK.b_p, DESK.m).sample(rng)]
+    vectors = [k.t, t.e, TruncatedGaussian(DESK.q, DESK.b_p, DESK.m).sample(rng)]
     for _ in range(10):
         b, x, y = sample_image(k, rng)
         vectors += [x, y, inv(k, t, b, y),

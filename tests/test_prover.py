@@ -31,7 +31,6 @@ from ntcfk.prover import (
     samp_and_measure,
 )
 from ntcfk.zq import (
-    Modulus,
     ZqVector,
     domain_grid,
     j_encode,
@@ -60,11 +59,10 @@ ENUM_FAMILIES = {
 def claw_residual(kappa, q, s_val, x0_val):
     """A clean claw ResidualState over a dummy key with the given kappa."""
     p = params(q, 1, 2, kappa, 1.4, 0.2, 0.1)
-    mod = Modulus(q)
     k = NtcfKey(
         p, np.array([[1], [3]]), np.array([0, 0])
     )
-    s = ZqVector(np.array([s_val]), mod)
+    s = ZqVector(np.array([s_val]), q)
     x0 = np.array([x0_val]) % q
     labels = (x0_val - s_val * np.arange(kappa)[:, None]) % q
     amps = np.full(kappa, 1.0 / math.sqrt(kappa))
@@ -76,7 +74,7 @@ def entry_loop_residual(k, y):
     one (b', x') entry at a time, normalises by a running sum and takes
     each square root on its own."""
     p = k.params
-    prob_by_residue = TruncatedGaussian(p.modulus, p.b_p, p.m).residue_probs()
+    prob_by_residue = TruncatedGaussian(p.q, p.b_p, p.m).residue_probs()
     grid = domain_grid(p.q, p.n)
     images = mat_vec_mul(k.A, grid, p.q)
     entries = []
@@ -125,7 +123,7 @@ class TestSampAndMeasure:
                     RegisterSpec("x", "modq", p.n, p.q),
                 )
                 state = init_uniform_full(specs)
-                g = TruncatedGaussian(p.modulus, p.b_p, p.m)
+                g = TruncatedGaussian(p.q, p.b_p, p.m)
                 state = load_gaussian_register(state, RegisterSpec("y", "modq", p.m, p.q), g)
                 state = apply_ufkb(state, k)
                 y_out, collapsed = measure_register(state, "y", rng)
@@ -271,19 +269,19 @@ class TestRed:
 
 class TestEquationMeasure:
     def test_degenerate_sbar_zero(self, rng):
-        st = CosetState(np.array([[4], [4]]), Modulus(7))
+        st = CosetState(np.array([[4], [4]]), 7)
         for _ in range(50):
             resp = equation_measure(st, rng)
             assert resp.c == 0
 
     def test_always_satisfies_equation(self, rng):
-        st = CosetState(np.array([[4], [0]]), Modulus(7))
+        st = CosetState(np.array([[4], [0]]), 7)
         for _ in range(200):
             resp = equation_measure(st, rng)
             assert resp.c == int(resp.d @ (j_encode(st.x0, 7) ^ j_encode(st.x1, 7))) % 2
 
     def test_d_marginal_uniform(self):
-        st = CosetState(np.array([[4], [0]]), Modulus(7))
+        st = CosetState(np.array([[4], [0]]), 7)
         rng = np.random.default_rng(13)
         n = 10_000
         counts = np.zeros(8, dtype=np.int64)
@@ -297,7 +295,7 @@ class TestEquationMeasure:
     def test_outcomes_cover_oracle_support(self):
         # the analytic (c, d) pairs are exactly the nonzero-amplitude
         # outcomes of the oracle's Hadamard measurement (see oracle test)
-        st = CosetState(np.array([[4], [0]]), Modulus(7))
+        st = CosetState(np.array([[4], [0]]), 7)
         j0, j1 = j_encode(st.x0, 7), j_encode(st.x1, 7)
         rng = np.random.default_rng(21)
         seen = set()

@@ -48,7 +48,7 @@ class TestInstances:
         for _ in range(20):
             inst, t = desk_instance(rng)
             assert verify_candidate(inst, t.s)
-            wrong = ZqVector(t.s.entries + np.array([1, 0]), DESK.modulus)
+            wrong = ZqVector(t.s.entries + np.array([1, 0]), DESK.q)
             assert not verify_candidate(inst, wrong)
 
 
@@ -95,7 +95,7 @@ class TestLweToEdcp:
             lwe_to_edcp(inst, 1, 1, rng)
 
     def test_inconsistent_differences_rejected(self):
-        st = CosetState(np.array([[5], [3], [2]]), TINY.modulus)
+        st = CosetState(np.array([[5], [3], [2]]), TINY.q)
         assert solve_edcp_desk([st]).detail == "inconsistent label differences"
 
 
@@ -138,7 +138,7 @@ class TestSolvers:
     def test_unanimity_required(self, rng):
         inst, _t = desk_instance(rng)
         states = lwe_to_dcp(inst, 6, rng)
-        bad = CosetState((states[0].labels + [[0, 0], [1, 0]]) % DESK.q, DESK.modulus)
+        bad = CosetState((states[0].labels + [[0, 0], [1, 0]]) % DESK.q, DESK.q)
         report = solve_dcp_desk(states + [bad])
         assert not report.success
         assert "inconsistent" in report.detail
@@ -147,7 +147,7 @@ class TestSolvers:
         inst, _t = desk_instance(rng)
         good = lwe_to_edcp(inst, 4, 3, rng)
         bump = np.array([[0, 0], [0, 0], [0, 1]])  # row 2 plus (0, 1)
-        corrupted = CosetState((good[0].labels + bump) % DESK.q, DESK.modulus)
+        corrupted = CosetState((good[0].labels + bump) % DESK.q, DESK.q)
         report = solve_edcp_desk(good + [corrupted])
         assert not report.success
 

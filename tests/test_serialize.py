@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntcfk.serialize import FormatError, LineReader, LineWriter
-from ntcfk.zq import Modulus
 
 Q = 7
 SIGNED_MAX = 20
@@ -88,7 +87,7 @@ def ref_read(text, name, q):
 def new_read(text, name, rows, cols, q):
     try:
         r = LineReader(text)
-        values = r.matrix(name, rows, cols, None if q is None else Modulus(q))
+        values = r.matrix(name, rows, cols, q)
         r.done()
         return values
     except FormatError:

@@ -17,7 +17,7 @@ from ntcfk.trapdoor import (
     gen_trap,
     invert,
 )
-from ntcfk.zq import Modulus, lift_residues, mat_vec_mul
+from ntcfk.zq import bit_width, is_prime, lift_residues, mat_vec_mul
 
 
 def minimax_distance_double_loop(q):
@@ -62,8 +62,8 @@ def certified_radius(q):
     return (gadget_minimax_distance(q) + 1) // 2 - 1
 
 
-PRIMES_BELOW_200 = [q for q in range(2, 200) if Modulus(q).is_prime]
-PRIMES_TO_1031 = [q for q in range(2, 1032) if Modulus(q).is_prime]
+PRIMES_BELOW_200 = [q for q in range(2, 200) if is_prime(q)]
+PRIMES_TO_1031 = [q for q in range(2, 1032) if is_prime(q)]
 
 
 class TestGadget:
@@ -76,7 +76,7 @@ class TestGadget:
         for q in PRIMES_BELOW_200:
             k, distance = minimax_distance_double_loop(q)
             row = gadget_row(q)
-            assert len(row) == Modulus(q).bits == k, q
+            assert len(row) == bit_width(q) == k, q
             assert row.tolist() == [2**j for j in range(k)], q
             assert gadget_minimax_distance(q) == distance, q
 
@@ -127,8 +127,7 @@ def test_invert_recovers_planted_pair(q, n, extra, scale, seed):
     R e_top + e_bottom is within the radius r on every gadget row;
     past it, a decode is either refused or reconstructs v."""
     rng = np.random.default_rng(seed)
-    mod = Modulus(q)
-    A, t = gen_trap(n, n * mod.bits + extra, q, rng)
+    A, t = gen_trap(n, n * bit_width(q) + extra, q, rng)
     r = certified_radius(q)
     width = int(scale * r / (extra + 1))
     e_lift = rng.integers(-width, width + 1, size=A.shape[0])
@@ -192,8 +191,7 @@ class TestInvert:
             assert list(e_hat) == [0] * 40
 
     def test_gaussian_noise_recovery(self, rng):
-        mod = Modulus(521)
-        g = TruncatedGaussian(mod, 1.0, 40)
+        g = TruncatedGaussian(521, 1.0, 40)
         for _ in range(200):
             A, t = gen_trap(2, 40, 521, rng)
             s = rng.integers(0, 521, size=2, dtype=np.int64)
@@ -204,9 +202,8 @@ class TestInvert:
 
     def test_postcondition_reconstructs(self, rng):
         A, t = gen_trap(2, 40, 521, rng)
-        mod = Modulus(521)
         s = rng.integers(0, 521, size=2, dtype=np.int64)
-        e = TruncatedGaussian(mod, 1.0, 40).sample(rng)
+        e = TruncatedGaussian(521, 1.0, 40).sample(rng)
         v = (mat_vec_mul(A, s, 521) + e) % 521
         s_hat, e_hat = invert(t, v)
         assert np.array_equal((mat_vec_mul(A, s_hat, 521) + e_hat) % 521, v)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from ntcfk.zq import (
     DimensionError,
-    Modulus,
+    bit_width,
     equation_bit,
     euclidean_norm,
+    is_prime,
     j_decode,
     j_encode,
     lift_residues,
@@ -37,22 +38,22 @@ def mat(entries, q):
 
 class TestModulus:
     def test_bits(self):
-        assert Modulus(7).bits == 3
-        assert Modulus(8).bits == 3
-        assert Modulus(521).bits == 10
-        assert Modulus(2).bits == 1
+        assert bit_width(7) == 3
+        assert bit_width(8) == 3
+        assert bit_width(521) == 10
+        assert bit_width(2) == 1
 
     def test_primality(self):
-        assert Modulus(521).is_prime
-        assert Modulus(2).is_prime
-        assert not Modulus(8).is_prime
-        assert not Modulus(91).is_prime  # 7 * 13
+        assert is_prime(521)
+        assert is_prime(2)
+        assert not is_prime(8)
+        assert not is_prime(91)  # 7 * 13
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            Modulus(1)
-        with pytest.raises(ValueError):
-            Modulus(2**31)
+        with pytest.raises(ValueError, match=r"modulus must be in \[2, 2\^31\), got 1$"):
+            bit_width(1)
+        with pytest.raises(ValueError, match=r"modulus must be in \[2, 2\^31\), got 2147483648$"):
+            bit_width(2**31)
 
 
 class TestMatVecMul:
@@ -195,7 +196,7 @@ class TestBitDotXor:
 def _j_reference(x, q):
     """J one bit at a time: each coordinate's ceil(log2 q) bits, most
     significant first."""
-    w = Modulus(q).bits
+    w = bit_width(q)
     return [(int(v) >> (w - 1 - i)) & 1 for v in x for i in range(w)]
 
 
@@ -211,7 +212,7 @@ def _equation_bit_reference(d, x_bar0, x_bar1, q):
 def test_equation_bit_matches_definition(q, n):
     """Every x_bar0, x_bar1 in Z_q^n and every d of the matching length,
     odd and even q, against the scalar definition."""
-    w = Modulus(q).bits
+    w = bit_width(q)
     xs = [vec(x, q) for x in itertools.product(range(q), repeat=n)]
     ds = [bits(d) for d in itertools.product((0, 1), repeat=n * w)]
     for x0 in xs:
