@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .zq import Q_MAX, common_rows, domain_grid, lift_residues, read_only, rows_distinct
+from .zq import (Q_MAX, codes_are_digits, common_rows, domain_grid, lift_residues, read_only,
+                 row_codes)
 
 DEFAULT_TABLE_CAP = 10**6
 
@@ -39,10 +40,18 @@ class TableTooLarge(RuntimeError):
 class Density:
     """A finite probability distribution: row i of the int64 matrix
     `points` is a support point, its coordinates residues in [0, 2^31),
-    and probs[i] is its probability. No point appears twice."""
+    and probs[i] is its probability. No point appears twice, and the rows
+    are in lexicographic order: rows that come in sorted are checked with
+    one pass over their `zq.row_codes`, others are sorted once here.
+
+    The codes are kept for the distances. They read every column in one
+    radix, one above the largest coordinate, so the codes of two
+    densities with the same largest coordinate compare directly."""
 
     points: np.ndarray
     probs: np.ndarray
+    _radix: int = field(init=False, repr=False)
+    _codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         points, probs = np.asarray(self.points), np.asarray(self.probs, dtype=np.float64)
@@ -57,12 +66,20 @@ class Density:
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"density sums to {s}, not 1")
         points = points.astype(np.int64, copy=False)
-        if points.min(initial=0) < 0 or points.max(initial=0) >= Q_MAX:
+        radix = int(points.max(initial=0)) + 1
+        if points.min(initial=0) < 0 or radix > Q_MAX:
             raise ValueError("point coordinates must be residues in [0, 2^31)")
-        if not rows_distinct(points, _radices(points)):
-            raise ValueError("repeated point")
+        codes = row_codes(points, _radices(points.shape[1], radix))
+        if not (codes[1:] > codes[:-1]).all():
+            order = np.argsort(codes)
+            codes = codes[order]
+            if not (codes[1:] > codes[:-1]).all():
+                raise ValueError("repeated point")
+            points, probs = points.take(order, axis=0), probs[order]
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_radix", radix)
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def table(self) -> dict:
@@ -71,11 +88,19 @@ class Density:
         return dict(zip(map(tuple, self.points.tolist()), self.probs.tolist()))
 
 
-def _radices(*point_sets: np.ndarray) -> np.ndarray:
-    """One radix for every column, above every coordinate of the point
-    sets. (A column-wise max costs ten times a global one here.)"""
-    top = max(int(p.max(initial=0)) for p in point_sets)
-    return np.full(point_sets[0].shape[1], top + 1, dtype=np.int64)
+def _radices(width: int, radix: int) -> np.ndarray:
+    """The same radix for every column. (A column-wise max costs ten
+    times a global one here.)"""
+    return np.full(width, radix, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=16)
+def _support_cached(q: int, r: int, width: float, dim: int):
+    """Every support point of D_{Z_q^dim, width} with radius r and its
+    probability, both read-only."""
+    lifts, probs, _cdf = _table_1d_cached(r, width)
+    idx = domain_grid(len(lifts), dim)
+    return read_only(lifts[idx] % q), read_only(probs[idx].prod(axis=1))
 
 
 @dataclass(frozen=True)
@@ -123,14 +148,13 @@ class TruncatedGaussian:
 
     def support_arrays(self, cap: int = DEFAULT_TABLE_CAP) -> tuple[np.ndarray, np.ndarray]:
         """Every support point as a row of residues, with its probability,
-        in lexicographic order of the lifts."""
+        in lexicographic order of the lifts. Cached, so both are
+        read-only."""
         if self.support_size() > cap:
             raise TableTooLarge(
                 f"support has {self.support_size()} points, cap is {cap}"
             )
-        lifts, probs, _cdf = self._table_1d()
-        idx = domain_grid(len(lifts), self.dim)
-        return lifts[idx] % self.q, probs[idx].prod(axis=1)
+        return _support_cached(self.q, self.radius, self.width, self.dim)
 
     def table(self, cap: int = DEFAULT_TABLE_CAP) -> Density:
         """The exact density over the truncated support."""
@@ -150,11 +174,28 @@ class TruncatedGaussian:
 
 
 def _shared(f0: Density, f1: Density):
-    """Indices (i, j) of the points the two supports share, with
-    f0.points[i] == f1.points[j]. Points of different widths never match."""
-    if f0.points.shape[1] != f1.points.shape[1]:
+    """Index expressions (i, j) of the points the two supports share, with
+    f0.points[i] == f1.points[j]. Points of different widths never match.
+
+    Both point sets are sorted, so one searchsorted of f0's codes into
+    f1's finds the pairs, and identical supports pair up whole. Codes in
+    different radices are made again in the larger one; where they fall
+    back to ranks, which do not compare across calls, the two sets are
+    coded together by `zq.common_rows`."""
+    width = f0.points.shape[1]
+    if width != f1.points.shape[1]:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    return common_rows(f0.points, f1.points, _radices(f0.points, f1.points))
+    c0, c1 = f0._codes, f1._codes
+    radices = _radices(width, max(f0._radix, f1._radix))
+    if not codes_are_digits(radices):
+        return common_rows(f0.points, f1.points, radices)
+    if f0._radix != f1._radix:
+        c0, c1 = row_codes(f0.points, radices), row_codes(f1.points, radices)
+    if np.array_equal(c0, c1):
+        return np.s_[:], np.s_[:]
+    pos = np.minimum(np.searchsorted(c1, c0), len(c1) - 1)
+    hit = c1[pos] == c0
+    return np.flatnonzero(hit), pos[hit]
 
 
 def _h2_from_affinity(bc: float) -> float:
@@ -174,7 +215,9 @@ def tv_distance(f0: Density, f1: Density) -> float:
     terms = np.concatenate(
         [np.abs(f0.probs[i] - f1.probs[j]), np.delete(f0.probs, i), np.delete(f1.probs, j)]
     )
-    return min(max(0.5 * math.fsum(terms.tolist()), 0.0), 1.0)
+    # Exact zeros leave an exactly rounded sum as it is; on two equal
+    # joints they are about half the terms.
+    return min(max(0.5 * math.fsum(terms[terms != 0.0].tolist()), 0.0), 1.0)
 
 
 def trace_distance_from_h2(h2: float) -> float:

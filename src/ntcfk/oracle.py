@@ -16,9 +16,13 @@ the caller chose and checks its shape, range and distinctness.
 
 Rows are grouped by their `zq.row_codes`: a row's coordinates read as
 the digits of one integer, each in the radix of its column (q or 2), so
-equal rows get equal codes and `np.unique` / `np.bincount` group them.
-A transform groups rows by the code of every other column into a dense
-(groups x values) block and applies one matrix product.
+equal rows get equal codes, and one argsort of the codes puts the
+groups in lexicographic order. A marginal (`full_distribution`,
+`measure_register`) copies the registers' columns once, groups that
+slice, sums |amp|^2 per group with `np.bincount` and reads each outcome
+off one row of the slice. A transform groups rows by the code of every
+other column into a dense (groups x values) block and applies one
+matrix product.
 
 Desk scale only: label count is hard-capped, checked before a product
 state or a dense block is allocated, and amplitudes below 1e-14 are
@@ -34,7 +38,7 @@ import numpy as np
 
 from .gaussian import Density, TruncatedGaussian
 from .ntcf import NtcfKey
-from .zq import DimensionError, common_rows, domain_grid, row_codes
+from .zq import DimensionError, common_rows, domain_grid, mat_vec_mul, row_codes
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-9
@@ -81,19 +85,35 @@ def _radices(specs) -> np.ndarray:
 
 
 def _group_rows(rows: np.ndarray, radices: np.ndarray):
-    """Group equal rows: (group of each row, first row of each group),
-    groups in lexicographic order."""
-    _codes, first, group = np.unique(
-        row_codes(rows, radices), return_index=True, return_inverse=True
-    )
-    return group.reshape(-1), first
+    """Group equal rows: (group of each row, one row index of each group),
+    groups in lexicographic order. An unstable argsort of the codes is
+    a quarter of the stable one `np.unique` runs for its first indices,
+    and any row of a group stands for it."""
+    codes = row_codes(rows, radices)
+    order = np.argsort(codes)
+    codes = codes[order]
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    group = np.empty(len(codes), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
 
-def _marginal(state: "SparseState", cols):
-    """|amp|^2 summed over the rows that agree on `cols`: the group of
-    each row, the first row of each group and each group's weight."""
-    group, first = _group_rows(state.labels[:, cols], state.radices[cols])
-    return group, first, np.bincount(group, weights=np.abs(state.amps) ** 2)
+def _columns(state: "SparseState", names) -> np.ndarray:
+    """The label columns of the named registers, side by side."""
+    return np.concatenate([np.arange(c.start, c.stop) for c in map(state.reg_cols, names)])
+
+
+def _marginal(state: "SparseState", names):
+    """|amp|^2 summed over the rows that agree on the named registers: the
+    group of each row, each group's values on the registers' columns side
+    by side (one row per group, in lexicographic order) and each group's
+    weight."""
+    cols = _columns(state, names)
+    rows = np.ascontiguousarray(state.labels[:, cols])  # the index gives F order
+    group, first = _group_rows(rows, state.radices[cols])
+    weights = np.bincount(group, weights=np.abs(state.amps) ** 2)
+    return group, rows.take(first, axis=0), weights
 
 
 class SparseState:
@@ -148,9 +168,11 @@ class SparseState:
 
 def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Every row of `left` followed by every row of `right`, left-major."""
-    return np.hstack(
-        [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
-    )
+    w = left.shape[1]
+    out = np.empty((len(left), len(right), w + right.shape[1]), dtype=np.int64)
+    out[:, :, :w] = left[:, None, :]
+    out[:, :, w:] = right[None, :, :]
+    return out.reshape(len(left) * len(right), -1)
 
 
 def init_uniform(specs, labels) -> SparseState:
@@ -213,29 +235,29 @@ def apply_ufkb(state: SparseState, key: NtcfKey, invert: bool = False) -> Sparse
         raise DimensionError("register sizes do not match the key")
     q = p.q
     labels = state.labels
-    xc, yc = state.reg_cols("x"), state.reg_cols("y")
-    b = labels[:, state.reg_cols("b").start, None]
-    shift = b * key.t
-    # Reduce each product mod q before summing, as zq.mat_vec_mul does,
-    # so the sums stay inside int64 for any q < 2^31.
-    for j in range(p.n):
-        shift += labels[:, xc.start + j, None] * key.A[:, j] % q
+    yc = state.reg_cols("y")
+    # Ax + bt = [A | t] (x, b), with b < kappa <= q: one product, reduced
+    # mod q by mat_vec_mul.
+    y = mat_vec_mul(np.column_stack([key.A, key.t]), labels[:, _columns(state, ("x", "b"))], q)
+    if invert:
+        np.subtract(q, y, out=y)  # -(Ax + bt) mod q, in (0, q]
+    y += labels[:, yc]
+    y -= q * (y >= q)  # from [0, 2q) into [0, q)
     out = labels.copy()
-    out[:, yc] = (labels[:, yc] + (-shift if invert else shift)) % q
+    out[:, yc] = y
     return SparseState(state.specs, out, state.amps)
 
 
 def measure_register(state: SparseState, name: str, rng: np.random.Generator):
     """Sample an outcome from the exact marginal and collapse."""
-    c = state.reg_cols(name)
-    group, first, probs = _marginal(state, c)
+    group, values, probs = _marginal(state, (name,))
     pick = int(rng.choice(len(probs), p=probs / probs.sum()))
     keep = group == pick
     amps = state.amps[keep]
     collapsed = SparseState(
         state.specs, state.labels[keep], amps / math.sqrt(np.vdot(amps, amps).real)
     )
-    return tuple(state.labels[first[pick], c].tolist()), collapsed
+    return tuple(values[pick].tolist()), collapsed
 
 
 def remove_register(state: SparseState, name: str) -> SparseState:
@@ -296,6 +318,5 @@ def full_distribution(state: SparseState, names) -> Density:
     """Exact |amp|^2 marginal over the named registers: one row per
     outcome, the registers' columns side by side, rows in lexicographic
     order."""
-    cols = np.r_[tuple(state.reg_cols(n) for n in names)]
-    _group, first, probs = _marginal(state, cols)
-    return Density(state.labels[np.ix_(first, cols)], probs / probs.sum())
+    _group, values, probs = _marginal(state, names)
+    return Density(values, probs / probs.sum())

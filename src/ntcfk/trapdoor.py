@@ -13,9 +13,9 @@ the gadget rows is strictly below d/2, d the gadget code's minimax
 distance (`gadget_minimax_distance`); anything else raises DecodeFailure
 rather than returning a guess. At most one s qualifies, so this is the
 certified argmin of a scan over all q candidates. The decoder finds it
-in O(k) interval steps per coordinate (`_decode_syndrome_coord`); only a
-failure runs the O(q k) scan, because its text, "syndrome residual
-<scan minimum> >= certified radius <d/2>", reports the scan's minimum
+in O(k) interval steps per coordinate (`_decode_syndrome_coord`), and a
+refused image costs no more: its text, "syndrome residual >= certified
+radius <d/2>", names the radius alone, so no O(q k) scan runs for it
 (the verifier sends it as "image decode failure: ...", and the pinned
 session transcripts hold it).
 
@@ -190,8 +190,8 @@ def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
     Exact: two survivors s, s' would have max_j |lift(2^j (s - s'))| <=
     2r < d, against the minimax distance, so at most one s survives all
     k rows, and a survivor is the unique argmin of the scan over all q
-    candidates. No survivor means that scan's minimum is >= d/2; only
-    then is the scan run, for the residual that DecodeFailure reports.
+    candidates. No survivor means that scan's minimum is >= d/2, which
+    DecodeFailure reports without running the scan.
     """
     d = gadget_minimax_distance(q)
     r = (d + 1) // 2 - 1
@@ -206,10 +206,7 @@ def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
                 if a <= b:
                     kept.append((a, b))
         if not kept:
-            raise DecodeFailure(
-                f"syndrome residual {_scan_min_residual(u, row, q)} "
-                f">= certified radius {d / 2.0}"
-            )
+            raise DecodeFailure(f"syndrome residual >= certified radius {d / 2.0}")
         intervals = kept
     return intervals[0][0]
 

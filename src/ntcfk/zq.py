@@ -92,11 +92,18 @@ def domain_grid(q: int, n: int) -> np.ndarray:
     return np.indices((q,) * n).reshape(n, -1).T.astype(np.int64)
 
 
+def codes_are_digits(radices: np.ndarray) -> bool:
+    """Whether `row_codes` reads rows in these radices as one int64 each.
+    Only then are the codes of two calls comparable; otherwise they are
+    ranks within one call."""
+    return math.prod(radices.tolist()) < 2**63
+
+
 def row_codes(rows: np.ndarray, radices: np.ndarray) -> np.ndarray:
     """One int64 per row of a matrix whose column j holds digits below
     radices[j]: equal exactly when the rows are equal, and ordered as the
     rows are lexicographically."""
-    if math.prod(radices.tolist()) < 2**63:
+    if codes_are_digits(radices):
         weights = np.ones(len(radices), dtype=np.int64)
         weights[:-1] = np.cumprod(radices[:0:-1])[::-1]
         return rows @ weights
@@ -114,7 +121,11 @@ def rows_distinct(rows: np.ndarray, radices: np.ndarray) -> bool:
 def common_rows(a: np.ndarray, b: np.ndarray, radices: np.ndarray):
     """Indices (i, j) with a[i] == b[j], one pair per row the two matrices
     share, in the order of row_codes, for matrices of distinct rows whose
-    digits fit `radices`."""
+    digits fit `radices`. It codes both matrices in one call, so it also
+    holds where the codes fall back to ranks. Its callers are
+    `SparseState.fidelity` and, for rank codes only, the distances of
+    `gaussian.Density`, whose rows are sorted and otherwise matched by
+    one searchsorted."""
     codes = row_codes(np.vstack([a, b]), radices)
     ca, cb = codes[: len(a)], codes[len(a) :]
     # A stable sort is linear on the already sorted codes of a marginal.

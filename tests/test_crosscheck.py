@@ -10,6 +10,8 @@ t is always As. WIDE has B_V = 1.0, whose error takes three values per
 coordinate, so the branch shift b*t also moves by b*e.
 """
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,42 @@ def test_joints_agree(params, seed):
 @pytest.mark.parametrize("params, seed", KEYS)
 def test_mis_shift_detected(params, seed):
     assert compare_joint(noisy_key(seed, params), mis_shift=1) > 0.1
+
+
+def tv_reference(t0, t1):
+    """TV over {point: prob} dicts, one term per point of either table."""
+    diffs = [abs(p - t1.get(x, 0.0)) for x, p in t0.items()]
+    diffs += [p for x, p in t1.items() if x not in t0]
+    return min(max(0.5 * math.fsum(diffs), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("mis_shift", [0, 1])
+@pytest.mark.parametrize("params, seed", KEYS)
+def test_tv_equals_dict_reference(params, seed, mis_shift):
+    """The sorted-code TV is the dict formula's exactly rounded float."""
+    key = noisy_key(seed, params)
+    want = tv_reference(analytic_joint(key, mis_shift=mis_shift).table, oracle_joint(key).table)
+    got = compare_joint(key, mis_shift=mis_shift)
+    assert type(got) is float and got == want
+
+
+# The tracemalloc peak of one compare_joint before the joints kept their
+# rows sorted (numpy 2.4.6), when the TV stacked both joints into one
+# 5,346-row matrix. Sorted, the peak is about 505 KiB, so a temporary of
+# that size (250 KiB) coming back passes the limit.
+PEAK_LIMIT = 693 * 1024
+
+
+def test_compare_joint_memory_peak():
+    key = noisy_key(7)
+    compare_joint(key)  # the cached tables are built here
+    tracemalloc.start()
+    try:
+        compare_joint(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_LIMIT
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -304,3 +304,35 @@ class TestShifts:
                 assert tv * tv <= 2.0 * hellinger_shift_bound(B, m, norm) + 1e-10
                 checked += 1
         assert checked > 150  # lattice points in the radius-7.07 disk
+
+
+# Point sets for the order invariant: residues of width 3, and bit rows of
+# width 70 (2^70 > 2^63, so the codes fall back to ranks).
+ORDER_CASES = {
+    "digits": np.array([[q, r, s] for q in (0, 4) for r in (1, 3) for s in (2, 0, 5)]),
+    "ranks": np.array([[a, b] + [0] * 66 + [c, d]
+                       for a, b, c, d in itertools.product((0, 1), repeat=4)]),
+}
+
+
+class TestDensityOrder:
+    @pytest.mark.parametrize("case", sorted(ORDER_CASES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_rows_come_out_sorted(self, case, seed):
+        points = ORDER_CASES[case]
+        probs = np.random.default_rng(seed).dirichlet(np.ones(len(points)))
+        perm = np.random.default_rng(seed + 100).permutation(len(points))
+        want = dict(zip(map(tuple, points.tolist()), probs.tolist()))
+        d = Density(points[perm], probs[perm])
+        assert d.points.tolist() == sorted(d.points.tolist())
+        assert d.table == want
+
+    @pytest.mark.parametrize("case", sorted(ORDER_CASES))
+    def test_repeated_row_raises_anywhere(self, case):
+        points = ORDER_CASES[case]
+        probs = np.full(len(points) + 1, 1.0 / (len(points) + 1))
+        for src in (0, len(points) // 2, len(points) - 1):
+            for at in range(len(points) + 1):
+                repeated = np.insert(points, at, points[src], axis=0)
+                with pytest.raises(ValueError, match="repeated point"):
+                    Density(repeated, probs)

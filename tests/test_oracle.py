@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ntcfk import oracle
 from ntcfk.gaussian import TruncatedGaussian, tv_distance
@@ -513,3 +515,81 @@ class TestWideState:
         back = apply_qft_q(out, "x", inverse=True)
         assert rows(back) == rows(st)
         assert back.fidelity(st) == pytest.approx(1.0, abs=1e-12)
+
+
+@hst.composite
+def grouped_states(draw):
+    """(state, names): a random small state whose registers repeat their
+    values across rows, and an ordered selection of its registers. With
+    `wide`, a 64-bit register is among the specs and the names, so the
+    radix product passes 2^63 and the row codes fall back to ranks."""
+    specs = []
+    for i in range(draw(hst.integers(1, 3))):
+        if draw(hst.booleans()):
+            size, q = draw(hst.integers(1, 2)), draw(hst.integers(2, 5))
+            specs.append(RegisterSpec(f"r{i}", "modq", size, q))
+        else:
+            specs.append(RegisterSpec(f"r{i}", "bits", draw(hst.integers(1, 3))))
+    wide = draw(hst.booleans())
+    if wide:
+        specs.insert(draw(hst.integers(0, len(specs))), RegisterSpec("w", "bits", 64))
+    # Each register takes one of at most three values, so sub-rows repeat.
+    pools = []
+    for s in specs:
+        value = hst.lists(hst.integers(0, s.radix - 1), min_size=s.size, max_size=s.size)
+        pools.append(draw(hst.lists(value, min_size=1, max_size=3)))
+    picks = hst.tuples(*[hst.sampled_from(pool) for pool in pools])
+    labels = draw(hst.lists(picks, min_size=1, max_size=12, unique_by=repr))
+    rows = [[v for reg in row for v in reg] for row in labels]
+    seed = draw(hst.integers(0, 2**32 - 1))
+    names = draw(hst.permutations([s.name for s in specs]))
+    names = names[: draw(hst.integers(1, len(names)))]
+    if wide and "w" not in names:
+        names.append("w")
+    return random_state(specs, rows, seed), tuple(names)
+
+
+def marginal_reference(state, names):
+    """{values on the named registers: |amp|^2 summed in row order}."""
+    cols = [c for n in names for c in range(state.labels.shape[1])[state.reg_cols(n)]]
+    weights = {}
+    for lab, a in amp_dict(state).items():
+        key = tuple(lab[c] for c in cols)
+        weights[key] = weights.get(key, 0.0) + abs(a) ** 2
+    return weights
+
+
+class TestGroupingAgainstDict:
+    """The sort-based grouping of `full_distribution` and
+    `measure_register`, checked against dicts keyed by label tuples."""
+
+    @given(grouped_states())
+    @settings(max_examples=150, deadline=None)
+    def test_full_distribution(self, state_names):
+        state, names = state_names
+        want = marginal_reference(state, names)
+        total = sum(want.values())
+        d = full_distribution(state, names)
+        assert list(d.table) == sorted(want)
+        for key, p in want.items():
+            assert d.table[key] == pytest.approx(p / total, rel=1e-12, abs=1e-15)
+
+    @given(grouped_states(), hst.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_measure_register(self, state_names, seed):
+        state, names = state_names
+        name = names[0]
+        want = marginal_reference(state, (name,))
+        outcomes = sorted(want)
+        weights = np.array([want[o] for o in outcomes])
+        # The same draw over the outcomes in lexicographic order.
+        pick = int(np.random.default_rng(seed).choice(len(weights), p=weights / weights.sum()))
+        out, collapsed = measure_register(state, name, np.random.default_rng(seed))
+        assert out == outcomes[pick]
+        cols = range(state.labels.shape[1])[state.reg_cols(name)]
+        before = amp_dict(state)
+        kept = {lab for lab in before if tuple(lab[c] for c in cols) == out}
+        assert rows(collapsed) == kept
+        norm = math.sqrt(want[out])
+        for lab, a in amp_dict(collapsed).items():
+            assert a == pytest.approx(before[lab] / norm, abs=1e-12)

@@ -29,8 +29,10 @@ SESSION_PINS = {
         "f4fe8a5adce43ccaafafe098bc826f6fb5c3204fbc66a05ef7549d8d7ab1b55b"),
     ("desk-k3", "cheat-commit"): ((50, 50, 38, 12, 0, 29, 29, 21, 9),
         "fd31cce5e164120d208061052dbf1fc018a3b9b4a7a9c64695305c17619fc494"),
+    # Every round of this case ends in an image decode failure, whose text
+    # names the certified radius and no longer the scanned residual.
     ("desk-k2", "cheat-random"): ((50, 50, 0, 50, 0, 0, 0, 0, 0),
-        "fb8bf8378f1fd29f8b82d2e07a236fe90387f91648578ffc59ed752c18d7416a"),
+        "9be14bb17b99a88ba58dad5d7a415a6a21649c10c11deff51d1ef4e2f7bba7e5"),
 }
 
 REDUCTION_PIN = "3c079d5c8c3cb53386712dee81c49cc17d5854f7ec46f4d971b6f340c70bc687"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntcfk import trapdoor
 from ntcfk.gaussian import TruncatedGaussian
 from ntcfk.trapdoor import (
     DecodeFailure,
@@ -45,7 +47,7 @@ def scan_decode(u, row, q):
     s_hat = int(cost.argmin())
     radius = gadget_minimax_distance(q) / 2.0
     if cost[s_hat] >= radius:
-        raise DecodeFailure(f"syndrome residual {cost[s_hat]} >= certified radius {radius}")
+        raise DecodeFailure(f"syndrome residual >= certified radius {radius}")
     return s_hat
 
 
@@ -109,6 +111,23 @@ class TestSyndromeDecoder:
                     assert must is None or got == must, (q, u.tolist())
                     failures += isinstance(got, str)
         assert failures  # the failure text was compared too
+
+    def test_refusal_runs_no_scan(self, monkeypatch):
+        """At q=1048573 one scan over all q candidates takes about half a
+        second; a refused syndrome is reported without one."""
+        q = 1048573
+        row = gadget_row(q)
+        radius = gadget_minimax_distance(q) / 2.0  # cached before the patch
+        u = np.random.default_rng(5).integers(0, q, size=len(row))
+        assert trapdoor._scan_min_residual(u, row, q) >= radius  # a refused syndrome
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the O(q k) scan ran")
+
+        monkeypatch.setattr(trapdoor, "_scan_min_residual", refuse)
+        text = f"syndrome residual >= certified radius {radius}"
+        with pytest.raises(DecodeFailure, match=f"^{re.escape(text)}$"):
+            _decode_syndrome_coord(u, row, q)
 
 
 LARGE_PRIMES = (2, 3, 17, 521, 1031, 2039, 4099, 8191, 65521, 131071, 1048573)
