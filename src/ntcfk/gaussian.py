@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .zq import (Q_MAX, codes_are_digits, common_rows, domain_grid, lift_residues, read_only,
-                 row_codes)
+                 row_codes, sort_codes)
 
 DEFAULT_TABLE_CAP = 10**6
 
@@ -45,8 +45,12 @@ class Density:
     one pass over their `zq.row_codes`, others are sorted once here.
 
     The codes are kept for the distances. They read every column in one
-    radix, one above the largest coordinate, so the codes of two
-    densities with the same largest coordinate compare directly."""
+    radix above every coordinate, so the codes of two densities in the
+    same radix compare directly. The constructor takes one above the
+    largest coordinate. `Density.from_sorted` takes rows a caller has
+    already coded and sorted, with their codes and the radix it coded
+    them in, and codes nothing again: the sparse oracle's marginals come
+    in that way, in the radix of their registers."""
 
     points: np.ndarray
     probs: np.ndarray
@@ -54,28 +58,36 @@ class Density:
     _codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        points, probs = np.asarray(self.points), np.asarray(self.probs, dtype=np.float64)
-        if points.ndim != 2 or not np.issubdtype(points.dtype, np.integer):
-            raise ValueError("points must be an integer matrix, one row per point")
-        if probs.shape != (len(points),):
-            raise ValueError(f"{len(points)} points need as many probabilities, got {probs.shape}")
-        # NaN fails `>= 0` and +inf fails the sum check, so both raise.
-        if not (probs >= 0).all():
-            raise ValueError("probabilities must be non-negative numbers")
-        s = float(probs.sum())
-        if abs(s - 1.0) > 1e-12:
-            raise ValueError(f"density sums to {s}, not 1")
-        points = points.astype(np.int64, copy=False)
+        points, probs = _checked_arrays(self.points, self.probs)
         radix = int(points.max(initial=0)) + 1
         if points.min(initial=0) < 0 or radix > Q_MAX:
             raise ValueError("point coordinates must be residues in [0, 2^31)")
-        codes = row_codes(points, _radices(points.shape[1], radix))
-        if not (codes[1:] > codes[:-1]).all():
-            order = np.argsort(codes)
-            codes = codes[order]
-            if not (codes[1:] > codes[:-1]).all():
+        radices = _radices(points.shape[1], radix)
+        codes = row_codes(points, radices)
+        if not _increasing(codes):
+            order, codes = sort_codes(codes, radices)
+            if not _increasing(codes):
                 raise ValueError("repeated point")
             points, probs = points.take(order, axis=0), probs[order]
+        self._settle(points, probs, radix, codes)
+
+    @classmethod
+    def from_sorted(cls, points, probs, radix: int, codes: np.ndarray) -> "Density":
+        """A density from distinct rows in lexicographic order and their
+        `zq.row_codes` in `radix` for every column. The probabilities and
+        the coordinate range are checked as by the constructor, and the
+        order by one pass over the codes, which are taken as given."""
+        points, probs = _checked_arrays(points, probs)
+        if (points.min(initial=0) < 0 or points.max(initial=0) >= radix
+                or radix > Q_MAX):
+            raise ValueError(f"point coordinates must be residues below {radix} <= 2^31")
+        if codes.shape != probs.shape or not _increasing(codes):
+            raise ValueError("points must come in sorted and distinct")
+        d = object.__new__(cls)
+        d._settle(points, probs, radix, codes)
+        return d
+
+    def _settle(self, points, probs, radix, codes) -> None:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_radix", radix)
@@ -86,6 +98,27 @@ class Density:
         """The distribution as a dict from point tuples to probabilities,
         for display."""
         return dict(zip(map(tuple, self.points.tolist()), self.probs.tolist()))
+
+
+def _checked_arrays(points, probs) -> tuple[np.ndarray, np.ndarray]:
+    """An int64 point matrix and its probabilities, one per row, each
+    non-negative and together summing to 1."""
+    points, probs = np.asarray(points), np.asarray(probs, dtype=np.float64)
+    if points.ndim != 2 or not np.issubdtype(points.dtype, np.integer):
+        raise ValueError("points must be an integer matrix, one row per point")
+    if probs.shape != (len(points),):
+        raise ValueError(f"{len(points)} points need as many probabilities, got {probs.shape}")
+    # NaN fails `>= 0` and +inf fails the sum check, so both raise.
+    if not (probs >= 0).all():
+        raise ValueError("probabilities must be non-negative numbers")
+    s = float(probs.sum())
+    if abs(s - 1.0) > 1e-12:
+        raise ValueError(f"density sums to {s}, not 1")
+    return points.astype(np.int64, copy=False), probs
+
+
+def _increasing(codes: np.ndarray) -> bool:
+    return bool((codes[1:] > codes[:-1]).all())
 
 
 def _radices(width: int, radix: int) -> np.ndarray:

@@ -16,13 +16,16 @@ the caller chose and checks its shape, range and distinctness.
 
 Rows are grouped by their `zq.row_codes`: a row's coordinates read as
 the digits of one integer, each in the radix of its column (q or 2), so
-equal rows get equal codes, and one argsort of the codes puts the
-groups in lexicographic order. A marginal (`full_distribution`,
-`measure_register`) copies the registers' columns once, groups that
-slice, sums |amp|^2 per group with `np.bincount` and reads each outcome
-off one row of the slice. A transform groups rows by the code of every
-other column into a dense (groups x values) block and applies one
-matrix product.
+equal rows get equal codes, and one sort of the codes (`zq.sort_codes`)
+puts the groups in lexicographic order. A marginal (`full_distribution`,
+`measure_register`) codes the registers' columns in place, groups the
+rows, sums |amp|^2 per group with `np.bincount` and copies those
+columns of one row per group. The marginals of `full_distribution` code
+every column in one radix, the largest of the registers', and hand the
+grouped rows to the `Density` with their codes, so that it codes
+nothing again. A transform groups rows by the code of every other
+column into a dense (groups x values) block and applies one matrix
+product. U_f is one update of the y columns (`zq.mat_vec_add_mod`).
 
 Desk scale only: label count is hard-capped, checked before a product
 state or a dense block is allocated, and amplitudes below 1e-14 are
@@ -38,7 +41,8 @@ import numpy as np
 
 from .gaussian import Density, TruncatedGaussian
 from .ntcf import NtcfKey
-from .zq import DimensionError, common_rows, domain_grid, mat_vec_mul, row_codes
+from .zq import (DimensionError, common_rows, domain_grid, mat_vec_add_mod, row_codes,
+                 sort_codes)
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-9
@@ -84,19 +88,18 @@ def _radices(specs) -> np.ndarray:
     return np.array([s.radix for s in specs for _ in range(s.size)], dtype=np.int64)
 
 
-def _group_rows(rows: np.ndarray, radices: np.ndarray):
-    """Group equal rows: (group of each row, one row index of each group),
-    groups in lexicographic order. An unstable argsort of the codes is
-    a quarter of the stable one `np.unique` runs for its first indices,
+def _group_rows(rows: np.ndarray, radices: np.ndarray, cols=None):
+    """Group equal rows (of rows[:, cols], with `cols`): (group of each
+    row, one row index of each group, each group's code), groups in
+    lexicographic order. Sorting the codes (`zq.sort_codes`) costs a
+    fraction of the stable sort `np.unique` runs for its first indices,
     and any row of a group stands for it."""
-    codes = row_codes(rows, radices)
-    order = np.argsort(codes)
-    codes = codes[order]
+    order, codes = sort_codes(row_codes(rows, radices, cols), radices)
     new = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=new[1:])
     group = np.empty(len(codes), dtype=np.intp)
     group[order] = np.cumsum(new) - 1
-    return group, order[new]
+    return group, order[new], codes[new]
 
 
 def _columns(state: "SparseState", names) -> np.ndarray:
@@ -104,16 +107,18 @@ def _columns(state: "SparseState", names) -> np.ndarray:
     return np.concatenate([np.arange(c.start, c.stop) for c in map(state.reg_cols, names)])
 
 
-def _marginal(state: "SparseState", names):
+def _marginal(state: "SparseState", names, radices=None):
     """|amp|^2 summed over the rows that agree on the named registers: the
     group of each row, each group's values on the registers' columns side
-    by side (one row per group, in lexicographic order) and each group's
-    weight."""
+    by side (one row per group, in lexicographic order), each group's
+    code in `radices` (default: the columns' own) and each group's
+    weight, summed in row order. The columns are coded in place and
+    copied only for the groups' rows."""
     cols = _columns(state, names)
-    rows = np.ascontiguousarray(state.labels[:, cols])  # the index gives F order
-    group, first = _group_rows(rows, state.radices[cols])
+    radices = state.radices[cols] if radices is None else radices
+    group, first, codes = _group_rows(state.labels, radices, cols)
     weights = np.bincount(group, weights=np.abs(state.amps) ** 2)
-    return group, rows.take(first, axis=0), weights
+    return group, state.labels.take(first, axis=0)[:, cols], codes, weights
 
 
 class SparseState:
@@ -231,18 +236,14 @@ def apply_ufkb(state: SparseState, key: NtcfKey, invert: bool = False) -> Sparse
     With invert=True the shift is subtracted (the uncompute direction).
     """
     p = key.params
-    if state.spec("x").size != p.n or state.spec("y").size != p.m:
+    if (state.spec("x").size, state.spec("b").size, state.spec("y").size) != (p.n, 1, p.m):
         raise DimensionError("register sizes do not match the key")
     q = p.q
     labels = state.labels
     yc = state.reg_cols("y")
-    # Ax + bt = [A | t] (x, b), with b < kappa <= q: one product, reduced
-    # mod q by mat_vec_mul.
-    y = mat_vec_mul(np.column_stack([key.A, key.t]), labels[:, _columns(state, ("x", "b"))], q)
-    if invert:
-        np.subtract(q, y, out=y)  # -(Ax + bt) mod q, in (0, q]
-    y += labels[:, yc]
-    y -= q * (y >= q)  # from [0, 2q) into [0, q)
+    # Ax + bt = [A | t] (x, b), with b < kappa <= q.
+    y = mat_vec_add_mod(np.column_stack([key.A, key.t]), labels[:, _columns(state, ("x", "b"))],
+                        labels[:, yc], q, -1 if invert else 1)
     out = labels.copy()
     out[:, yc] = y
     return SparseState(state.specs, out, state.amps)
@@ -250,7 +251,7 @@ def apply_ufkb(state: SparseState, key: NtcfKey, invert: bool = False) -> Sparse
 
 def measure_register(state: SparseState, name: str, rng: np.random.Generator):
     """Sample an outcome from the exact marginal and collapse."""
-    group, values, probs = _marginal(state, (name,))
+    group, values, _codes, probs = _marginal(state, (name,))
     pick = int(rng.choice(len(probs), p=probs / probs.sum()))
     keep = group == pick
     amps = state.amps[keep]
@@ -277,7 +278,7 @@ def _apply_dense(state: SparseState, c: slice, radix: int, U: np.ndarray) -> Spa
     numbered in mixed radix: U[k2, k] takes value k to value k2."""
     basis = domain_grid(radix, c.stop - c.start)  # row k is value k
     rest = np.delete(state.labels, np.s_[c], axis=1)
-    group, first = _group_rows(rest, np.delete(state.radices, np.s_[c]))
+    group, first, _codes = _group_rows(rest, np.delete(state.radices, np.s_[c]))
     _check_cap(len(first) * len(basis))
     block = np.zeros((len(first), len(basis)), dtype=np.complex128)
     block[group, row_codes(state.labels[:, c], state.radices[c])] = state.amps
@@ -317,6 +318,10 @@ def apply_qft_q(state: SparseState, name: str, inverse: bool = False) -> SparseS
 def full_distribution(state: SparseState, names) -> Density:
     """Exact |amp|^2 marginal over the named registers: one row per
     outcome, the registers' columns side by side, rows in lexicographic
-    order."""
-    _group, values, probs = _marginal(state, names)
-    return Density(values, probs / probs.sum())
+    order. The rows are coded once, every column in the largest radix of
+    the registers, and go to the `Density` with those codes."""
+    cols = _columns(state, names)
+    radix = int(state.radices[cols].max())
+    radices = np.full(len(cols), radix, dtype=np.int64)
+    _group, values, codes, probs = _marginal(state, names, radices)
+    return Density.from_sorted(values, probs / probs.sum(), radix, codes)

@@ -68,20 +68,27 @@ def gadget_minimax_distance(q: int) -> int:
     """Min over nonzero delta of max_j |lift(2^j * delta mod q)|.
 
     Half of this is the certified decoding radius for the per-coordinate
-    minimax decoder.
+    minimax decoder. It is the least r at which some delta in [1, q - 1]
+    survives the interval refinement of syndrome 0 (|lift(-x)| =
+    |lift(x)|), and survival only grows with r. Every delta survives
+    r = q // 2 and none survives r = 0, so r doubles from 1 until one
+    survives, then bisects: no probe runs far above the distance, where
+    the intervals multiply.
     """
-    row = gadget_row(q)  # |lift(-x)| = |lift(x)|: the scan of syndrome 0
-    return _scan_min_residual(np.zeros_like(row), row, q, first=1)
+    row = gadget_row(q)
+    zero = np.zeros_like(row)
 
+    def survives(r: int) -> bool:
+        return bool(_survivors(zero, row, q, r, [(1, q - 1)]))
 
-def _scan_min_residual(u: np.ndarray, row: np.ndarray, q: int, first: int = 0) -> int:
-    """min over s in [first, q) of max_j |lift(u_j - 2^j s)|, one row at
-    a time: O(q k) time and O(q) memory."""
-    cands = np.arange(first, q, dtype=np.int64)
-    worst = np.zeros(len(cands), dtype=np.int64)
-    for g, c in zip(row.tolist(), u.tolist()):
-        worst = np.maximum(worst, np.abs(lift_residues((c - g * cands) % q, q)))
-    return int(worst.min())
+    lo, hi = 0, 1  # no delta survives lo
+    while hi < q // 2 and not survives(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, q // 2)  # some delta survives hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if survives(mid) else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +189,7 @@ def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
     `gadget_minimax_distance(q)`: the residuals are integers, so each row
     must keep g s mod q in [c - r, c + r] with g = 2^j, c = u_j and
     r = ceil(d/2) - 1. The candidates are held as integer intervals,
-    starting from [0, q - 1]. Row j replaces [lo, hi] by its
-    intersections with [ceil((c - r + tq)/g), floor((c + r + tq)/g)] for
-    t from ceil((g lo - c - r)/q) to floor((g hi - c + r)/q), the t whose
-    window g s can reach.
+    starting from [0, q - 1], and cut down row by row (`_survivors`).
 
     Exact: two survivors s, s' would have max_j |lift(2^j (s - s'))| <=
     2r < d, against the minimax distance, so at most one s survives all
@@ -194,8 +198,19 @@ def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
     DecodeFailure reports without running the scan.
     """
     d = gadget_minimax_distance(q)
-    r = (d + 1) // 2 - 1
-    intervals = [(0, q - 1)]
+    kept = _survivors(u, row, q, (d + 1) // 2 - 1, [(0, q - 1)])
+    if not kept:
+        raise DecodeFailure(f"syndrome residual >= certified radius {d / 2.0}")
+    return kept[0][0]
+
+
+def _survivors(u: np.ndarray, row: np.ndarray, q: int, r: int, intervals) -> list:
+    """The integer intervals (lo, hi) of the s in `intervals` that keep
+    |lift(u_j - g_j s)| <= r on every row j. Row j cuts each [lo, hi] to
+    its intersections with [ceil((c - r + tq)/g), floor((c + r + tq)/g)],
+    with c = u_j and g = g_j, for t from ceil((g lo - c - r)/q) to
+    floor((g hi - c + r)/q), the t whose window g s can reach. Empty as
+    soon as no interval survives a row."""
     for g, c in zip(row.tolist(), u.tolist()):
         kept = []
         for lo, hi in intervals:
@@ -206,9 +221,9 @@ def _decode_syndrome_coord(u: np.ndarray, row: np.ndarray, q: int) -> int:
                 if a <= b:
                     kept.append((a, b))
         if not kept:
-            raise DecodeFailure(f"syndrome residual >= certified radius {d / 2.0}")
+            return kept
         intervals = kept
-    return intervals[0][0]
+    return intervals
 
 
 def invert(

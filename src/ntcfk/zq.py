@@ -11,7 +11,8 @@ hashable and equal by value. Centered lifts (`lift_residues`) live in
 (-q/2, q/2]. d and J(x) are 0/1 int64 arrays. q is restricted to
 < 2**31 so that int64 products never overflow, and `mat_vec_mul`, the
 one A x mod q, sums them unreduced only where no sum can overflow
-either.
+either. `mat_vec_add_mod`, y +- A x mod q, owns the other exactness
+bound: one float64 product where every sum stays below 2^53.
 """
 from __future__ import annotations
 
@@ -99,16 +100,36 @@ def codes_are_digits(radices: np.ndarray) -> bool:
     return math.prod(radices.tolist()) < 2**63
 
 
-def row_codes(rows: np.ndarray, radices: np.ndarray) -> np.ndarray:
+def row_codes(rows: np.ndarray, radices: np.ndarray, cols=None) -> np.ndarray:
     """One int64 per row of a matrix whose column j holds digits below
     radices[j]: equal exactly when the rows are equal, and ordered as the
-    rows are lexicographically."""
+    rows are lexicographically. With `cols`, the codes of rows[:, cols]
+    (radices[j] for column cols[j]), read in place where they are digits."""
     if codes_are_digits(radices):
         weights = np.ones(len(radices), dtype=np.int64)
         weights[:-1] = np.cumprod(radices[:0:-1])[::-1]
+        if cols is not None:
+            weights, place = np.zeros(rows.shape[1], dtype=np.int64), weights
+            weights[cols] = place
         return rows @ weights
     # Too many digits for one int64: rank the distinct rows instead.
+    rows = rows if cols is None else rows[:, cols]
     return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def sort_codes(codes: np.ndarray, radices: np.ndarray):
+    """(order, codes[order]): the ascending order of the `row_codes` of
+    rows in these radices, and the codes in it. Where the codes leave
+    room for a row index in their low bits, one np.sort of the packed
+    values gives both; it took 24 us on 2.7k codes, against 39 us for
+    np.argsort, which runs otherwise."""
+    top = math.prod(radices.tolist()) if codes_are_digits(radices) else len(codes)
+    shift = max(len(codes) - 1, 1).bit_length()
+    if top << shift > 2**63:
+        order = np.argsort(codes)
+        return order, codes[order]
+    packed = np.sort(codes << shift | np.arange(len(codes)))
+    return packed & ((1 << shift) - 1), packed >> shift
 
 
 def rows_distinct(rows: np.ndarray, radices: np.ndarray) -> bool:
@@ -149,6 +170,33 @@ def mat_vec_mul(A: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
     # Reduce each product mod q before summing; partial sums then stay
     # below cols * 2^31, safely inside int64.
     return ((X[..., None, :] * A) % q).sum(axis=-1) % q
+
+
+def mat_vec_add_mod(A: np.ndarray, X: np.ndarray, Y: np.ndarray, q: int,
+                    sign: int = 1) -> np.ndarray:
+    """Y + sign * A x mod q (sign +1 or -1) for every x along the last
+    axis of X, with Y the residues to add, of the result's shape."""
+    cols = A.shape[1]
+    if cols != X.shape[-1]:
+        raise DimensionError(f"cannot multiply {A.shape[0]}x{cols} by length-{X.shape[-1]}")
+    if cols * (q - 1) ** 2 + q < 2**53:
+        # One float64 product plus Y: its terms and partial sums are
+        # integers below 2^53 in magnitude, so it is exact. So is the floor
+        # that reduces it mod q: s/q rounds by less than |s/q| 2^-53 < 1/q,
+        # and lies at least 1/q from every integer it is not.
+        s = X.astype(np.float64) @ (sign * A.T).astype(np.float64)
+        s += Y
+        r = s / q
+        np.floor(r, out=r)
+        r *= q
+        s -= r
+        return s.astype(np.int64)
+    s = mat_vec_mul(A, X, q)
+    if sign < 0:
+        np.subtract(q, s, out=s)  # -A x mod q, in (0, q]
+    s += Y
+    s -= q * (s >= q)  # from [0, 2q) into [0, q)
+    return s
 
 
 def lift_residues(a: np.ndarray, q: int) -> np.ndarray:

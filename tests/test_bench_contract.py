@@ -70,9 +70,13 @@ def test_traced_sessions_record_protocol_spans():
 
 def test_traced_crosscheck_records_oracle_spans():
     """`oracle.labels` counts `len(state.amps)` of the U_f output, so it
-    must stay the label count whatever the state stores."""
+    must stay the label count whatever the state stores. The circuit
+    before U_f is cached per parameter set, so the caches are emptied
+    first: the traced call then builds it, and records its span."""
     tracing, workloads = load_tracing(), load_perfbench("workloads")
     key, _t = gen(workloads.NOISY, np.random.default_rng(7))
+    crosscheck._oracle_prefix.cache_clear()
+    crosscheck._analytic_skeleton.cache_clear()
     tracer = tracing.Tracer()
     with tracer.install():
         tracer.active = True

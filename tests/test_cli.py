@@ -3,6 +3,7 @@ import socket
 import numpy as np
 import pytest
 
+from ntcfk import crosscheck
 from ntcfk.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, main
 from ntcfk.ntcf import gen, key_from_text, key_to_text, trapdoor_from_text
 from ntcfk.presets import get_preset
@@ -167,6 +168,26 @@ class TestOracleCompare:
     def test_oversized_state_exit_2(self):
         rc = run(["oracle-compare", "--preset", "desk-k3", "--seed", "6"])
         assert rc == EXIT_ERROR
+
+    @pytest.mark.parametrize("mis_shift, code", [("0", EXIT_OK), ("1", EXIT_FAIL)])
+    def test_verbose_runs_the_oracle_once(self, capsys, monkeypatch, mis_shift, code):
+        """One oracle joint gives the TV and the table, whose lines are the
+        joint's points and probabilities in sorted order."""
+        built = []
+
+        def oracle_joint(k):
+            built.append(real(k))
+            return built[-1]
+
+        real = crosscheck.oracle_joint
+        monkeypatch.setattr(crosscheck, "oracle_joint", oracle_joint)
+        rc = run(["oracle-compare", "--preset", "tiny-exact", "--seed", "6",
+                  "--mis-shift", mis_shift, "--verbose"])
+        assert rc == code
+        assert len(built) == 1
+        table = built[0].table
+        want = [" ".join(map(str, key)) + " -> " + repr(table[key]) for key in sorted(table)]
+        assert capsys.readouterr().out.splitlines()[1:] == want
 
 
 class TestUsage:

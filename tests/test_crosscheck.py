@@ -11,14 +11,16 @@ coordinate, so the branch shift b*t also moves by b*e.
 """
 import hashlib
 import math
+import mmap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ntcfk import ntcf
+from ntcfk import crosscheck, ntcf
 from ntcfk.crosscheck import analytic_joint, compare_joint, oracle_joint
 from ntcfk.gaussian import TruncatedGaussian
+from ntcfk.presets import get_preset
 from ntcfk.oracle import (
     RegisterSpec,
     apply_ufkb,
@@ -33,6 +35,16 @@ NOISY = ntcf.NtcfParams(
 WIDE = ntcf.NtcfParams(
     q=11, n=1, m=4, ell=1, kappa=3, b_l=0.5, b_v=1.0,
     b_p=ntcf.compute_bp(11, 1, 4, 3, 0.5), c_t=0.5,
+)
+# A kappa=2 set and an n=2 set, for the caches (9 and 5 noise values per
+# coordinate; 18,954 and 9,375 labels).
+KAPPA2 = ntcf.NtcfParams(
+    q=13, n=1, m=3, ell=1, kappa=2, b_l=0.2, b_v=0.6,
+    b_p=ntcf.compute_bp(13, 1, 3, 2, 0.4), c_t=0.4,
+)
+N2 = ntcf.NtcfParams(
+    q=5, n=2, m=3, ell=1, kappa=3, b_l=0.05, b_v=0.1,
+    b_p=ntcf.compute_bp(5, 2, 3, 3, 0.1), c_t=0.1,
 )
 SEEDS = (0, 1, 2)
 KEYS = [pytest.param(NOISY, seed, id=str(seed)) for seed in SEEDS] + [
@@ -108,8 +120,10 @@ def test_tv_equals_dict_reference(params, seed, mis_shift):
 
 # The tracemalloc peak of one compare_joint before the joints kept their
 # rows sorted (numpy 2.4.6), when the TV stacked both joints into one
-# 5,346-row matrix. Sorted, the peak is about 505 KiB, so a temporary of
-# that size (250 KiB) coming back passes the limit.
+# 5,346-row matrix. Sorted, the peak was about 505 KiB; with the circuit
+# before U_f cached and the analytic rows sorted in place it is about
+# 465 KiB, so a temporary the size of that matrix (250 KiB) coming back
+# passes the limit.
 PEAK_LIMIT = 693 * 1024
 
 
@@ -149,3 +163,82 @@ def test_pinned_joint():
     for d in (analytic, oracle):
         assert all(type(v) is int for k in d.table for v in k)
         assert pin_digest(d) == PIN_DIGEST
+
+
+def clear_caches():
+    crosscheck._oracle_prefix.cache_clear()
+    crosscheck._analytic_skeleton.cache_clear()
+
+
+class TestParameterSetCaches:
+    """The circuit before U_f and the analytic skeleton are built once per
+    parameter set and shared by every key of that set."""
+
+    def cached(self, params=NOISY):
+        g = ntcf.image_gaussian(params)
+        return (crosscheck._oracle_prefix(params.kappa, params.n, g),
+                crosscheck._analytic_skeleton(params.kappa, params.n, g))
+
+    def test_cached_arrays_are_read_only(self):
+        compare_joint(noisy_key(0))
+        prefix, skeleton = self.cached()
+        arrays = [prefix.labels, prefix.amps, prefix.radices, *skeleton]
+        assert len(arrays) == 7
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+
+    def test_large_cached_arrays_live_in_their_own_maps(self):
+        """Outside the malloc heap, so they leave its free space to the
+        temporaries of each call."""
+        compare_joint(noisy_key(0))
+        prefix, (_bx, _xs, _e0, probs) = self.cached()
+        for a in (prefix.labels, prefix.amps, probs):
+            base = a
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+
+    def test_one_prefix_per_parameter_set(self):
+        clear_caches()
+        for seed in SEEDS:
+            compare_joint(noisy_key(seed))
+        info = crosscheck._oracle_prefix.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert crosscheck._analytic_skeleton.cache_info().misses == 1
+
+    def test_sets_above_the_label_bound_are_not_cached(self, monkeypatch):
+        """NOISY has 2,673 labels; with the bound below that, each call
+        builds its own arrays and gives the TV the cache gives."""
+        key = noisy_key(2)
+        want = compare_joint(key)
+        clear_caches()
+        monkeypatch.setattr(crosscheck, "CACHED_LABELS", 2672)
+        assert compare_joint(key) == want
+        for cache in (crosscheck._oracle_prefix, crosscheck._analytic_skeleton):
+            assert cache.cache_info().currsize == 0
+        monkeypatch.setattr(crosscheck, "CACHED_LABELS", 2673)
+        assert compare_joint(key) == want
+        for cache in (crosscheck._oracle_prefix, crosscheck._analytic_skeleton):
+            assert cache.cache_info().currsize == 1
+
+    def test_interleaved_keys_match_a_cold_cache(self):
+        """Keys of five parameter sets, taken in turn through warm caches,
+        give the TVs that each gives through empty ones, bit for bit. Two
+        of the sets differ from the others in kappa and in n."""
+        sets = (NOISY, WIDE, get_preset("tiny-exact"), KAPPA2, N2)
+        keys = [ntcf.gen(params, np.random.default_rng(seed))[0]
+                for seed in range(3) for params in sets]
+        warm = [(compare_joint(k), compare_joint(k, mis_shift=1)) for k in keys]
+        cold = []
+        for k in keys:
+            clear_caches()
+            cold.append((compare_joint(k), compare_joint(k, mis_shift=1)))
+        assert [tuple(map(float.hex, t)) for t in warm] == [tuple(map(float.hex, t)) for t in cold]
+        assert all(tv <= 1e-9 < 0.1 < shifted for tv, shifted in warm)
+
+    def test_mis_shift_detected_after_a_warm_call(self):
+        key = noisy_key(1, WIDE)
+        assert compare_joint(key) <= 1e-9
+        assert compare_joint(key, mis_shift=1) > 0.1
+        assert compare_joint(key) <= 1e-9

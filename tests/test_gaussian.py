@@ -18,7 +18,7 @@ from ntcfk.gaussian import (
     trace_distance_from_h2,
     tv_distance,
 )
-from ntcfk.zq import lift_residues
+from ntcfk.zq import lift_residues, row_codes
 
 
 def gauss(q, B, m):
@@ -336,3 +336,47 @@ class TestDensityOrder:
                 repeated = np.insert(points, at, points[src], axis=0)
                 with pytest.raises(ValueError, match="repeated point"):
                     Density(repeated, probs)
+
+
+class TestDensityFromSorted:
+    """Rows a caller has coded and sorted come in with their codes; every
+    check but the coding itself still runs."""
+
+    POINTS = np.array([[0, 1], [0, 4], [2, 0], [3, 3]])
+    PROBS = np.array([0.1, 0.2, 0.3, 0.4])
+
+    def codes(self, points, radix):
+        return row_codes(points, np.full(points.shape[1], radix, dtype=np.int64))
+
+    def test_matches_the_constructor(self):
+        d = Density.from_sorted(self.POINTS, self.PROBS, 5, self.codes(self.POINTS, 5))
+        ref = Density(self.POINTS, self.PROBS)
+        assert d.table == ref.table
+        assert d._radix == 5 == ref._radix
+        assert np.array_equal(d._codes, ref._codes)
+        assert tv_distance(d, ref) == 0.0
+
+    def test_a_larger_radix_pairs_with_the_constructor(self):
+        d = Density.from_sorted(self.POINTS, self.PROBS, 7, self.codes(self.POINTS, 7))
+        ref = Density(self.POINTS, self.PROBS)
+        assert tv_distance(d, ref) == 0.0
+        assert hellinger_sq(d, ref) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "points,probs,radix",
+        [
+            (POINTS[[1, 0, 2, 3]], PROBS, 5),
+            (POINTS[[0, 0, 2, 3]], PROBS, 5),
+            (POINTS, PROBS, 4),
+            (POINTS - 1, PROBS, 5),
+            (POINTS, PROBS, 2**31 + 1),
+            (POINTS, PROBS * 1.1, 5),
+            (POINTS, np.array([-0.1, 0.3, 0.4, 0.4]), 5),
+            (POINTS[:3], PROBS, 5),
+        ],
+        ids=["out-of-order", "repeated", "coordinate-at-radix", "negative-coordinate",
+             "radix-past-2^31", "sum-off", "negative-prob", "fewer-points"],
+    )
+    def test_bad_input_rejected(self, points, probs, radix):
+        with pytest.raises(ValueError):
+            Density.from_sorted(points, probs, radix, self.codes(points, min(radix, 2**31)))

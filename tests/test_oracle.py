@@ -24,7 +24,7 @@ from ntcfk.oracle import (
     measure_register,
     remove_register,
 )
-from ntcfk.zq import DimensionError, j_encode
+from ntcfk.zq import DimensionError, j_encode, row_codes
 
 
 def rows(st):
@@ -159,6 +159,32 @@ class TestUfkb:
         back = apply_ufkb(apply_ufkb(st, k), k, invert=True)
         assert rows(back) == rows(st)
         assert back.fidelity(st) == pytest.approx(1.0)
+
+    # Below the first q the float64 product is exact for n = 1 (two
+    # columns of [A | t]); at the second it is not, and the int64 path runs.
+    @pytest.mark.parametrize("q", [67108863, 67108865])
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_extreme_residues_match_integer_reference(self, q, invert):
+        """Entries near q - 1 make the products and sums as large as they
+        get; both reductions must match Python integers exactly."""
+        assert (2 * (q - 1) ** 2 + q < 2**53) == (q == 67108863)
+        kappa, m = q, 3  # b up to q - 1, as large as the bound allows
+        k = tiny_key(q=q, m=m, kappa=kappa, a=[[q - 1], [q - 2], [1]], t=[q - 1, q - 3, 0])
+        specs = (
+            RegisterSpec("b", "modq", 1, kappa),
+            RegisterSpec("x", "modq", 1, q),
+            RegisterSpec("y", "modq", m, q),
+        )
+        labels = [[b, x] + y for b in (0, 1, q - 2, q - 1) for x in (0, 1, q - 2, q - 1)
+                  for y in ([0, 0, 0], [q - 1, q - 1, q - 1], [1, q - 2, q // 2])]
+        out = apply_ufkb(init_uniform(specs, labels), k, invert=invert)
+        sign = -1 if invert else 1
+        want = {
+            (b, x, *[(yj + sign * (a[0] * x + b * tj)) % q
+                     for yj, a, tj in zip(y, k.A.tolist(), k.t.tolist())])
+            for b, x, *y in labels
+        }
+        assert rows(out) == want
 
     def test_dimension_check(self):
         k = tiny_key(m=2)
@@ -518,13 +544,15 @@ class TestWideState:
 
 
 @hst.composite
-def grouped_states(draw):
+def grouped_states(draw, every=None):
     """(state, names): a random small state whose registers repeat their
-    values across rows, and an ordered selection of its registers. With
-    `wide`, a 64-bit register is among the specs and the names, so the
-    radix product passes 2^63 and the row codes fall back to ranks."""
+    values across rows, and an ordered selection of its registers: every
+    register when `every` is true, a strict subset when it is false, and
+    either when it is None. With `wide`, a 64-bit register is among the
+    specs and the names, so the radix product passes 2^63 and the row
+    codes fall back to ranks."""
     specs = []
-    for i in range(draw(hst.integers(1, 3))):
+    for i in range(draw(hst.integers(1 if every is not False else 2, 3))):
         if draw(hst.booleans()):
             size, q = draw(hst.integers(1, 2)), draw(hst.integers(2, 5))
             specs.append(RegisterSpec(f"r{i}", "modq", size, q))
@@ -543,9 +571,14 @@ def grouped_states(draw):
     rows = [[v for reg in row for v in reg] for row in labels]
     seed = draw(hst.integers(0, 2**32 - 1))
     names = draw(hst.permutations([s.name for s in specs]))
-    names = names[: draw(hst.integers(1, len(names)))]
-    if wide and "w" not in names:
-        names.append("w")
+    if every is None:
+        names = names[: draw(hst.integers(1, len(names)))]
+        if wide and "w" not in names:
+            names.append("w")
+    elif not every:
+        names = names[: draw(hst.integers(1, len(names) - 1))]
+        if wide and "w" not in names:
+            names[0] = "w"
     return random_state(specs, rows, seed), tuple(names)
 
 
@@ -559,6 +592,21 @@ def marginal_reference(state, names):
     return weights
 
 
+def check_marginal(state, names):
+    """full_distribution against the dict reference; its rows are handed
+    to the Density with their `row_codes`, every column in its radix."""
+    want = marginal_reference(state, names)
+    total = sum(want.values())
+    d = full_distribution(state, names)
+    assert list(d.table) == sorted(want)
+    for key, p in want.items():
+        assert d.table[key] == pytest.approx(p / total, rel=1e-12, abs=1e-15)
+    radices = np.full(d.points.shape[1], d._radix, dtype=np.int64)
+    assert np.array_equal(d._codes, row_codes(d.points, radices))
+    assert d._radix == max(state.spec(name).radix for name in names)
+    return d
+
+
 class TestGroupingAgainstDict:
     """The sort-based grouping of `full_distribution` and
     `measure_register`, checked against dicts keyed by label tuples."""
@@ -566,13 +614,21 @@ class TestGroupingAgainstDict:
     @given(grouped_states())
     @settings(max_examples=150, deadline=None)
     def test_full_distribution(self, state_names):
+        check_marginal(*state_names)
+
+    @given(grouped_states(every=True))
+    @settings(max_examples=100, deadline=None)
+    def test_full_distribution_every_register(self, state_names):
+        """Over every register the marginal is the state's rows sorted."""
         state, names = state_names
-        want = marginal_reference(state, names)
-        total = sum(want.values())
-        d = full_distribution(state, names)
-        assert list(d.table) == sorted(want)
-        for key, p in want.items():
-            assert d.table[key] == pytest.approx(p / total, rel=1e-12, abs=1e-15)
+        d = check_marginal(state, names)
+        assert len(d.probs) == len(state.amps)
+
+    @given(grouped_states(every=False))
+    @settings(max_examples=100, deadline=None)
+    def test_full_distribution_strict_subset(self, state_names):
+        """Over a strict subset, rows that agree there are grouped."""
+        check_marginal(*state_names)
 
     @given(grouped_states(), hst.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)

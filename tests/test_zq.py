@@ -15,7 +15,10 @@ from ntcfk.zq import (
     j_decode,
     j_encode,
     lift_residues,
+    mat_vec_add_mod,
     mat_vec_mul,
+    row_codes,
+    sort_codes,
 )
 
 
@@ -92,6 +95,36 @@ class TestMatVecMul:
                 for xs in X.tolist()]
         assert mat_vec_mul(A, X, q).tolist() == want
         assert mat_vec_mul(A, X[0], q).tolist() == want[0]
+
+
+class TestMatVecAddMod:
+    """Y +- A x mod q against Python integers, with residues near q - 1 so
+    that products and sums are as large as they get. For each column
+    count the first q is the largest whose float64 sums stay below 2^53;
+    at the second the int64 path runs."""
+
+    @pytest.mark.parametrize("cols,q,exact", [
+        (1, 94906266, True), (1, 94906267, False), (2, 67108864, True),
+        (2, 67108865, False), (4, 47453133, True), (4, 47453134, False),
+        (3, 2**31 - 1, False), (3, 7, True),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_python_integers(self, cols, q, exact, sign):
+        assert (cols * (q - 1) ** 2 + q < 2**53) == exact
+        rng = np.random.default_rng(q + cols)
+        A = rng.integers(max(q - 3, 0), q, size=(5, cols), dtype=np.int64)
+        X = rng.integers(max(q - 3, 0), q, size=(6, cols), dtype=np.int64)
+        X[0] = 0
+        Y = rng.integers(max(q - 3, 0), q, size=(6, 5), dtype=np.int64)
+        Y[1] = 0
+        want = [[(y + sign * sum(a * x for a, x in zip(row, xs))) % q
+                 for row, y in zip(A.tolist(), ys)] for xs, ys in zip(X.tolist(), Y.tolist())]
+        got = mat_vec_add_mod(A, X, Y, q, sign)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            mat_vec_add_mod(mat([[1, 2]], 7), vec([1], 7), vec([0], 7), 7)
 
 
 class TestCenteredLift:
@@ -221,3 +254,35 @@ def test_equation_bit_matches_definition(q, n):
                 assert equation_bit(d, x0, x1, q) == _equation_bit_reference(d, x0, x1, q)
     with pytest.raises(DimensionError):
         equation_bit(ds[1][:-1], xs[0], xs[1], q)
+
+
+@pytest.mark.parametrize("radices", [[11, 2, 5], [2**40, 2**40, 3]], ids=["digits", "ranks"])
+def test_row_codes_of_selected_columns(radices):
+    """With `cols`, the codes are those of the selected columns' copy."""
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 3, size=(40, 5))
+    cols = np.array([4, 0, 2])
+    radices = np.array(radices, dtype=np.int64)
+    assert np.array_equal(row_codes(rows, radices, cols), row_codes(rows[:, cols], radices))
+
+
+class TestSortCodes:
+    """Packed or not, the order sorts the codes and the codes come out
+    sorted, repeats included."""
+
+    @pytest.mark.parametrize(
+        "radices",
+        [[11] * 6, [2] * 62, [3, 1, 5], [2] * 70],
+        ids=["packed", "argsort-fallback", "unit-radix", "ranks"],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 2, 257])
+    def test_matches_argsort(self, radices, count):
+        radices = np.array(radices, dtype=np.int64)
+        rng = np.random.default_rng(count)
+        rows = rng.integers(0, radices, size=(count, len(radices)))
+        rows = np.vstack([rows, rows[: count // 3]])  # repeated rows
+        codes = row_codes(rows, radices)
+        order, got = sort_codes(codes, radices)
+        assert np.array_equal(got, np.sort(codes))
+        assert np.array_equal(codes[order], got)
+        assert sorted(order.tolist()) == list(range(len(codes)))
