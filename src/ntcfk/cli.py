@@ -168,6 +168,8 @@ def cmd_stats(args) -> int:
 
 def cmd_reduce(args) -> int:
     p = _resolve_params(args)
+    if args.ell < 1:
+        raise ValueError("--ell must be >= 1")
     rng = np.random.default_rng(_resolve_seed(args))
     k, t = gen(p, rng)
     inst = instance_from_key(k, planted_s=t.s)

@@ -3,10 +3,14 @@
 The quantum side of the protocol never needs a state vector: the image
 measurement marginal and the residual claw superposition have closed
 forms, so the prover samples (b, x, e0), announces y = Ax + e0 + b*t,
-and carries the residual support explicitly. `sample_images` is the one
-image sampler: it returns any number of draws as whole arrays, and
-`sample_image` (the protocol's prover and the cheaters) is its one-draw
-case. Two modes for the residual:
+and carries the residual support explicitly. `sample_draws` makes SAMP's
+random choices: per draw b, x and e0's uniforms, in two generator calls
+and the order of one draw at a time. `sample_images` is the one image
+sampler, built on those draws: it turns them into e0 and y on whole
+arrays, and `sample_image` (the protocol's prover and the cheaters) is
+its one-draw case. The planted-secret reductions take the draws alone,
+since the idealized claw of (b, x) needs no image. Two modes for the
+residual:
 
   exact-enumeration  the residual support is computed by scanning every
                      (b', x') against the public density, exactly what
@@ -149,27 +153,41 @@ def samp_and_measure(
     return y, ResidualState(k, y, np.arange(kappa), labels, amps)
 
 
+def sample_draws(
+    k: NtcfKey, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SAMP's random choices, count times: b and x uniform and e0's m
+    uniforms. Returns read-only int64 arrays B (count,) and X (count, n)
+    and the float64 (count, m) uniforms U, row i draw i.
+
+    Each draw takes b, then x, then e0's uniforms from rng, the order of
+    one draw at a time, in two generator calls: one `integers` call with
+    the bounds [kappa, q, ..., q] and one `random` into U's row.
+    """
+    p = k.params
+    BX = np.empty((count, 1 + p.n), dtype=np.int64)
+    U = np.empty((count, p.m))
+    high = np.full(1 + p.n, p.q, dtype=np.int64)
+    high[0] = p.kappa
+    for i in range(count):
+        BX[i] = rng.integers(0, high)
+        rng.random(out=U[i])
+    return read_only(BX[:, 0]), read_only(BX[:, 1:]), U
+
+
 def sample_images(
     k: NtcfKey, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SAMP's image marginal, sampled directly count times: b and x
-    uniform, e0 from the B_P Gaussian, y = Ax + e0 + b*t. Returns read-only
-    int64 arrays B (count,), X (count, n) and Y (count, m), row i draw i.
-
-    Each draw takes b, then x, then e0's uniforms from rng, the order of
-    one draw at a time; everything after the draws is whole-array.
+    """SAMP's image marginal, sampled directly count times: the draws of
+    `sample_draws`, then e0 from the B_P Gaussian by inverse CDF and
+    y = Ax + e0 + b*t on whole arrays. Returns read-only int64 arrays
+    B (count,), X (count, n) and Y (count, m), row i draw i.
     """
     p = k.params
-    B = np.empty(count, dtype=np.int64)
-    X = np.empty((count, p.n), dtype=np.int64)
-    U = np.empty((count, p.m))
-    for i in range(count):
-        B[i] = rng.integers(0, p.kappa)
-        X[i] = rng.integers(0, p.q, size=p.n, dtype=np.int64)
-        U[i] = rng.random(p.m)
+    B, X, U = sample_draws(k, rng, count)
     E = image_gaussian(p).inverse_cdf(U)
     Y = (mat_vec_mul(k.A, X, p.q) + E + B[:, None] * k.t) % p.q
-    return read_only(B), read_only(X), read_only(Y)
+    return B, X, read_only(Y)
 
 
 def sample_image(k: NtcfKey, rng: np.random.Generator) -> tuple[int, np.ndarray, np.ndarray]:

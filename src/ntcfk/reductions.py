@@ -9,26 +9,31 @@ first), while EDCP states carry s directly in their consecutive-label
 differences. RED from EDCP to DCP is `prover.red_edcp_to_dcp`.
 
 A call's claws are one (count, kappa, n) array. With a planted secret
-(the idealized claw) all its images come from one `prover.sample_images`
-call and its claws from one `ntcf.claws` call, drawn in the order of one
-state at a time. Without one, each state's residual is enumerated
-exactly from its own image.
+(the idealized claw) the claw needs only the draw (b, x), not the image
+y: all the draws come from one `prover.sample_draws` call, in the order
+of one state at a time and e0's uniforms included, so the generator
+ends where a per-state run of the sampling circuit leaves it, and the
+claws come from one `ntcf.claws` call. Without one, each state's
+residual is enumerated exactly from its own image. The kappa-branch
+view of the parameters is cached per (params, kappa).
 
 The solvers here simply read the secret off the label arrays, stacked
 into one array, and check consistency and unanimity with whole-array
-comparisons. They stand in for the efficient DCP
-solver whose existence the reduction theorems assume; this artifact
-demonstrates the reduction direction, not the solver.
+comparisons, after a ValueError check of the states' shapes: two rows
+per DCP state, one kappa >= 2 across the EDCP states. They stand in for
+the efficient DCP solver whose existence the reduction theorems assume;
+this artifact demonstrates the reduction direction, not the solver.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ntcf import NtcfKey, NtcfParams, claws, compute_bp
-from .prover import CosetState, samp_and_measure, sample_images
+from .prover import CosetState, samp_and_measure, sample_draws
 from .zq import ZqVector, euclidean_norm, mat_vec_mul
 
 
@@ -58,12 +63,17 @@ def instance_from_key(k: NtcfKey, planted_s: ZqVector | None = None) -> LweInsta
     return LweInstance(k.A, k.t, k.params, planted_s)
 
 
+@functools.lru_cache(maxsize=64)
+def _kappa_view(p: NtcfParams, kappa: int) -> NtcfParams:
+    """p with kappa branches and the B_P that kappa gives."""
+    if kappa == p.kappa:
+        return p
+    return replace(p, kappa=kappa, b_p=compute_bp(p.q, p.n, p.m, kappa, p.c_t))
+
+
 def _sampling_key(inst: LweInstance, kappa: int) -> NtcfKey:
     """View the LWE instance as a kappa-branch sampling key."""
-    p = inst.params
-    if kappa != p.kappa:
-        p = replace(p, kappa=kappa, b_p=compute_bp(p.q, p.n, p.m, kappa, p.c_t))
-    return NtcfKey(p, inst.A, inst.t)
+    return NtcfKey(_kappa_view(inst.params, kappa), inst.A, inst.t)
 
 
 def _coset_states(
@@ -73,11 +83,14 @@ def _coset_states(
     residual's claw as a coset state.
 
     The claws are one (count, kappa, n) array. With a planted secret all
-    count images come from one `sample_images` call and the claws from
-    one `claws` call: the idealized claw of (b, x) has x_0 = x + b*s.
-    Without one, each residual is enumerated from its own image, and
-    ValueError is raised if it is not a clean claw.
+    count draws come from one `sample_draws` call, which builds no
+    image, and the claws from one `claws` call: the idealized claw of
+    (b, x) has x_0 = x + b*s. Without one, each residual is enumerated
+    from its own image, and ValueError is raised if it is not a clean
+    claw. ValueError also for a negative count.
     """
+    if count < 0:
+        raise ValueError(f"state count must be >= 0, got {count}")
     k = _sampling_key(inst, kappa)
     s = inst.planted_s
     if s is None:
@@ -85,7 +98,7 @@ def _coset_states(
         for i in range(count):
             rows[i] = samp_and_measure(k, rng, mode="exact-enumeration")[1].branches()
     else:
-        B, X, _Y = sample_images(k, rng, count)
+        B, X, _U = sample_draws(k, rng, count)
         rows = claws(X + B[:, None] * s.entries, s, kappa)
     return [CosetState(labels, inst.params.q) for labels in rows]
 
@@ -113,6 +126,11 @@ def lwe_to_edcp(
 _NO_STATES = SolverReport(False, None, 0, "no states supplied")
 
 
+def _row_counts(states: list[CosetState]) -> list[int]:
+    """The distinct row counts (kappas) of the states, in order."""
+    return sorted({st.kappa for st in states})
+
+
 def _unanimous(candidates: np.ndarray, q: int) -> SolverReport:
     """Success iff every row of the (states, n) candidate array agrees."""
     if (candidates == candidates[0]).all():
@@ -122,9 +140,14 @@ def _unanimous(candidates: np.ndarray, q: int) -> SolverReport:
 
 
 def solve_dcp_desk(states: list[CosetState]) -> SolverReport:
-    """Read s_tilde = x1 - x0 off each state; success iff unanimous."""
+    """Read s_tilde = x1 - x0 off each state; success iff unanimous.
+
+    ValueError unless every state has two rows."""
     if not states:
         return _NO_STATES
+    kappas = _row_counts(states)
+    if kappas != [2]:
+        raise ValueError(f"DCP states have two rows each, got row counts {kappas}")
     q = states[0].q
     labels = np.stack([st.labels for st in states])  # (states, 2, n)
     return _unanimous((labels[:, 1] - labels[:, 0]) % q, q)
@@ -132,10 +155,15 @@ def solve_dcp_desk(states: list[CosetState]) -> SolverReport:
 
 def solve_edcp_desk(states: list[CosetState]) -> SolverReport:
     """Read s off each state's consecutive-label difference; success iff
-    every state's differences agree and the states are unanimous. The
-    states share one kappa, as `lwe_to_edcp` makes them."""
+    every state's differences agree and the states are unanimous.
+
+    ValueError unless the states share one kappa >= 2, as `lwe_to_edcp`
+    makes them."""
     if not states:
         return _NO_STATES
+    kappas = _row_counts(states)
+    if len(kappas) != 1 or kappas[0] < 2:
+        raise ValueError(f"EDCP states share one kappa >= 2, got row counts {kappas}")
     q = states[0].q
     labels = np.stack([st.labels for st in states])  # (states, kappa, n)
     diffs = (labels[:, :-1] - labels[:, 1:]) % q  # (states, kappa-1, n)

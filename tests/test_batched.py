@@ -1,15 +1,26 @@
 """Whole-array sampling equals the one-draw-at-a-time sampler.
 
-`prover.sample_images` draws b, x and e0's uniforms per draw in the order
-of a single draw and does everything after on whole arrays; the
-reductions take all their images from one call. These tests compare
-both against a per-draw reference on the same seed."""
+`prover.sample_draws` draws b, x and e0's uniforms per draw in the order
+of a single draw, and `prover.sample_images` does everything after on
+whole arrays; the planted-secret reductions take all their draws, and no
+images, from one call. These tests compare both against a per-draw
+reference on the same seed."""
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ntcfk.ntcf import claws, gen
+from ntcfk import prover
+from ntcfk.ntcf import NtcfKey, claws, compute_bp, gen
 from ntcfk.presets import get_preset
-from ntcfk.prover import CosetState, samp_and_measure, sample_image, sample_images
+from ntcfk.prover import (
+    CosetState,
+    samp_and_measure,
+    sample_draws,
+    sample_image,
+    sample_images,
+)
 from ntcfk.reductions import (
     _sampling_key,
     end_to_end_recover,
@@ -174,3 +185,92 @@ class TestSolverReports:
         report = solve_edcp_desk(edcp)
         assert (report.success, report.candidate, report.states_consumed,
                 report.detail) == (False, None, 4, "inconsistent label differences")
+
+
+REDUCTIONS = [("dcp", 2)] + [("edcp", kappa) for kappa in range(2, 7)]
+
+
+def reduce(inst, path, kappa, count, rng):
+    if path == "dcp":
+        return lwe_to_dcp(inst, count, rng)
+    return lwe_to_edcp(inst, count, kappa, rng)
+
+
+@pytest.mark.parametrize("count", [0, 1, 9])
+@pytest.mark.parametrize("path,kappa", REDUCTIONS)
+def test_reductions_leave_the_generator_where_per_state_does(path, kappa, count):
+    """Draws without images still take e0's uniforms: the generator must
+    end in the per-state reference's state, not only agree on labels."""
+    inst, _t = desk_instance(93)
+    rng, reference = np.random.default_rng(94), np.random.default_rng(94)
+    states = reduce(inst, path, kappa, count, rng)
+    want = per_state_claws(inst, kappa, count, reference)
+    assert [st.labels.tolist() for st in states] == [w.tolist() for w in want]
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to it, by method."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def wide_key(n):
+    """A random desk-k3-like key with n columns."""
+    p = replace(DESK, n=n, b_p=compute_bp(DESK.q, n, DESK.m, DESK.kappa, DESK.c_t))
+    rng = np.random.default_rng(95)
+    A = rng.integers(0, p.q, size=(p.m, n), dtype=np.int64)
+    return NtcfKey(p, A, rng.integers(0, p.q, size=p.m, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_a_draw_is_two_generator_calls(n):
+    key = wide_key(n)
+    counting, reference = CountingGenerator(96), np.random.default_rng(96)
+    B, X, Y = sample_images(key, counting, 7)
+    assert counting.calls == {"integers": 7, "random": 7}
+    for i in range(7):
+        b, x, y = reference_image(key, reference)
+        assert B[i] == b and np.array_equal(X[i], x) and np.array_equal(Y[i], y)
+    counting.calls.clear()
+    sample_image(key, counting)
+    assert counting.calls == {"integers": 1, "random": 1}
+    counting.calls.clear()
+    assert sample_draws(key, counting, 0)[0].shape == (0,)
+    assert not counting.calls
+
+
+@pytest.mark.parametrize("path,kappa", REDUCTIONS)
+def test_planted_reductions_build_no_image(path, kappa, monkeypatch):
+    def no_image(*_args):
+        raise AssertionError("the planted-secret reductions build no image")
+
+    inst, t = desk_instance(97)
+    monkeypatch.setattr(prover, "image_gaussian", no_image)
+    monkeypatch.setattr(prover, "mat_vec_mul", no_image)
+    counting = CountingGenerator(98)
+    states = reduce(inst, path, kappa, 9, counting)
+    assert counting.calls == {"integers": 9, "random": 9}
+    assert len(states) == 9
+    for st in states:
+        assert np.array_equal(st.sbar, t.s.entries)
+
+
+def test_kappa_view_is_cached():
+    inst, _t = desk_instance(99)
+    for kappa in range(2, 7):
+        p = _sampling_key(inst, kappa).params
+        assert p is _sampling_key(inst, kappa).params
+        assert p == replace(DESK, kappa=kappa,
+                            b_p=compute_bp(DESK.q, DESK.n, DESK.m, kappa, DESK.c_t))
+    assert _sampling_key(inst, DESK.kappa).params is DESK

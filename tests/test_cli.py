@@ -153,6 +153,13 @@ class TestReduce:
         assert rc == EXIT_FAIL
         assert "success=False" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ell", ["0", "-1"])
+    @pytest.mark.parametrize("fault", [[], ["--inject-fault"]], ids=["recover", "inject-fault"])
+    def test_bad_ell_exit_2(self, ell, fault, capsys):
+        rc = run(["reduce", "--preset", "desk-k3", "--ell", ell, "--seed", "4"] + fault)
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --ell must be >= 1\n"
+
 
 class TestOracleCompare:
     def test_tiny_matches(self, capsys):

@@ -94,6 +94,14 @@ class TestLweToEdcp:
         with pytest.raises(ValueError):
             lwe_to_edcp(inst, 1, 1, rng)
 
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_negative_count(self, planted, rng):
+        inst, _t = desk_instance(rng, planted=planted)
+        for reduce in (lambda: lwe_to_dcp(inst, -1, rng),
+                       lambda: lwe_to_edcp(inst, -1, 3, rng)):
+            with pytest.raises(ValueError, match="state count must be >= 0, got -1"):
+                reduce()
+
     def test_inconsistent_differences_rejected(self):
         st = CosetState(np.array([[5], [3], [2]]), TINY.q)
         assert solve_edcp_desk([st]).detail == "inconsistent label differences"
@@ -142,6 +150,24 @@ class TestSolvers:
         report = solve_dcp_desk(states + [bad])
         assert not report.success
         assert "inconsistent" in report.detail
+
+    def test_dcp_solver_refuses_edcp_states(self, rng):
+        # rows 0 and 1 of a kappa=3 state alone would read off -s
+        inst, _t = desk_instance(rng)
+        states = lwe_to_edcp(inst, 3, 3, rng)
+        with pytest.raises(ValueError, match=r"two rows each, got row counts \[3\]"):
+            solve_dcp_desk(states)
+        with pytest.raises(ValueError, match=r"row counts \[2, 3\]"):
+            solve_dcp_desk(lwe_to_dcp(inst, 2, rng) + states)
+
+    def test_edcp_solver_refuses_mixed_kappa(self, rng):
+        inst, _t = desk_instance(rng)
+        states = lwe_to_edcp(inst, 2, 2, rng) + lwe_to_edcp(inst, 2, 3, rng)
+        with pytest.raises(ValueError, match=r"one kappa >= 2, got row counts \[2, 3\]"):
+            solve_edcp_desk(states)
+        single = CosetState(np.array([[5, 1]]), DESK.q)
+        with pytest.raises(ValueError, match=r"one kappa >= 2, got row counts \[1\]"):
+            solve_edcp_desk([single])
 
     def test_edcp_corrupted_state(self, rng):
         inst, _t = desk_instance(rng)
