@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -101,10 +102,24 @@ def _make_prover(kind: str, p: NtcfParams, rng: np.random.Generator):
     raise ValueError(f"unknown prover kind {kind!r}")
 
 
+_TCP = re.compile(r"tcp:([^:]+):([0-9]{1,5})")
+
+
+def _tcp_address(transport: str) -> tuple[str, int]:
+    """HOST and PORT of `tcp:HOST:PORT`, HOST non-empty and PORT decimal
+    in 0-65535; ValueError for any other text."""
+    match = _TCP.fullmatch(transport)
+    if match is None or int(match[2]) > 65535:
+        raise ValueError(f"bad --transport {transport!r}: expected inproc or tcp:HOST:PORT "
+                         "with a non-empty HOST and a decimal PORT in 0-65535")
+    return match[1], int(match[2])
+
+
 def cmd_protocol(args) -> int:
     p = _resolve_params(args)
     if args.rounds < 1:
         raise ValueError("--rounds must be >= 1")
+    address = None if args.transport == "inproc" else _tcp_address(args.transport)
     seed = _resolve_seed(args)
     v_rng = np.random.default_rng(seed)
     p_rng = np.random.default_rng(seed + 1)
@@ -112,16 +127,11 @@ def cmd_protocol(args) -> int:
     if args.prover == "honest":
         print(f"honest mode: {prover.mode}")
     try:
-        if args.transport == "inproc":
+        if address is None:
             stats = run_protocol(p, prover, args.rounds, v_rng, keep_transcripts=True)
-        elif args.transport.startswith("tcp:"):
-            _tcp, host, port = args.transport.split(":")
-            port = int(port)
-            if not 0 <= port <= 65535:
-                raise ValueError(f"--transport port {port} is outside 0-65535")
-            stats = run_protocol_tcp(p, prover, args.rounds, v_rng, host=host, port=port)
         else:
-            raise ValueError(f"bad --transport {args.transport!r}")
+            host, port = address
+            stats = run_protocol_tcp(p, prover, args.rounds, v_rng, host=host, port=port)
     except SessionAbort as exc:
         print(f"session abort: {exc}", file=sys.stderr)
         return EXIT_ERROR

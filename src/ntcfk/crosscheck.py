@@ -17,9 +17,10 @@ labels are built per call (`_per_set`), so the caches stay a few MiB.
 
 Each call allocates and frees about 1 MB of arrays on NOISY. The large
 cached arrays sit outside the malloc heap (`_off_heap`), and the analytic
-rows are sorted in place, so that the heap a call grows stays below
-glibc's trim threshold: past it, glibc trims the heap after each call
-and the next call faults it back in, about 110 page faults per call.
+rows are sorted in place, to keep the heap a call grows below glibc's
+trim threshold: past it, glibc trims the heap after each call and the
+next call faults it back in, about 110 page faults per call. They have
+not kept every benchmark run below it: see `_off_heap` for the counts.
 """
 from __future__ import annotations
 
@@ -141,8 +142,10 @@ def _off_heap(a: np.ndarray) -> np.ndarray:
     it they filled the free space that each call's temporaries reuse,
     so calls grew the heap and glibc trimmed it back after them, and the
     next call faulted it in again. In 25-s oracle-noisy benchmark runs
-    that read about 40 minor faults per op, against 1.4 to 1.9 with the
-    arrays here."""
+    on a 2-vCPU container that read about 40 minor faults per op. With
+    the maps, ten-run sets on unchanged code of this module read 1.4 to
+    1.9 (BENCH_21.json), 24.6 to 31.3 (BENCH_22.json) and 12.5 to 14.7,
+    one run at 70.5 (BENCH_24.json, both sides)."""
     out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype, count=a.size)
     out = out.reshape(a.shape)
     out[...] = a

@@ -19,7 +19,7 @@ import numpy as np
 from .zq import (Q_MAX, codes_are_digits, common_rows, domain_grid, lift_residues, read_only,
                  row_codes, sort_codes)
 
-DEFAULT_TABLE_CAP = 10**6
+TABLE_CAP = 10**6  # the most points an exact density table may have
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,19 +179,19 @@ class TruncatedGaussian:
     def support_size(self) -> int:
         return (2 * self.radius + 1) ** self.dim
 
-    def support_arrays(self, cap: int = DEFAULT_TABLE_CAP) -> tuple[np.ndarray, np.ndarray]:
+    def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every support point as a row of residues, with its probability,
         in lexicographic order of the lifts. Cached, so both are
-        read-only."""
-        if self.support_size() > cap:
+        read-only. TableTooLarge past TABLE_CAP points."""
+        if self.support_size() > TABLE_CAP:
             raise TableTooLarge(
-                f"support has {self.support_size()} points, cap is {cap}"
+                f"support has {self.support_size()} points, cap is {TABLE_CAP}"
             )
         return _support_cached(self.q, self.radius, self.width, self.dim)
 
-    def table(self, cap: int = DEFAULT_TABLE_CAP) -> Density:
+    def table(self) -> Density:
         """The exact density over the truncated support."""
-        return Density(*self.support_arrays(cap))
+        return Density(*self.support_arrays())
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """The 1-D lift drawn by each uniform in u (any shape), by inverse
@@ -231,14 +231,11 @@ def _shared(f0: Density, f1: Density):
     return np.flatnonzero(hit), pos[hit]
 
 
-def _h2_from_affinity(bc: float) -> float:
-    return min(max(1.0 - bc, 0.0), 1.0)
-
-
 def hellinger_sq(f0: Density, f1: Density) -> float:
-    """H^2(f0, f1) = 1 - sum_x sqrt(f0(x) f1(x))."""
+    """H^2(f0, f1) = 1 - sum_x sqrt(f0(x) f1(x)), clipped to [0, 1]."""
     i, j = _shared(f0, f1)
-    return _h2_from_affinity(math.fsum(np.sqrt(f0.probs[i] * f1.probs[j]).tolist()))
+    affinity = math.fsum(np.sqrt(f0.probs[i] * f1.probs[j]).tolist())
+    return min(max(1.0 - affinity, 0.0), 1.0)
 
 
 def tv_distance(f0: Density, f1: Density) -> float:
@@ -268,21 +265,6 @@ def shifted_density(g: TruncatedGaussian, shift: np.ndarray) -> Density:
         raise ValueError("shift dimension mismatch")
     base = g.table()
     return Density((base.points + shift) % g.q, base.probs)
-
-
-def hellinger_sq_shifts(g: TruncatedGaussian, shifts: np.ndarray) -> list[float]:
-    """hellinger_sq(g.table(), shifted_density(g, s)) for a 1-D g and each
-    residue s in shifts, read off the 1-D table: the same products and
-    the same exactly rounded sum, so the same figures."""
-    if g.dim != 1:
-        raise ValueError("shifts of a 1-D Gaussian only")
-    points, probs = g.support_arrays()
-    r, q = g.radius, g.q
-    # Shifted point k lands on the base point of lift `moved` when |moved| <= r.
-    moved = lift_residues((points[:, 0] + np.asarray(shifts)[:, None]) % q, q)
-    hit = np.abs(moved) <= r
-    roots = np.where(hit, np.sqrt(probs[np.where(hit, moved + r, 0)] * probs), 0.0)
-    return [_h2_from_affinity(math.fsum(row)) for row in roots.tolist()]
 
 
 def hellinger_shift_bound(B: float, m: int, shift_norm: float) -> float:

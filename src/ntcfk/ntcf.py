@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trapdoor as td
-from .gaussian import Density, TruncatedGaussian, hellinger_sq_shifts, shifted_density
+from .gaussian import Density, TruncatedGaussian, hellinger_sq, shifted_density
 from .serialize import HEADER_KEY, HEADER_SK, FormatError, LineReader, LineWriter
 from .zq import (DimensionError, ZqVector, bit_width, euclidean_norm, is_prime, lift_residues,
                  mat_vec_mul, read_only)
@@ -274,15 +274,16 @@ def hellinger_branch(k: NtcfKey, t: NtcfTrapdoor, b: int) -> tuple[float, float]
 
     The two branch densities are shifts of each other by b*e, so the
     exact value only depends on b and e. Both are products of 1-D
-    factors, so the Hellinger affinity factorizes per coordinate; this
-    stays exact while avoiding the q^m joint table.
+    factors, so the Hellinger affinity is the product of the 1-D ones
+    in coordinate order; this stays exact without the q^m joint table.
     """
     p = k.params
     _check_branch(p, b)
     g1 = TruncatedGaussian(p.q, p.b_p, 1)
+    base = g1.table()
     affinity = 1.0
-    for h2 in hellinger_sq_shifts(g1, b * t.e % p.q):
-        affinity *= 1.0 - h2
+    for shift in (b * t.e % p.q).tolist():
+        affinity *= 1.0 - hellinger_sq(base, shifted_density(g1, [shift]))
     return 1.0 - affinity, hellinger_display_bound(p, b)
 
 
@@ -329,11 +330,16 @@ def _params_from_text(text: str) -> NtcfParams:
     return p
 
 
-def key_to_text(k: NtcfKey) -> str:
-    w = LineWriter(HEADER_KEY)
+def _key_write(w: LineWriter, k: NtcfKey) -> None:
+    """The params, A and t of a key, as `_key_read` reads them."""
     _params_fields(w, k.params)
     w.matrix("A", k.A)
     w.vector("t", k.t)
+
+
+def key_to_text(k: NtcfKey) -> str:
+    w = LineWriter(HEADER_KEY)
+    _key_write(w, k)
     return w.text()
 
 
@@ -342,10 +348,7 @@ def _key_read(r: LineReader) -> NtcfKey:
     length m of a key; anything else is a FormatError."""
     p = _params_from_text(r.block(PARAMS_LINES))
     A = r.matrix("A", p.m, p.n, p.q)
-    t = r.vector("t", p.q)
-    if len(t) != p.m:
-        raise FormatError(f"field t: length {len(t)}, not m={p.m}")
-    return NtcfKey(p, A, t)
+    return NtcfKey(p, A, r.vector("t", p.q, p.m))
 
 
 def key_from_text(text: str) -> NtcfKey:
@@ -357,9 +360,7 @@ def key_from_text(text: str) -> NtcfKey:
 
 def trapdoor_to_text(k: NtcfKey, t: NtcfTrapdoor) -> str:
     w = LineWriter(HEADER_SK)
-    _params_fields(w, k.params)
-    w.matrix("A", k.A)
-    w.vector("t", k.t)
+    _key_write(w, k)
     w.field("trap_mode", t.t_a.mode)
     w.field("n_bar", t.t_a.n_bar)
     if t.t_a.R is not None:
@@ -414,11 +415,9 @@ def trapdoor_from_text(text: str) -> tuple[NtcfKey, NtcfTrapdoor]:
     k = _key_read(r)
     p = k.params
     t_a = _trapdoor_read(r, k.A, p.q)
-    s = r.vector("s", p.q)
-    e = r.vector("e", p.q)
+    s = r.vector("s", p.q, p.n)
+    e = r.vector("e", p.q, p.m)
     r.done()
-    if (len(s), len(e)) != (p.n, p.m):
-        raise FormatError(f"fields s, e: lengths {len(s)}, {len(e)}, not n={p.n}, m={p.m}")
     radius = TruncatedGaussian(p.q, p.b_v, p.m).radius
     if np.abs(lift_residues(e, p.q)).max() > radius:
         raise FormatError(f"field e: an entry lies outside the B_V radius {radius}")

@@ -42,7 +42,7 @@ import numpy as np
 from .gaussian import Density, TruncatedGaussian
 from .ntcf import NtcfKey
 from .zq import (DimensionError, common_rows, domain_grid, mat_vec_add_mod, row_codes,
-                 sort_codes)
+                 rows_distinct, sort_codes)
 
 PRUNE_EPS = 1e-14
 NORM_TOL = 1e-9
@@ -193,7 +193,7 @@ def init_uniform(specs, labels) -> SparseState:
         raise ValueError(f"label matrix of shape {labels.shape} needs {len(radices)} columns")
     if ((labels < 0) | (labels >= radices)).any():
         raise ValueError("label coordinate outside its register's range")
-    if len(_group_rows(labels, radices)[1]) != len(labels):
+    if not rows_distinct(labels, radices):
         raise ValueError("repeated label")
     amps = np.full(len(labels), 1.0 / math.sqrt(len(labels)), dtype=np.complex128)
     return SparseState(specs, labels, amps)

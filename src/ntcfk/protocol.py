@@ -176,10 +176,8 @@ def _decode_payload(tag: int, text: str, params: NtcfParams | None):
         raise FrameError("params required to decode non-key messages")
     r = LineReader(text)
     if tag == TAG_IMAGE:
-        y = r.vector("y", params.q)
+        y = r.vector("y", params.q, params.m)
         r.done()
-        if len(y) != params.m:
-            raise FrameError(f"image length {len(y)} != m={params.m}")
         return MsgImage(y)
     if tag == TAG_CHALLENGE:
         kind = r.field("challenge")
@@ -189,20 +187,16 @@ def _decode_payload(tag: int, text: str, params: NtcfParams | None):
         return MsgChallenge(kind)
     if tag == TAG_PREIMAGE_RESP:
         b = r.int_field("b")
-        x = r.vector("x", params.q)
+        x = r.vector("x", params.q, params.n)
         r.done()
-        if len(x) != params.n:
-            raise FrameError(f"preimage length {len(x)} != n={params.n}")
         return MsgPreimageResp(b, x)
     if tag == TAG_EQUATION_RESP:
         bp = r.int_field("bprime")
         c = r.int_field("c")
-        d = r.bits("d")
+        d = r.bits("d", params.d_len)
         r.done()
         if c not in (0, 1):
             raise FrameError(f"bad c={c}")
-        if len(d) != params.d_len:
-            raise FrameError(f"d length {len(d)} != {params.d_len}")
         return MsgEquationResp(bp, c, d)
     if tag == TAG_RED_FAILURE:
         reason = r.field("reason")

@@ -1,7 +1,7 @@
 """LWE to DCP / EDCP reduction pipelines with desk-scale solver oracles.
 
 The pipelines reuse the prover's sampling machinery: an LWE instance
-(A, t = As + e) is wrapped as a function-family key, the claw
+holds (A, t = As + e) as a function-family key, the claw
 superposition is produced for each state, and its (kappa, n) label array
 is the coset state (`prover.CosetState`, two rows for DCP). The DCP
 secret that falls out is s_tilde = -s mod q (the second label minus the
@@ -39,16 +39,10 @@ from .zq import ZqVector, euclidean_norm, mat_vec_mul
 
 @dataclass(frozen=True, eq=False)
 class LweInstance:
-    """(A, t), both read-only arrays of residues, and the planted s."""
+    """The key (A, t) and the planted s."""
 
-    A: np.ndarray
-    t: np.ndarray
-    params: NtcfParams
+    key: NtcfKey
     planted_s: ZqVector | None = None  # simulation shortcut, see module doc
-
-    def __post_init__(self):
-        if len(self.t) != self.params.m:
-            raise ValueError(f"t must have length m={self.params.m}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class SolverReport:
 
 
 def instance_from_key(k: NtcfKey, planted_s: ZqVector | None = None) -> LweInstance:
-    return LweInstance(k.A, k.t, k.params, planted_s)
+    return LweInstance(k, planted_s)
 
 
 @functools.lru_cache(maxsize=64)
@@ -73,7 +67,7 @@ def _kappa_view(p: NtcfParams, kappa: int) -> NtcfParams:
 
 def _sampling_key(inst: LweInstance, kappa: int) -> NtcfKey:
     """View the LWE instance as a kappa-branch sampling key."""
-    return NtcfKey(_kappa_view(inst.params, kappa), inst.A, inst.t)
+    return NtcfKey(_kappa_view(inst.key.params, kappa), inst.key.A, inst.key.t)
 
 
 def _coset_states(
@@ -100,7 +94,7 @@ def _coset_states(
     else:
         B, X, _U = sample_draws(k, rng, count)
         rows = claws(X + B[:, None] * s.entries, s, kappa)
-    return [CosetState(labels, inst.params.q) for labels in rows]
+    return [CosetState(labels, inst.key.params.q) for labels in rows]
 
 
 def lwe_to_dcp(
@@ -117,9 +111,11 @@ def lwe_to_dcp(
 def lwe_to_edcp(
     inst: LweInstance, ell: int, kappa: int, rng: np.random.Generator
 ) -> list[CosetState]:
-    """Produce ell uniform EDCP states with fresh x0 per state."""
-    if kappa < 2:
-        raise ValueError("kappa must be >= 2")
+    """Produce ell uniform EDCP states with fresh x0 per state; ValueError
+    unless 2 <= kappa <= q (past q, claw labels b and b + q are equal)."""
+    q = inst.key.params.q
+    if not 2 <= kappa <= q:
+        raise ValueError(f"kappa={kappa} must be >= 2 and <= q={q}")
     return _coset_states(inst, kappa, ell, rng)
 
 
@@ -174,9 +170,10 @@ def solve_edcp_desk(states: list[CosetState]) -> SolverReport:
 
 def verify_candidate(inst: LweInstance, s: ZqVector) -> bool:
     """Accept s iff the residual t - As is a valid B_V-bounded error."""
-    q = inst.params.q
-    resid = (inst.t - mat_vec_mul(inst.A, s.entries, q)) % q
-    return euclidean_norm(resid, q) <= inst.params.b_v * math.sqrt(inst.params.m)
+    k = inst.key
+    p = k.params
+    resid = (k.t - mat_vec_mul(k.A, s.entries, p.q)) % p.q
+    return euclidean_norm(resid, p.q) <= p.b_v * math.sqrt(p.m)
 
 
 def end_to_end_recover(
@@ -197,7 +194,7 @@ def end_to_end_recover(
             return report
         cand = ZqVector(-report.candidate.entries, report.candidate.q)
     elif path == "edcp":
-        kap = kappa if kappa is not None else max(inst.params.kappa, 3)
+        kap = kappa if kappa is not None else max(inst.key.params.kappa, 3)
         report = solve_edcp_desk(lwe_to_edcp(inst, count, kap, rng))
         if not report.success:
             return report

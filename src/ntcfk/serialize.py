@@ -3,16 +3,15 @@
 Each line ends in one "\n", the last one too; no other character breaks
 a line. One field per line as `name=value`. An integer field is its
 str() and a float field its repr(), so floats round-trip bit-exactly;
-the reader accepts a scalar only in exactly that text. Vectors are
-residues in [0, q) as ASCII decimals split by single spaces, with no
-sign and no leading zero; the reader, given q as a plain int, accepts
-nothing else, and returns them as a read-only int64 array. A bit string is ASCII 0s and 1s, read
-as a read-only 0/1 int64 array. A matrix
-field is `name=rows cols` and one line per row; its reader knows the
-shape and accepts that header only, and rows of cols entries each:
-residues below q (the key's A) or, for the trapdoor's signed R,
-`0|-?[1-9][0-9]*`, as a read-only int64 array. Files open with a
-versioned header line. No text over MAX_TEXT_CHARS is parsed.
+the reader accepts a scalar only in exactly that text. A vector, bit
+string or matrix reader is given the length or shape and accepts that
+many entries only. Vectors are residues in [0, q) as ASCII decimals
+split by single spaces, with no sign and no leading zero; bit strings
+are ASCII 0s and 1s. A matrix field is `name=rows cols` and one line
+per row of cols entries: residues below q (the key's A) or, for the
+trapdoor's signed R, `0|-?[1-9][0-9]*`. Each is read as a read-only
+int64 array. Files open with a versioned header line. No text over
+MAX_TEXT_CHARS is parsed.
 """
 from __future__ import annotations
 
@@ -38,22 +37,14 @@ class FormatError(ValueError):
 # int64 before the range check. The trapdoor's R entries may add a minus.
 _RESIDUE = r"(?:0|[1-9][0-9]{0,9})"
 _SIGNED = r"(?:0|-?[1-9][0-9]{0,9})"
-_RESIDUES = re.compile(rf"(?:{_RESIDUE}(?: {_RESIDUE})*)?")
 _BITS = re.compile("[01]*")
 
 
-def _residues(name: str, text: str, q: int) -> np.ndarray:
-    """The values of a `_RESIDUES` line, each below q."""
-    if _RESIDUES.fullmatch(text) is None:
-        raise FormatError(f"field {name}: bad residues {text!r}")
-    # The grammar is checked, so numpy's text parser reads every value.
-    # Given no count it over-allocates and shrinks each result, which
-    # raised the desk-inproc peak RSS by ~0.7 MiB.
-    count = text.count(" ") + 1 if text else 0
-    values = np.fromstring(text, dtype=np.int64, count=count, sep=" ")
-    if values.size and values.max() >= q:
-        raise FormatError(f"field {name}: residue not below q={q}")
-    return values
+@functools.lru_cache(maxsize=32)
+def _row_pattern(count: int, signed: bool) -> re.Pattern:
+    """count residues, or signed entries, split by single spaces."""
+    entry = _SIGNED if signed else _RESIDUE
+    return re.compile(f"{entry}(?: {entry}){{{count - 1}}}" if count else "")
 
 
 @functools.lru_cache(maxsize=32)
@@ -65,8 +56,7 @@ def _matrix_template(rows: int, cols: int) -> str:
 @functools.lru_cache(maxsize=32)
 def _matrix_pattern(name: str, rows: int, cols: int, signed: bool) -> re.Pattern:
     """The header `name=rows cols`, then rows lines of cols entries each."""
-    entry = _SIGNED if signed else _RESIDUE
-    row = "\n" + (f"{entry}(?: {entry}){{{cols - 1}}}" if cols else "")
+    row = "\n" + _row_pattern(cols, signed).pattern
     return re.compile(re.escape(f"{name}={rows} {cols}") + f"(?:{row}){{{rows}}}")
 
 
@@ -155,10 +145,19 @@ class LineReader:
             pass
         raise FormatError(f"field {name}: bad float {v!r}")
 
-    def vector(self, name: str, q: int) -> np.ndarray:
-        """Canonical residues only: see `_RESIDUES`, and each below q, as a
-        read-only array."""
-        return read_only(_residues(name, self._value(name), q))
+    def vector(self, name: str, q: int, length: int) -> np.ndarray:
+        """Exactly length canonical residues, each below q, as a read-only
+        array."""
+        text = self._value(name)
+        # Tested first, it bounds the pattern's size.
+        if length > len(text) or not _row_pattern(length, False).fullmatch(text):
+            raise FormatError(f"field {name}: not {length} canonical residues")
+        # Given no count, numpy's text parser over-allocates and shrinks
+        # each result, which raised the desk-inproc peak RSS by ~0.7 MiB.
+        values = np.fromstring(text, dtype=np.int64, count=length, sep=" ")
+        if length and values.max() >= q:
+            raise FormatError(f"field {name}: residue not below q={q}")
+        return read_only(values)
 
     def matrix(self, name: str, rows: int, cols: int, q: int | None = None) -> np.ndarray:
         """The header `name=rows cols`, then rows lines of cols entries:
@@ -173,11 +172,11 @@ class LineReader:
             raise FormatError(f"matrix {name}: residue not below q={q}")
         return read_only(values.reshape(rows, cols))
 
-    def bits(self, name: str) -> np.ndarray:
-        """ASCII 0s and 1s only, as a read-only 0/1 array."""
+    def bits(self, name: str, length: int) -> np.ndarray:
+        """Exactly length ASCII 0s and 1s, as a read-only 0/1 array."""
         v = self._value(name)
-        if _BITS.fullmatch(v) is None:
-            raise FormatError(f"field {name}: bad bit string {v!r}")
+        if len(v) != length or _BITS.fullmatch(v) is None:
+            raise FormatError(f"field {name}: not {length} bits")
         return read_only(np.frombuffer(v.encode(), dtype=np.uint8).astype(np.int64) - 48)
 
     def done(self) -> None:

@@ -227,18 +227,6 @@ def j_encode(x: np.ndarray, q: int) -> np.ndarray:
     return ((x[:, None] >> _block_shifts(q)) & 1).reshape(-1)
 
 
-def j_decode(d: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Inverse of j_encode. Rejects blocks encoding a value >= q."""
-    shifts = _block_shifts(q)
-    if len(d) != n * len(shifts):
-        raise DimensionError(f"expected {n * len(shifts)} bits, got {len(d)}")
-    vals = d.reshape(n, len(shifts)) @ (1 << shifts)
-    if n and vals.max() >= q:
-        i = int(np.argmax(vals >= q))
-        raise ValueError(f"block {i} decodes to {vals[i]} >= q={q}")
-    return vals
-
-
 def equation_bit(d: np.ndarray, x_bar0: np.ndarray, x_bar1: np.ndarray, q: int) -> int:
     """The test-round equation bit d . (J(x_bar0) xor J(x_bar1)) mod 2.
 

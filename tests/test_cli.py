@@ -122,6 +122,23 @@ class TestProtocol:
                   "--transport", "tcp:127.0.0.1:70000", "--out", str(tmp_path)])
         assert rc == EXIT_ERROR
 
+    @pytest.mark.parametrize("transport", [
+        "tcp:127.0.0.1", "tcp:h:1:2", "tcp:127.0.0.1:", "tcp::0", "tcp:127.0.0.1:65536",
+        "tcp:127.0.0.1:+1", "tcp:127.0.0.1: 1", "tcp:127.0.0.1:\u0661", "carrier-pigeon",
+    ], ids=["no-port", "three-fields", "empty-port", "empty-host", "port-65536",
+            "port-plus-sign", "port-space", "port-arabic-indic-digit", "not-tcp"])
+    def test_transport_forms_exit_2(self, transport, tmp_path, capsys):
+        """Only inproc and tcp:HOST:PORT run, HOST non-empty and PORT
+        decimal in 0-65535; every other form gets the same error, before
+        any session."""
+        rc = run(["protocol", "--preset", "tiny-exact", "--rounds", "2",
+                  "--transport", transport, "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: bad --transport {transport!r}: expected inproc or tcp:HOST:PORT "
+            "with a non-empty HOST and a decimal PORT in 0-65535\n")
+        assert not (tmp_path / "stats.txt").exists()
+
     def test_zero_rounds_exit_2(self, tmp_path):
         rc = run(["protocol", "--preset", "tiny-exact", "--rounds", "0",
                   "--out", str(tmp_path)])
@@ -159,6 +176,20 @@ class TestReduce:
         rc = run(["reduce", "--preset", "desk-k3", "--ell", ell, "--seed", "4"] + fault)
         assert rc == EXIT_ERROR
         assert capsys.readouterr().err == "error: --ell must be >= 1\n"
+
+    @pytest.mark.parametrize("kappa, code", [("521", EXIT_OK), ("522", EXIT_ERROR),
+                                             ("600", EXIT_ERROR)])
+    def test_edcp_kappa_at_most_q(self, kappa, code, capsys):
+        """EDCP states take kappa up to q = 521; past it, claw labels
+        repeat and the pipeline refuses to run."""
+        rc = run(["reduce", "--preset", "desk-k3", "--path", "edcp", "--kappa", kappa,
+                  "--seed", "4"])
+        assert rc == code
+        out = capsys.readouterr()
+        if code == EXIT_OK:
+            assert "plant matches: True" in out.out
+        else:
+            assert out.err == f"error: kappa={kappa} must be >= 2 and <= q=521\n"
 
 
 class TestOracleCompare:

@@ -308,6 +308,32 @@ class TestHellingerBranch:
             vals = [hellinger_branch(k, t, b)[0] for b in range(p.kappa)]
             assert vals == sorted(vals)
 
+    # float.hex of the exact H^2 of every branch of the keys of seeds 11,
+    # 13 and 14: the figures `ntcfk stats` prints, bit for bit.
+    PINS = {
+        "tiny-exact": [("0x0.0p+0",) * 3] * 3,
+        "desk-k3": [("0x0.0p+0", "0x1.57b6d9fbd0ff4p-3", "0x1.09f51fbae2f90p-1"),
+                    ("0x0.0p+0", "0x1.57b6d9fbd0ff4p-3", "0x1.09f51fbae2f90p-1"),
+                    ("0x0.0p+0", "0x1.ed4aee633b500p-3", "0x1.557056ee8d315p-1")],
+        "desk-k2": [("0x0.0p+0", "0x1.923b694162528p-4"),
+                    ("0x0.0p+0", "0x1.923b694162528p-4"),
+                    ("0x0.0p+0", "0x1.26245736d6f54p-3")],
+        "desk-flood": [("0x0.0p+0", "0x1.ea6c0392717c0p-7", "0x1.6c14bff6f57f0p-5"),
+                       ("0x0.0p+0", "0x1.ec4550d329a80p-8", "0x1.7038021b95f60p-6"),
+                       ("0x0.0p+0", "0x1.31f0286ea8ac0p-6", "0x1.c48b5c7d53b10p-5")],
+        "Q97_K3": [("0x1.0000000000000p-52", "0x1.2a03c0a8510d0p-5", "0x1.0cd1887f49e88p-3"),
+                   ("0x1.0000000000000p-52",) * 3,
+                   ("0x1.0000000000000p-52",) * 3],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_figures_pinned(self, name):
+        p = Q97_K3 if name == "Q97_K3" else get_preset(name)
+        for seed, want in zip((11, 13, 14), self.PINS[name]):
+            k, t = gen(p, np.random.default_rng(seed))
+            got = tuple(hellinger_branch(k, t, b)[0].hex() for b in range(p.kappa))
+            assert got == want, (name, seed)
+
 
 class TestSerialization:
     def test_key_round_trip(self, rng):
@@ -501,6 +527,7 @@ def _exhaustive_sk(preset, m, zero_a=False):
     _edit_field("s", lambda v: v + " 3"),
     _edit_field("s", lambda v: v.split(" ")[0]),
     _edit_field("e", lambda v: v.split(" ")[0]),
+    _edit_field("e", lambda v: v + " 0"),
     _set_field("s", "0 0"),
     _edit_field("e", _first_plus_one),
     _s_plus_one,
@@ -509,7 +536,7 @@ def _exhaustive_sk(preset, m, zero_a=False):
         "exhaustive-over-cap", "exhaustive-A-zero", "R-entry-underscore",
         "R-entry-arabic-indic-digit", "R-entry-plus-sign", "R-entry-negative-zero",
         "R-entry-leading-zero", "R-double-space", "s-long", "s-short", "e-short",
-        "s-zero", "e-entry-plus-one", "s-plus-one-e-outside-radius"])
+        "e-long", "s-zero", "e-entry-plus-one", "s-plus-one-e-outside-radius"])
 def test_malformed_sk_file_rejected(edit):
     """A secret key whose trapdoor fields are not the ones its A gives,
     whose exhaustive layout `gen_trap` would not make, or whose s and e

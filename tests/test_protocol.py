@@ -312,6 +312,10 @@ class TestFrameErrors:
         pytest.param(0x04, b"b= 1\nx=3\n", id="preimage-b-leading-space"),
         pytest.param(0x04, b"b=1_0\nx=3\n", id="preimage-b-underscore"),
         pytest.param(0x05, b"bprime=1\nc=-0\nd=101\n", id="equation-c-negative-zero"),
+        pytest.param(0x02, b"y=\n", id="image-empty"),
+        pytest.param(0x04, b"b=0\nx=3 1\n", id="preimage-x-long"),
+        pytest.param(0x04, b"b=0\nx=\n", id="preimage-x-empty"),
+        pytest.param(0x05, b"bprime=1\nc=0\nd=1010\n", id="equation-d-long"),
         *line_break_payloads(),
     ])
     def test_malformed_payload(self, tag, payload):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ntcfk.ntcf import NtcfParams, compute_bp, gen
+from ntcfk.ntcf import NtcfKey, NtcfParams, compute_bp, gen
 from ntcfk.presets import get_preset
 from ntcfk.prover import CosetState, RedFailed, red_edcp_to_dcp
 from ntcfk.reductions import (
@@ -42,7 +42,7 @@ class TestInstances:
         k, _t = gen(TINY, rng)
         short = np.array([1])
         with pytest.raises(ValueError):
-            LweInstance(k.A, short, TINY)
+            LweInstance(NtcfKey(TINY, k.A, short))
 
     def test_verify_planted(self, rng):
         for _ in range(20):
@@ -62,8 +62,9 @@ class TestLweToDcp:
     def test_exact_enumeration_path(self, rng):
         # no planted secret: the claw comes from full enumeration
         inst, t = tiny_instance(rng)
+        q = inst.key.params.q
         for st in lwe_to_dcp(inst, 10, rng):
-            assert np.array_equal((st.x1 - st.x0) % inst.params.q, -t.s.entries % inst.params.q)
+            assert np.array_equal((st.x1 - st.x0) % q, -t.s.entries % q)
 
     def test_fresh_x0_per_state(self, rng):
         inst, _t = desk_instance(rng)
@@ -93,6 +94,20 @@ class TestLweToEdcp:
         inst, _t = desk_instance(rng)
         with pytest.raises(ValueError):
             lwe_to_edcp(inst, 1, 1, rng)
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_kappa_ceiling(self, planted, rng):
+        """kappa = q gives states of q distinct labels; past q, labels b
+        and b + q of every claw are equal, and that is refused."""
+        inst, t = tiny_instance(rng)
+        if planted:
+            inst = LweInstance(inst.key, t.s)
+        q = TINY2.q
+        assert t.s.entries.any()  # else the labels are all equal
+        for st in lwe_to_edcp(inst, 3, q, rng):
+            assert len({tuple(x) for x in st.labels.tolist()}) == q
+        with pytest.raises(ValueError, match=f"kappa={q + 1} must be >= 2 and <= q={q}"):
+            lwe_to_edcp(inst, 3, q + 1, rng)
 
     @pytest.mark.parametrize("planted", [True, False])
     def test_negative_count(self, planted, rng):
@@ -210,10 +225,9 @@ class TestEndToEnd:
         # corrupt t after sampling: the unanimous candidate no longer
         # satisfies the LWE relation and verification must reject it
         inst, t = desk_instance(rng)
+        k = inst.key
         bumped = LweInstance(
-            inst.A,
-            (inst.t + np.array([100] * DESK.m)) % DESK.q,
-            inst.params,
+            NtcfKey(k.params, k.A, (k.t + np.array([100] * DESK.m)) % DESK.q),
             planted_s=t.s,
         )
         report = end_to_end_recover(bumped, "dcp", rng)
