@@ -11,14 +11,15 @@ outcomes consume a retry with a fresh key instead of a rejection.
 Wire format: a frame is a 4-byte big-endian payload length, a 1-byte
 message tag, then the payload in canonical text.
 
-One verifier loop runs every session on the calling thread, over a
-loopback channel where the prover answers each frame as it is sent. Over
-TCP (TCP_NODELAY set) the same loopback first carries each frame across
-a localhost connection, from the sender's end to the receiver's; there
-is no server thread. On both transports each frame is encoded once by
-its sender and decoded once by its receiver, so transcripts are
-byte-comparable across transports. The idealized honest prover's secret
-hint travels beside the channel, never through it.
+One verifier loop runs every session on the calling thread. It hands
+each frame to an exchange function, in which the prover decodes and
+answers it at once. Over TCP (TCP_NODELAY set) the exchange first
+carries the frame across a localhost connection, from the verifier's end
+to the prover's, and the reply back; there is no server thread. On both
+transports each frame is encoded once by its sender and decoded once by
+its receiver, so transcripts are byte-comparable across transports. The
+idealized honest prover's secret hint travels beside the exchange, never
+through it.
 y, x and d travel as int64 arrays (d of 0s and 1s), so the messages that
 carry them compare by identity, not value.
 """
@@ -381,42 +382,6 @@ def _prover_step(prover, msg):
     raise ProtocolError(f"prover got unexpected {type(msg).__name__}")
 
 
-def _cross(frame: bytes, src, dst) -> bytes:
-    """Send a frame from one end of a connection and read it at the other."""
-    src.send(frame)
-    got = dst.recv()
-    if got is None:
-        raise SessionAbort("peer closed connection mid-round")
-    return got
-
-
-class _Loopback:
-    """The session's channel: the prover decodes and answers each frame
-    as the verifier sends it, on the calling thread. Given the verifier's
-    and the prover's ends of a connection, each frame crosses it first,
-    and the reply crosses back."""
-
-    def __init__(self, prover, params: NtcfParams, ends=None):
-        self._prover = prover
-        self._params = params
-        self._ends = ends
-        self._reply: bytes | None = None
-
-    def send(self, frame: bytes) -> None:
-        if self._ends is not None:
-            frame = _cross(frame, *self._ends)
-        reply = _prover_step(self._prover, frame_decode(frame, self._params))
-        if reply is not None:
-            reply = frame_encode(reply)
-            if self._ends is not None:
-                reply = _cross(reply, *reversed(self._ends))
-        self._reply = reply
-
-    def recv(self) -> bytes | None:
-        frame, self._reply = self._reply, None
-        return frame
-
-
 def _read_frame(stream) -> bytes | None:
     head = stream.read(4)
     if not head:
@@ -431,56 +396,70 @@ def _read_frame(stream) -> bytes | None:
     return head + rest
 
 
-class _SocketChannel:
-    """One end of a TCP session. Each message is one small frame that
-    waits for a reply, so Nagle's algorithm is off: with it on, a frame
-    sits in the kernel until the peer's delayed ACK."""
-
-    def __init__(self, sock: socket.socket):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(TCP_TIMEOUT_S)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-
-    def send(self, frame: bytes) -> None:
-        self._sock.sendall(frame)
-
-    def recv(self) -> bytes | None:
-        return _read_frame(self._rfile)
-
-    def close(self) -> None:
-        self._rfile.close()
-        self._sock.close()
+def _socket_end(sock: socket.socket):
+    """One end of a TCP session: the socket and a buffered reader on it.
+    Each message is one small frame that waits for a reply, so Nagle's
+    algorithm is off: with it on, a frame sits in the kernel until the
+    peer's delayed ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(TCP_TIMEOUT_S)
+    return sock, sock.makefile("rb")
 
 
-def _verify_attempt(channel, params, rng, hint) -> Transcript:
+def _cross(frame: bytes, src, dst) -> bytes:
+    """Send a frame from one (socket, reader) end of a connection and
+    read it at the other."""
+    src[0].sendall(frame)
+    got = _read_frame(dst[1])
+    if got is None:
+        raise SessionAbort("peer closed connection mid-round")
+    return got
+
+
+def _prover_end(prover, params: NtcfParams, ends=None):
+    """The session's exchange: the prover decodes and answers each frame
+    as the verifier sends it, on the calling thread; None answers a
+    verdict. Given the verifier's and the prover's ends of a connection,
+    each frame crosses it first, and the reply crosses back."""
+    def exchange(frame: bytes) -> bytes | None:
+        if ends is not None:
+            frame = _cross(frame, *ends)
+        reply = _prover_step(prover, frame_decode(frame, params))
+        if reply is None:
+            return None
+        reply = frame_encode(reply)
+        return reply if ends is None else _cross(reply, *reversed(ends))
+
+    return exchange
+
+
+def _verify_attempt(exchange, params, rng, hint) -> Transcript:
     """One key/image/challenge/response/verdict exchange. The verifier
     acts only on the frames it decodes, never on the prover's objects."""
     t = Transcript()
 
-    def send(msg) -> None:
+    def send(msg, *expected):
+        """Send a message and return the prover's decoded reply, which
+        must be one of `expected`; the verdict expects none."""
         frame = frame_encode(msg)
         t.frames.append(frame)
-        channel.send(frame)
-
-    def recv(*expected):
-        frame = channel.recv()
-        t.frames.append(frame)
-        msg = frame_decode(frame, params)
-        if not isinstance(msg, expected):
-            raise ProtocolError(f"unexpected {type(msg).__name__} from the prover")
-        return msg
+        reply = exchange(frame)
+        if not expected:
+            return None
+        t.frames.append(reply)
+        answer = frame_decode(reply, params)
+        if not isinstance(answer, expected):
+            raise ProtocolError(f"unexpected {type(answer).__name__} from the prover")
+        return answer
 
     vr = VerifierRound(params, rng)
     if hint is not None:
         hint(vr.secret_s())
-    send(vr.key_message())
-    result = vr.receive_image(recv(MsgImage).y)
+    result = vr.receive_image(send(vr.key_message(), MsgImage).y)
     if result is None:
         ch = vr.challenge(rng)
-        send(ch)
         t.challenge_kind = ch.kind
-        answer = recv(MsgPreimageResp, MsgEquationResp, MsgRedFailure)
+        answer = send(ch, MsgPreimageResp, MsgEquationResp, MsgRedFailure)
         if isinstance(answer, MsgPreimageResp):
             result = vr.check_generation(answer.b, answer.x)
         elif isinstance(answer, MsgEquationResp):
@@ -495,7 +474,7 @@ def _verify_attempt(channel, params, rng, hint) -> Transcript:
 
 def _run_session(params, prover, n_rounds, rng, retry_cap, keep_transcripts=True,
                  ends=None) -> SessionStats:
-    """The verifier's session over a `_Loopback`: rounds, verdicts, stats.
+    """The verifier's session over `_prover_end`: rounds, verdicts, stats.
 
     Retries (RED failure, all-zero d) get a fresh key and do not count
     toward the round total; exceeding the retry cap (default 10 + 2 per
@@ -507,10 +486,10 @@ def _run_session(params, prover, n_rounds, rng, retry_cap, keep_transcripts=True
     if retry_cap is None:
         retry_cap = 10 + 2 * n_rounds
     hint = prover.set_secret_hint if getattr(prover, "wants_secret_hint", False) else None
-    channel = _Loopback(prover, params, ends)
+    exchange = _prover_end(prover, params, ends)
     stats = SessionStats(rounds_requested=n_rounds)
     while stats.rounds_completed < n_rounds:
-        t = _verify_attempt(channel, params, rng, hint)
+        t = _verify_attempt(exchange, params, rng, hint)
         if keep_transcripts:
             stats.transcripts.append(t)
         if t.verdict == "retry":
@@ -559,14 +538,15 @@ def run_protocol_tcp(
     """Same contract as run_protocol, but every frame also crosses a TCP
     connection opened on host:port, on the calling thread: no server
     thread. A socket error, set-up included, aborts the session."""
-    ends: list[_SocketChannel] = []  # the verifier's, then the prover's
+    ends = []  # (socket, reader) pairs: the verifier's, then the prover's
     try:
         with socket.create_server((host, port)) as server:
-            ends.append(_SocketChannel(socket.create_connection(server.getsockname()[:2])))
-            ends.append(_SocketChannel(server.accept()[0]))
+            ends.append(_socket_end(socket.create_connection(server.getsockname()[:2])))
+            ends.append(_socket_end(server.accept()[0]))
         return _run_session(params, prover, n_rounds, rng, retry_cap, ends=ends)
     except OSError as exc:
         raise SessionAbort(f"transport failure: {exc!r}") from exc
     finally:
-        for end in ends:
-            end.close()
+        for sock, reader in ends:
+            reader.close()
+            sock.close()

@@ -88,12 +88,10 @@ class ResidualState:
 
     def is_clean_claw(self) -> bool:
         """True when there is exactly one equal-weight branch per b."""
-        try:
-            self.branches()
-        except ValueError:
-            return False
-        target = 1.0 / math.sqrt(self.key.params.kappa)
-        return bool((np.abs(self.amps - target) <= 1e-9).all())
+        kappa = self.key.params.kappa
+        target = 1.0 / math.sqrt(kappa)
+        return (np.array_equal(self.branch, np.arange(kappa))
+                and bool((np.abs(self.amps - target) <= 1e-9).all()))
 
 
 @dataclass(frozen=True, eq=False)

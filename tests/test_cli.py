@@ -1,3 +1,4 @@
+import re
 import socket
 
 import numpy as np
@@ -177,8 +178,8 @@ class TestReduce:
         assert rc == EXIT_ERROR
         assert capsys.readouterr().err == "error: --ell must be >= 1\n"
 
-    @pytest.mark.parametrize("kappa, code", [("521", EXIT_OK), ("522", EXIT_ERROR),
-                                             ("600", EXIT_ERROR)])
+    @pytest.mark.parametrize("kappa, code", [("5", EXIT_OK), ("521", EXIT_OK),
+                                             ("522", EXIT_ERROR), ("600", EXIT_ERROR)])
     def test_edcp_kappa_at_most_q(self, kappa, code, capsys):
         """EDCP states take kappa up to q = 521; past it, claw labels
         repeat and the pipeline refuses to run."""
@@ -203,9 +204,10 @@ class TestOracleCompare:
                   "--mis-shift", "1"])
         assert rc == EXIT_FAIL
 
-    def test_oversized_state_exit_2(self):
+    def test_oversized_state_exit_2(self, capsys):
         rc = run(["oracle-compare", "--preset", "desk-k3", "--seed", "6"])
         assert rc == EXIT_ERROR
+        assert re.fullmatch(r"error: joint support \d+ exceeds cap \d+\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("mis_shift, code", [("0", EXIT_OK), ("1", EXIT_FAIL)])
     def test_verbose_runs_the_oracle_once(self, capsys, monkeypatch, mis_shift, code):
@@ -233,6 +235,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["keygen", "--preset", "galactic", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["reduce", "--preset", "desk-k3", "--path", "dcp", "--kappa", "600"], "--kappa"),
+        (["reduce", "--preset", "desk-k3", "--inject-fault", "--kappa", "600"], "--kappa"),
+        (["reduce", "--preset", "desk-k3", "--path", "edcp", "--inject-fault", "--kappa", "5"],
+         "--kappa"),
+        (["keygen", "--preset", "desk-k3", "--kappa", "5", "--q", "97"], "--q, --kappa"),
+        (["stats", "--preset", "desk-k3", "--kappa", "5"], "--kappa"),
+        (["oracle-compare", "--preset", "tiny-exact", "--m", "9"], "--m"),
+        (["protocol", "--preset", "tiny-exact", "--n", "3", "--rounds", "2"], "--n"),
+    ], ids=["reduce-dcp", "reduce-fault", "reduce-edcp-fault", "keygen", "stats",
+            "oracle-compare", "protocol"])
+    def test_preset_refuses_parameter_flags(self, argv, flags, tmp_path, capsys):
+        """A preset fixes q, n, m and kappa, so giving one of them too is a
+        usage error, not a flag that is silently dropped."""
+        rc = run(argv + ["--seed", "4", "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: --preset {argv[2]} fixes q, n, m and kappa; "
+                                           f"drop {flags}\n")
+        assert not any(tmp_path.iterdir())
 
     def test_no_command_exit_2(self):
         with pytest.raises(SystemExit) as exc:

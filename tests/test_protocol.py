@@ -828,7 +828,11 @@ class TestTcpTransport:
         assert len(seen) >= 6
         assert set(seen) == {(caller, threads)}
 
-    def test_transport_failure_aborts(self, monkeypatch):
+    @staticmethod
+    def _third_read_aborts(monkeypatch, third_read, message):
+        """A tiny TCP session whose third frame read raises `third_read`,
+        or meets EOF if it is None, aborts with `message` and closes
+        both connected ends."""
         open_ends = []
 
         class Probe(socket.socket):
@@ -846,17 +850,39 @@ class TestTcpTransport:
 
         def failing_read(stream):
             calls.append(stream)
-            if len(calls) == 3:
-                raise TimeoutError("timed out")
-            return real_read(stream)
+            if len(calls) < 3:
+                return real_read(stream)
+            if third_read is not None:
+                raise third_read
+            return None
 
         monkeypatch.setattr(socket, "socket", Probe)
         monkeypatch.setattr(protocol, "_read_frame", failing_read)
         pr = HonestProver(np.random.default_rng(31), mode="exact-enumeration")
-        with pytest.raises(SessionAbort, match="transport failure"):
+        with pytest.raises(SessionAbort, match=message):
             run_protocol_tcp(TINY, pr, 3, np.random.default_rng(32))
         assert len(calls) == 3
         assert len(open_ends) == 2 and all(end.fileno() == -1 for end in open_ends)
+
+    def test_transport_failure_aborts(self, monkeypatch):
+        self._third_read_aborts(monkeypatch, TimeoutError("timed out"), "transport failure")
+
+    def test_eof_mid_round_aborts(self, monkeypatch):
+        self._third_read_aborts(monkeypatch, None, "^peer closed connection mid-round$")
+
+
+class TestEngineChecks:
+    @pytest.mark.parametrize("drive", [run_protocol, run_protocol_tcp], ids=["inproc", "tcp"])
+    def test_reply_of_the_wrong_kind_raises(self, monkeypatch, drive):
+        monkeypatch.setattr(protocol, "_prover_step", lambda prover, msg: MsgChallenge("G"))
+        pr = HonestProver(np.random.default_rng(33), mode="exact-enumeration")
+        with pytest.raises(ProtocolError, match="^unexpected MsgChallenge from the prover$"):
+            drive(TINY, pr, 1, np.random.default_rng(34))
+
+    def test_prover_refuses_a_prover_message(self):
+        pr = HonestProver(np.random.default_rng(35), mode="exact-enumeration")
+        with pytest.raises(ProtocolError, match="^prover got unexpected MsgImage$"):
+            protocol._prover_step(pr, MsgImage(np.zeros(TINY.m, dtype=np.int64)))
 
 
 def test_round_vectors_read_only():
